@@ -7,7 +7,7 @@ Sign and ordering conventions, fixed here and reused everywhere:
 * displacement  D(alpha) = exp(alpha a^dag - conj(alpha) a)
 * rotation      R(theta) = exp(i theta a^dag a)
 * squeeze       S(z) = exp((conj(z) a^2 - z a^dag^2) / 2),  z = r e^{i phi},
-  so that S^dag a S = a cosh r - a^dag e^{-i phi} sinh r.
+  so that S^dag a S = a cosh r - a^dag e^{+i phi} sinh r.
 * two-mode squeeze  exp(xi a^dag b^dag - conj(xi) a b) acting on |0,0>,
   xi = r e^{i theta}.
 * beam splitter on an ordered pair (first, second): exp(theta (a^dag b - a b^dag))

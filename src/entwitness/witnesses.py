@@ -7,13 +7,15 @@ on the other:
 * pairing test:             |<A B>|^2      >  <A^dag A> <B^dag B>
 
 Either inequality certifies entanglement; both hold with <= for every
-separable state.  Expanding A (or B, or both) in a small operator basis
-turns the first inequality into a quadratic form, whose Hermitian
-coefficient matrix certifies entanglement whenever it has a positive
-eigenvalue.  This module builds those matrices, provides the product-vector
-machinery for the doubly-expanded (bilinear) form, evaluates local
-uncertainty bounds, and supplies the partial-transpose minimum eigenvalue as
-an independent cross-check.
+separable state.  Expanding A = sum_j u_j F_j and B = sum_k v_k G_k turns the
+first test into a Hermitian form on the coefficients, built from two moment
+tables, c[j, k] = <F_j^dag G_k> and t[j, k, j', k'] = <F_j^dag F_j' G_k^dag G_k'>:
+X[(j, k), (j', k')] = c[j, k'] conj(c[j', k]) - t.  Expanding one side only is
+the case with a one-element other side, and the first test is the 1x1 case.
+Every moment is <X^dag Y> = vdot(X bra, Y ket) for the state's roots
+(bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.  The module
+also provides product-vector search on the form, local uncertainty sums, and
+the partial-transpose minimum eigenvalue as an independent cross-check.
 
 An eigenvalue counts as positive when it exceeds
 ``POSITIVITY_EPS * max(1, spectral scale)``; everything below that is
@@ -35,7 +37,6 @@ from .spaces import (
     State,
     StateVector,
     density_of,
-    expectation,
 )
 
 POSITIVITY_EPS = 1e-9
@@ -113,41 +114,68 @@ def _report(lhs: float, rhs: float) -> WitnessReport:
 
 
 def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
-        raise ValueError(f"{what} should be real, got imaginary part {value.imag:.3e}")
+    tol = 1e-8 * max(1.0, abs(value))
+    if abs(value.imag) > tol:
+        err = linalg.NonHermitianError(abs(value.imag), tol)
+        err.args = (f"{what} should be real, got imaginary part {value.imag:.3e}",)
+        raise err
     return float(value.real)
+
+
+def _roots(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """(bra, ket) with <X^dag Y> = vdot(X bra, Y ket): (psi, psi) or (I, rho)."""
+    if isinstance(state, StateVector):
+        psi = state.amplitudes[:, None]
+        return psi, psi
+    return np.eye(state.signature.total_dim, dtype=complex), state.matrix
+
+
+def _apply(ops: Sequence[LabeledOperator], roots: np.ndarray) -> np.ndarray:
+    """Stack of op @ roots, one entry per operator; roots may itself be a stack."""
+    return np.stack([op.matrix @ roots for op in ops])
+
+
+def _moments(
+    state: State,
+    ops_a: Sequence[LabeledOperator],
+    ops_b: Sequence[LabeledOperator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment tables c[j, k] and t[j, k, j', k'] of F_j = ops_a[j], G_k = ops_b[k].
+
+    F and G have disjoint supports, so they commute and
+    t[j, k, j', k'] = vdot(F_j G_k bra, F_j' G_k' ket).
+    """
+    na, nb = len(ops_a), len(ops_b)
+    bra, ket = _roots(state)
+    g_ket = _apply(ops_b, ket)
+    fg_ket = _apply(ops_a, g_ket).reshape(na * nb, -1)
+    fg_bra = fg_ket if bra is ket else _apply(ops_a, _apply(ops_b, bra)).reshape(na * nb, -1)
+    c = _apply(ops_a, bra).reshape(na, -1).conj() @ g_ket.reshape(nb, -1).T
+    t = (fg_bra.conj() @ fg_ket.T).reshape(na, nb, na, nb)
+    return c, t
+
+
+def _sides(op: LabeledOperator, bra: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(op bra, op ket), computed once when the two roots coincide."""
+    op_ket = op.matrix @ ket
+    return (op_ket if bra is ket else op.matrix @ bra), op_ket
 
 
 def cond1(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Cross-correlation test: |<A^dag B>|^2 > <A^dag A B^dag B>."""
     _check_disjoint([a], [b])
-    if isinstance(state, StateVector):
-        # A and B commute, so <A^dag A B^dag B> = ||A B psi||^2
-        psi = state.amplitudes
-        a_psi = a.matrix @ psi
-        b_psi = b.matrix @ psi
-        lhs = abs(np.vdot(a_psi, b_psi)) ** 2
-        rhs = float(np.linalg.norm(b.matrix @ a_psi) ** 2)
-        return _report(lhs, rhs)
-    lhs = abs(expectation(state, a.dag() @ b)) ** 2
-    rhs = _real(expectation(state, a.dag() @ a @ b.dag() @ b), "<A^dag A B^dag B>")
-    return _report(lhs, rhs)
+    c, t = _moments(state, [a], [b])
+    return _report(abs(c[0, 0]) ** 2, _real(t[0, 0, 0, 0], "<A^dag A B^dag B>"))
 
 
 def cond2(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Pairing test: |<A B>|^2 > <A^dag A><B^dag B>."""
     _check_disjoint([a], [b])
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        a_psi = a.matrix @ psi
-        b_psi = b.matrix @ psi
-        lhs = abs(np.vdot(psi, a.matrix @ b_psi)) ** 2
-        rhs = float(np.linalg.norm(a_psi) ** 2) * float(np.linalg.norm(b_psi) ** 2)
-        return _report(lhs, rhs)
-    lhs = abs(expectation(state, a @ b)) ** 2
-    rhs = _real(expectation(state, a.dag() @ a), "<A^dag A>") * _real(
-        expectation(state, b.dag() @ b), "<B^dag B>"
-    )
+    bra, ket = _roots(state)
+    a_bra, a_ket = _sides(a, bra, ket)
+    b_bra, b_ket = _sides(b, bra, ket)
+    lhs = abs(np.vdot(bra, a.matrix @ b_ket)) ** 2
+    rhs = _real(np.vdot(a_bra, a_ket), "<A^dag A>") * _real(np.vdot(b_bra, b_ket), "<B^dag B>")
     return _report(lhs, rhs)
 
 
@@ -156,38 +184,13 @@ def witness_matrix_expand_a(
     ops_a: Sequence[LabeledOperator],
     b: LabeledOperator,
 ) -> WitnessMatrix:
-    """Expand A = sum_j z_j E_j against a fixed B.
+    """Expand A = sum_j z_j E_j against a fixed B: ``bilinear_form(ops_a, [b])``.
 
     The returned Hermitian matrix M satisfies
     z^dag M z = cond1 margin of (sum_j z_j E_j, B) for every coefficient
     vector z, so a positive eigenvalue certifies entanglement.
     """
-    _check_disjoint(ops_a, [b])
-    n = len(ops_a)
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        b_psi = b.matrix @ psi
-        e_psi = [e.matrix @ psi for e in ops_a]
-        d = np.array([np.vdot(ep, b_psi) for ep in e_psi])
-        w = b.matrix.conj().T @ b_psi
-        e_w = [e.matrix @ w for e in ops_a]
-        m = np.outer(d, d.conj())
-        for j in range(n):
-            for k in range(n):
-                m[j, k] -= np.vdot(e_psi[j], e_w[k])
-    else:
-        bb = b.dag() @ b
-        d = np.array([expectation(state, e.dag() @ b) for e in ops_a])
-        m = np.outer(d, d.conj())
-        for j in range(n):
-            for k in range(j, n):
-                val = expectation(state, ops_a[j].dag() @ ops_a[k] @ bb)
-                m[j, k] -= val
-                if k != j:
-                    m[k, j] -= np.conj(val)
-                else:
-                    m[j, j] = m[j, j].real
-    return WitnessMatrix((m + m.conj().T) / 2, _names(ops_a, "E"))
+    return WitnessMatrix(bilinear_form(state, ops_a, [b]).matrix, _names(ops_a, "E"))
 
 
 def witness_matrix_expand_b(
@@ -195,37 +198,12 @@ def witness_matrix_expand_b(
     a: LabeledOperator,
     ops_b: Sequence[LabeledOperator],
 ) -> WitnessMatrix:
-    """Expand B = sum_j z_j F_j against a fixed A.
+    """Expand B = sum_j z_j F_j against a fixed A: ``bilinear_form([a], ops_b)``.
 
     M_jk = <A^dag F_j>^* <A^dag F_k> - <A^dag A F_j^dag F_k>, and
     z^dag M z reproduces the cond1 margin of (A, sum_j z_j F_j).
     """
-    _check_disjoint([a], ops_b)
-    n = len(ops_b)
-    if isinstance(state, StateVector):
-        # A commutes with every F, so <A^dag A F_j^dag F_k> = <F_j A psi|F_k A psi>
-        psi = state.amplitudes
-        a_psi = a.matrix @ psi
-        f_psi = [f.matrix @ psi for f in ops_b]
-        f_a_psi = [f.matrix @ a_psi for f in ops_b]
-        d = np.array([np.vdot(a_psi, fp) for fp in f_psi])
-        m = np.outer(d.conj(), d)
-        for j in range(n):
-            for k in range(n):
-                m[j, k] -= np.vdot(f_a_psi[j], f_a_psi[k])
-    else:
-        aa = a.dag() @ a
-        d = np.array([expectation(state, a.dag() @ f) for f in ops_b])
-        m = np.outer(d.conj(), d)
-        for j in range(n):
-            for k in range(j, n):
-                val = expectation(state, aa @ ops_b[j].dag() @ ops_b[k])
-                m[j, k] -= val
-                if k != j:
-                    m[k, j] -= np.conj(val)
-                else:
-                    m[j, j] = m[j, j].real
-    return WitnessMatrix((m + m.conj().T) / 2, _names(ops_b, "F"))
+    return WitnessMatrix(bilinear_form(state, [a], ops_b).matrix, _names(ops_b, "F"))
 
 
 def eig2_positive(m: WitnessMatrix | np.ndarray) -> bool:
@@ -255,32 +233,9 @@ def bilinear_form(
     certified by a product coefficient vector with positive form value.
     """
     _check_disjoint(ops_a, ops_b)
-    na, nb = len(ops_a), len(ops_b)
-    x = np.zeros((na, nb, na, nb), dtype=complex)
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        f_psi = [f.matrix @ psi for f in ops_a]
-        g_psi = [g.matrix @ psi for g in ops_b]
-        fg_psi = [[f.matrix @ gp for gp in g_psi] for f in ops_a]
-        c = np.array([[np.vdot(fp, gp) for gp in g_psi] for fp in f_psi])
-        for j in range(na):
-            for jp in range(na):
-                for k in range(nb):
-                    for kp in range(nb):
-                        x[j, k, jp, kp] = c[j, kp] * np.conj(c[jp, k]) - np.vdot(
-                            fg_psi[j][k], fg_psi[jp][kp]
-                        )
-    else:
-        c = np.array([[expectation(state, f.dag() @ g) for g in ops_b] for f in ops_a])
-        for j in range(na):
-            for jp in range(na):
-                ffa = ops_a[j].dag() @ ops_a[jp]
-                for k in range(nb):
-                    for kp in range(nb):
-                        x[j, k, jp, kp] = c[j, kp] * np.conj(c[jp, k]) - expectation(
-                            state, ffa @ ops_b[k].dag() @ ops_b[kp]
-                        )
-    x = x.reshape(na * nb, na * nb)
+    c, t = _moments(state, ops_a, ops_b)
+    na, nb = c.shape
+    x = (np.einsum("jq,pk->jkpq", c, c.conj()) - t).reshape(na * nb, na * nb)
     return WitnessMatrix((x + x.conj().T) / 2, _names(ops_a, "F"), _names(ops_b, "G"))
 
 
@@ -381,12 +336,7 @@ def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:
         value = float(np.real(np.conj(x1) @ x.matrix @ x1))
         return ProductScanResult(value, left[:, 0], right[:, 0])
     # expand x2 in the Schmidt basis of x1
-    d = np.array(
-        [
-            [np.vdot(np.kron(left[:, j], right[:, k]), x2) for k in range(2)]
-            for j in range(2)
-        ]
-    )
+    d = left.conj().T @ x2.reshape(2, 2) @ right.conj()
     coeffs = [kappa[0] * kappa[1], kappa[0] * d[1, 1] + kappa[1] * d[0, 0],
               d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]]
     roots = np.roots(coeffs)
@@ -421,17 +371,12 @@ def lur_value(
     caller-supplied bound and rhs is the measured value: a positive margin
     (value below the bound) certifies entanglement.
     """
+    bra, ket = _roots(state)
     total = 0.0
     for a, b in pairs:
         _check_disjoint([a], [b])
-        d_op = a + b
-        if isinstance(state, StateVector):
-            w = d_op.matrix @ state.amplitudes
-            total += float(np.vdot(w, w).real) - abs(np.vdot(state.amplitudes, w)) ** 2
-        else:
-            total += _real(expectation(state, d_op.dag() @ d_op), "<D^dag D>") - abs(
-                expectation(state, d_op)
-            ) ** 2
+        d_bra, d_ket = _sides(a + b, bra, ket)
+        total += _real(np.vdot(d_bra, d_ket), "<D^dag D>") - abs(np.vdot(bra, d_ket)) ** 2
     return _report(float(separable_bound), total)
 
 

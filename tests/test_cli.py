@@ -177,3 +177,17 @@ def test_parse_field_spec_errors():
         parse_field_spec("wibble:3", 8)
     v = parse_field_spec("amps:0.6,0,0.8", 8)
     assert np.abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+def test_non_hermitian_runner_exits_3(monkeypatch, capsys):
+    import dataclasses
+
+    from entwitness import linalg
+
+    def runner(params, seed, args):
+        raise linalg.NonHermitianError(0.5, 1e-10)
+
+    exp = dataclasses.replace(EXPERIMENTS["noise-threshold"], runner=runner)
+    monkeypatch.setitem(EXPERIMENTS, "noise-threshold", exp)
+    assert run(["noise-threshold"]) == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -298,3 +298,15 @@ def test_gaussian_params_normalizes_theta():
     p = ops.GaussianParams(theta=7.0)
     assert 0.0 <= p.theta < 2 * math.pi
     assert ops.GaussianParams(z=0.5 * np.exp(1j)).r == pytest.approx(0.5)
+
+
+def test_squeeze_heisenberg_phase_sign():
+    # pins the docstring convention S^dag a S = a cosh r - a^dag e^{+i phi} sinh r
+    dim, rr, phi = 120, 0.3, 0.7
+    a = ops.annihilator(dim)
+    s = ops.squeeze(rr * np.exp(1j * phi), dim)
+    lhs = s.conj().T @ a @ s
+    plus = a * math.cosh(rr) - a.conj().T * np.exp(1j * phi) * math.sinh(rr)
+    minus = a * math.cosh(rr) - a.conj().T * np.exp(-1j * phi) * math.sinh(rr)
+    assert low_block_error(lhs, plus, 20) < 1e-12
+    assert low_block_error(lhs, minus, 20) > 1.0

@@ -1,0 +1,180 @@
+"""Property checks over random states: every witness is a view on one moment table.
+
+States are random pure states, the same states as density matrices, and
+random separable mixtures on two truncated modes of dims 2..4; operators are
+random complex local matrices.  Examples are derandomized, so the suite is
+deterministic.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from entwitness.spaces import DensityMatrix, StateVector, boson, embed, expectation, signature
+from entwitness.witnesses import (
+    bilinear_form,
+    cond1,
+    cond2,
+    lur_value,
+    witness_matrix_expand_a,
+    witness_matrix_expand_b,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+def _pure(rng, sig):
+    amps = rng.normal(size=sig.total_dim) + 1j * rng.normal(size=sig.total_dim)
+    return StateVector(sig, amps / np.linalg.norm(amps))
+
+
+def _separable(rng, sig):
+    weights = rng.random(int(rng.integers(1, 6)))
+    rho = np.zeros((sig.total_dim, sig.total_dim), dtype=complex)
+    for w in weights / weights.sum():
+        parts = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in sig.dims]
+        v = np.kron(*(p / np.linalg.norm(p) for p in parts))
+        rho += w * np.outer(v, v.conj())
+    return DensityMatrix(sig, rho)
+
+
+def _local_ops(rng, sig, label, count):
+    dim = sig.factor(label).dim
+    return [
+        embed(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), label, sig)
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def cases(draw, kinds=("pure", "density", "separable")):
+    """(state, ops_a, ops_b, rng) with one to three operators per side."""
+    sig = signature(boson("a", draw(st.integers(2, 4))), boson("b", draw(st.integers(2, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(kinds))
+    ops_a = _local_ops(rng, sig, "a", draw(st.integers(1, 3)))
+    ops_b = _local_ops(rng, sig, "b", draw(st.integers(1, 3)))
+    if kind == "separable":
+        state = _separable(rng, sig)
+    else:
+        state = _pure(rng, sig)
+        if kind == "density":
+            state = state.to_density()
+    return state, ops_a, ops_b, rng
+
+
+def _close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+def _combine(z, basis):
+    op = z[0] * basis[0]
+    for zj, e in zip(z[1:], basis[1:]):
+        op = op + zj * e
+    return op
+
+
+@SETTINGS
+@given(cases())
+def test_base_tests_match_operator_product_expectations(case):
+    # reference: the inequalities evaluated with full-space operator products
+    state, ops_a, ops_b, _ = case
+    a, b = ops_a[0], ops_b[0]
+    want1 = [
+        abs(expectation(state, a.dag() @ b)) ** 2,
+        expectation(state, a.dag() @ a @ b.dag() @ b).real,
+    ]
+    want2 = [
+        abs(expectation(state, a @ b)) ** 2,
+        expectation(state, a.dag() @ a).real * expectation(state, b.dag() @ b).real,
+    ]
+    for rep, want in ((cond1(state, a, b), want1), (cond2(state, a, b), want2)):
+        assert _close([rep.lhs, rep.rhs], want)
+
+
+@SETTINGS
+@given(cases())
+def test_expand_a_is_bilinear_form_with_one_b(case):
+    state, ops_a, ops_b, _ = case
+    m = witness_matrix_expand_a(state, ops_a, ops_b[0])
+    x = bilinear_form(state, ops_a, ops_b[:1])
+    assert _close(m.matrix, x.matrix)
+    assert m.basis_a == tuple(f"E{j + 1}" for j in range(len(ops_a)))
+    assert m.basis_b == ()
+
+
+@SETTINGS
+@given(cases())
+def test_expand_b_is_bilinear_form_with_one_a(case):
+    state, ops_a, ops_b, _ = case
+    m = witness_matrix_expand_b(state, ops_a[0], ops_b)
+    x = bilinear_form(state, ops_a[:1], ops_b)
+    assert _close(m.matrix, x.matrix)
+    assert m.basis_a == tuple(f"F{j + 1}" for j in range(len(ops_b)))
+    assert m.basis_b == ()
+
+
+@SETTINGS
+@given(cases())
+def test_cond1_margin_is_the_one_by_one_form(case):
+    state, ops_a, ops_b, _ = case
+    rep = cond1(state, ops_a[0], ops_b[0])
+    x = bilinear_form(state, ops_a[:1], ops_b[:1])
+    assert x.matrix.shape == (1, 1)
+    assert abs(x.matrix[0, 0].real - rep.margin) <= 1e-12 * max(1.0, rep.lhs, rep.rhs)
+
+
+@SETTINGS
+@given(cases())
+def test_expand_a_quadratic_form_is_cond1_margin(case):
+    state, ops_a, ops_b, rng = case
+    m = witness_matrix_expand_a(state, ops_a, ops_b[0])
+    z = rng.normal(size=len(ops_a)) + 1j * rng.normal(size=len(ops_a))
+    rep = cond1(state, _combine(z, ops_a), ops_b[0])
+    quad = float(np.real(z.conj() @ m.matrix @ z))
+    assert abs(quad - rep.margin) <= 1e-12 * max(1.0, rep.lhs, rep.rhs)
+
+
+@SETTINGS
+@given(cases())
+def test_bilinear_form_on_product_vectors_is_cond1_margin(case):
+    state, ops_a, ops_b, rng = case
+    x = bilinear_form(state, ops_a, ops_b)
+    u = rng.normal(size=len(ops_a)) + 1j * rng.normal(size=len(ops_a))
+    v = rng.normal(size=len(ops_b)) + 1j * rng.normal(size=len(ops_b))
+    rep = cond1(state, _combine(u, ops_a), _combine(v, ops_b))
+    uv = np.kron(u, v)
+    quad = float(np.real(uv.conj() @ x.matrix @ uv))
+    assert abs(quad - rep.margin) <= 1e-12 * max(1.0, rep.lhs, rep.rhs)
+
+
+@SETTINGS
+@given(cases(kinds=("pure",)))
+def test_pure_state_and_its_density_agree(case):
+    psi, ops_a, ops_b, _ = case
+    rho = psi.to_density()
+    a, b = ops_a[0], ops_b[0]
+    for test in (cond1, cond2):
+        r_psi, r_rho = test(psi, a, b), test(rho, a, b)
+        assert _close([r_rho.lhs, r_rho.rhs, r_rho.margin], [r_psi.lhs, r_psi.rhs, r_psi.margin])
+        assert r_psi.entangled == r_rho.entangled
+    views = (
+        lambda s: witness_matrix_expand_a(s, ops_a, b),
+        lambda s: witness_matrix_expand_b(s, a, ops_b),
+        lambda s: bilinear_form(s, ops_a, ops_b),
+    )
+    for view in views:
+        assert _close(view(rho).matrix, view(psi).matrix)
+    pairs = list(zip(ops_a, ops_b))
+    assert _close(lur_value(rho, pairs, 0.0).rhs, lur_value(psi, pairs, 0.0).rhs)
+
+
+@SETTINGS
+@given(cases(kinds=("separable",)))
+def test_separable_mixtures_never_flagged(case):
+    rho, ops_a, ops_b, _ = case
+    a, b = ops_a[0], ops_b[0]
+    assert not cond1(rho, a, b).entangled
+    assert not cond2(rho, a, b).entangled
+    assert not witness_matrix_expand_a(rho, ops_a, b).has_positive_eigenvalue()
+    assert not witness_matrix_expand_b(rho, a, ops_b).has_positive_eigenvalue()

@@ -574,3 +574,12 @@ def test_separability_soundness():
         assert not rep1.entangled, f"cond1 margin {rep1.margin} on separable input"
         assert not rep2.entangled, f"cond2 margin {rep2.margin} on separable input"
         assert ppt_min_eig(rho, ["a"]) > -1e-8
+
+
+def test_cond2_non_hermitian_density_raises_numerical_error():
+    sig = families.bell_signature()
+    a, b = families.bell_witness_ops(sig)
+    # an imaginary diagonal entry makes <A^dag A> complex
+    m = np.diag([0.25 + 0.5j, 0.25, 0.25, 0.25])
+    with pytest.raises(linalg.NonHermitianError, match="should be real"):
+        cond2(DensityMatrix(sig, m), a, b)
