@@ -112,7 +112,7 @@ class Experiment:
 
 def _run_jc_thermal(p: dict, seed: int, common) -> tuple[list[dict], dict]:
     kt = np.linspace(0.0, p["kt_max"], int(p["points"]))
-    fock_dim = common.fock_dim or 20
+    fock_dim = 20 if common.fock_dim is None else common.fock_dim
     rows = []
     worst_leak = 0.0
     dims_used = []
@@ -153,7 +153,7 @@ def _run_tavis(p: dict, seed: int, common) -> tuple[list[dict], dict]:
 
 
 def _run_dicke(p: dict, seed: int, common) -> tuple[list[dict], dict]:
-    fock_dim = common.fock_dim or 24
+    fock_dim = 24 if common.fock_dim is None else common.fock_dim
     field = parse_field_spec(p["input"], fock_dim)
     margins = dk.dicke_conditions(field)
     moments = dk.field_moments(field)
@@ -187,7 +187,7 @@ def _run_dicke(p: dict, seed: int, common) -> tuple[list[dict], dict]:
 
 
 def _run_beamsplitters(p: dict, seed: int, common) -> tuple[list[dict], dict]:
-    fock_dim = common.fock_dim or 12
+    fock_dim = 12 if common.fock_dim is None else common.fock_dim
     rows = []
     for eps in p["epsilon"]:
         cfg = bs.BSConfig(
@@ -219,7 +219,7 @@ def _run_beamsplitters(p: dict, seed: int, common) -> tuple[list[dict], dict]:
 
 
 def _run_noise_threshold(p: dict, seed: int, common) -> tuple[list[dict], dict]:
-    tol = common.tolerance or 1e-4
+    tol = 1e-4 if common.tolerance is None else common.tolerance
     family = p["family"]
     if family == "bell":
         c1 = p["c1"]
@@ -256,7 +256,7 @@ def _run_noise_threshold(p: dict, seed: int, common) -> tuple[list[dict], dict]:
 
 
 def _run_two_mode_invariant(p: dict, seed: int, common) -> tuple[list[dict], dict]:
-    dim_a = common.fock_dim or 128
+    dim_a = 128 if common.fock_dim is None else common.fock_dim
     rows = []
     for r in p["r_values"]:
         if r < 0:
@@ -286,7 +286,7 @@ def _run_lur(p: dict, seed: int, common) -> tuple[list[dict], dict]:
     mode = p["mode"]
     rows = []
     if mode == "tmsv":
-        dim = common.fock_dim or 48
+        dim = 48 if common.fock_dim is None else common.fock_dim
         sig = signature(boson("a", dim), boson("b", dim))
         a = embed(ops.annihilator(dim), "a", sig, "a")
         b = embed(ops.annihilator(dim), "b", sig, "b")
@@ -520,6 +520,24 @@ EXPERIMENTS: dict[str, Experiment] = {
 # configuration plumbing and output
 # ---------------------------------------------------------------------------
 
+# options shared by every experiment, with the parser their flag uses
+_COMMON_OPTIONS: dict[str, Callable[[str], Any]] = {
+    "output": str,
+    "format": str,
+    "seed": int,
+    "fock_dim": int,
+    "tolerance": float,
+}
+
+
+def _parse_file_value(parse: Callable[[str], Any], key: str, value) -> Any:
+    """Read a config-file value as its flag would read the same text."""
+    text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ConfigError(f"bad value {value!r} for '{key}' in config file: {err}") from err
+
 
 def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
     params = {p.name: p.default for p in exp.params}
@@ -543,11 +561,15 @@ def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
                 raise ConfigError(f"unknown parameter '{key}' for experiment '{exp.name}'")
         for key, value in file_params.items():
             spec = next(p for p in exp.params if p.name == key)
-            params[key] = spec.parse(value) if isinstance(value, str) else value
+            params[key] = _parse_file_value(spec.parse, key, value)
         for key in blob:
-            if key not in ("experiment", "params", "output", "format", "seed", "fock_dim", "tolerance"):
+            if key not in ("experiment", "params", *_COMMON_OPTIONS):
                 raise ConfigError(f"unknown config key '{key}'")
-        file_common = {k: blob[k] for k in ("output", "format", "seed", "fock_dim", "tolerance") if k in blob}
+        file_common = {
+            k: _parse_file_value(parse, k, blob[k])
+            for k, parse in _COMMON_OPTIONS.items()
+            if blob.get(k) is not None
+        }
     for p in exp.params:
         flag_value = getattr(args, p.name, None)
         if flag_value is not None:
@@ -563,6 +585,10 @@ def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
         args.seed = 0
     if args.format not in ("csv", "json"):
         raise ConfigError(f"unknown format '{args.format}'")
+    if args.fock_dim is not None and args.fock_dim < 2:
+        raise ConfigError(f"fock_dim must be at least 2, got {args.fock_dim}")
+    if args.tolerance is not None and not args.tolerance > 0:
+        raise ConfigError(f"tolerance must be positive, got {args.tolerance}")
     return params
 
 
@@ -598,8 +624,8 @@ def _jsonable(value):
     return value
 
 
-def _write_output(exp_name: str, rows, diagnostics, params, args) -> None:
-    resolved = {
+def _resolved_config(exp_name: str, params, args) -> dict:
+    return {
         "experiment": exp_name,
         "params": _jsonable(params),
         "seed": args.seed,
@@ -608,8 +634,11 @@ def _write_output(exp_name: str, rows, diagnostics, params, args) -> None:
         "fock_dim": args.fock_dim,
         "tolerance": args.tolerance,
     }
+
+
+def _write_output(exp_name: str, rows, diagnostics, params, args) -> None:
     meta = {
-        "config": resolved,
+        "config": _resolved_config(exp_name, params, args),
         "version": __version__,
         "diagnostics": _jsonable(diagnostics),
     }
@@ -681,16 +710,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.dump_config:
-        resolved = {
-            "experiment": exp.name,
-            "params": _jsonable(params),
-            "seed": args.seed,
-            "format": args.format,
-            "output": args.output,
-            "fock_dim": args.fock_dim,
-            "tolerance": args.tolerance,
-        }
-        print(json.dumps(resolved, indent=2, sort_keys=True))
+        print(json.dumps(_resolved_config(exp.name, params, args), indent=2, sort_keys=True))
         return EXIT_OK
     try:
         rows, diagnostics = exp.runner(params, args.seed, args)

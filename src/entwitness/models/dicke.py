@@ -30,7 +30,7 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .. import operators as ops
-from ..spaces import LEAKAGE_THRESHOLD, LeakageError, MAX_FOCK_DIM
+from ..spaces import StateVector, boson, escalate_fock_dim, require_low_leakage, signature
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def hp_mode_transform(n_atoms: int, k: int) -> np.ndarray:
 
 def hp_inverse_transform(n_atoms: int, k: int) -> np.ndarray:
     """Rows give (a, x1, x2) back in terms of the normal modes."""
+    _check_split(n_atoms, k)
     sk = math.sqrt(k / (2.0 * n_atoms))
     snk = math.sqrt((n_atoms - k) / (2.0 * n_atoms))
     return np.array(
@@ -172,12 +173,6 @@ def _sparse_mode_ops(dims: tuple[int, int, int]):
     return lowered
 
 
-def _mode_populations(psi: np.ndarray, dims: tuple[int, int, int], axis: int) -> np.ndarray:
-    probs = np.abs(psi.reshape(dims)) ** 2
-    other = tuple(i for i in range(3) if i != axis)
-    return probs.sum(axis=other)
-
-
 @dataclass(frozen=True)
 class DickeOracleResult:
     moments: dict[str, complex]
@@ -189,6 +184,11 @@ class DickeOracleResult:
 
 def evolve_three_mode(cfg: DickeConfig, dims: tuple[int, int, int]) -> np.ndarray:
     """Evolved three-mode vector at the given truncations; raises on leakage."""
+    return _evolve(cfg, dims)[0]
+
+
+def _evolve(cfg: DickeConfig, dims: tuple[int, int, int]):
+    """Evolved vector, its worst leakage and the two group lowering operators."""
     if len(cfg.field_amplitudes) > dims[0]:
         raise ValueError("field amplitudes longer than the mode-a truncation")
     a, x1, x2 = _sparse_mode_ops(dims)
@@ -205,22 +205,13 @@ def evolve_three_mode(cfg: DickeConfig, dims: tuple[int, int, int]) -> np.ndarra
     psi0 = np.zeros(int(np.prod(dims)), dtype=complex)
     psi0.reshape(dims)[:, 0, 0] = field
     psi = expm_multiply(-1j * cfg.t * h.tocsc(), psi0)
-
-    worst = 0.0
-    for axis in range(3):
-        pops = _mode_populations(psi, dims, axis)
-        worst = max(worst, float(pops[-2:].sum()))
-    if worst >= LEAKAGE_THRESHOLD:
-        raise LeakageError("dicke-oracle", worst, LEAKAGE_THRESHOLD)
-    return psi
+    modes = (boson(f"dicke-oracle {m}", d) for m, d in zip(("a", "x1", "x2"), dims))
+    worst = require_low_leakage(StateVector(signature(*modes), psi))
+    return psi, worst, x1, x2
 
 
 def _oracle_at_dims(cfg: DickeConfig, dims: tuple[int, int, int]) -> DickeOracleResult:
-    psi = evolve_three_mode(cfg, dims)
-    _, x1, x2 = _sparse_mode_ops(dims)
-    worst = max(
-        float(_mode_populations(psi, dims, axis)[-2:].sum()) for axis in range(3)
-    )
+    psi, worst, x1, x2 = _evolve(cfg, dims)
     v1 = x1 @ psi
     v2 = x2 @ psi
     v12 = x1 @ v2
@@ -237,11 +228,9 @@ def _oracle_at_dims(cfg: DickeConfig, dims: tuple[int, int, int]) -> DickeOracle
 
 def dicke_oracle(cfg: DickeConfig) -> DickeOracleResult:
     """Direct truncated three-mode evolution; escalates truncations on leakage."""
-    dims = cfg.dims or cfg.default_dims()
-    while True:
-        try:
-            return _oracle_at_dims(cfg, dims)
-        except LeakageError:
-            if max(dims) >= MAX_FOCK_DIM:
-                raise
-            dims = tuple(min(2 * d, MAX_FOCK_DIM) for d in dims)
+    # all three truncations double together, scaled from the largest
+    base = cfg.dims or cfg.default_dims()
+    top = max(base)
+    return escalate_fock_dim(
+        lambda dim: _oracle_at_dims(cfg, tuple(d * dim // top for d in base)), top
+    )

@@ -24,7 +24,6 @@ from ..spaces import (
     boson,
     embed,
     escalate_fock_dim,
-    leakage,
     propagator_family,
     qubit,
     require_low_leakage,
@@ -105,8 +104,7 @@ def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
     for i, kt in enumerate(cfg.kt_grid):
         u = u_of_t(kt / cfg.kappa)
         rho_t = DensityMatrix(sig, u.matrix @ rho0 @ u.matrix.conj().T)
-        worst_leak = max(worst_leak, leakage(rho_t, "field"))
-        require_low_leakage(rho_t, ["field"])
+        worst_leak = max(worst_leak, require_low_leakage(rho_t, ["field"]))
         da = ops.delta(a, rho_t)
         m = witnesses.witness_matrix_expand_b(rho_t, sm, [da, da.dag()])
         m11[i] = m.matrix[0, 0].real

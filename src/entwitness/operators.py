@@ -28,14 +28,16 @@ import numpy as np
 
 from . import linalg
 from .spaces import (
-    LEAKAGE_THRESHOLD,
+    DensityMatrix,
     LabeledOperator,
-    LeakageError,
     SpaceSignature,
     State,
+    StateVector,
+    boson,
     embed_many,
     expectation,
-    identity_operator,
+    require_low_leakage,
+    signature,
 )
 
 
@@ -53,21 +55,12 @@ def number_op(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def _top_two_population(vec: np.ndarray) -> float:
-    return float((np.abs(vec[-2:]) ** 2).sum())
-
-
-def _check_vector_leakage(vec: np.ndarray, what: str, threshold: float = LEAKAGE_THRESHOLD):
-    pop = _top_two_population(vec)
-    if pop >= threshold:
-        raise LeakageError(what, pop, threshold)
-
-
 def displacement(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha); raises if the displaced vacuum leaks out of the truncation."""
     a = annihilator(dim)
     d = linalg.mat_exp(alpha * a.conj().T - np.conj(alpha) * a)
-    _check_vector_leakage(d[:, 0], f"displacement(alpha={alpha})")
+    mode = signature(boson(f"displacement(alpha={alpha})", dim))
+    require_low_leakage(StateVector(mode, d[:, 0]))
     return d
 
 
@@ -81,7 +74,8 @@ def squeeze(z: complex, dim: int) -> np.ndarray:
     a = annihilator(dim)
     adag = a.conj().T
     s = linalg.mat_exp((np.conj(z) * (a @ a) - z * (adag @ adag)) / 2)
-    _check_vector_leakage(s[:, 0], f"squeeze(z={z})")
+    mode = signature(boson(f"squeeze(z={z})", dim))
+    require_low_leakage(StateVector(mode, s[:, 0]))
     return s
 
 
@@ -151,9 +145,9 @@ def delta(op: LabeledOperator, state: State) -> LabeledOperator:
     matrices built from centered operators follow the state they probe.
     """
     mean = expectation(state, op)
-    centered = op - mean * identity_operator(op.signature)
+    centered = op.matrix - np.eye(op.signature.total_dim, dtype=complex) * mean
     name = f"delta({op.name})" if op.name else ""
-    return LabeledOperator(op.signature, centered.matrix, op.support, name)
+    return LabeledOperator(op.signature, centered, op.support, name)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +183,8 @@ def thermal(nbar: float, dim: int) -> np.ndarray:
     else:
         q = nbar / (1.0 + nbar)
         w = q ** np.arange(dim) / (1.0 + nbar)
-        tail = float(w[-2:].sum())
-        if tail >= LEAKAGE_THRESHOLD:
-            raise LeakageError(f"thermal(nbar={nbar})", tail, LEAKAGE_THRESHOLD)
+        mode = signature(boson(f"thermal(nbar={nbar})", dim))
+        require_low_leakage(DensityMatrix(mode, np.diag(w)))
         w = w / w.sum()
     return np.diag(w).astype(complex)
 
@@ -217,11 +210,8 @@ def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:
     vac = np.zeros(dim * dim, dtype=complex)
     vac[0] = 1.0
     psi = expm_multiply(gen.tocsc(), vac)
-    for mode_axis in (0, 1):
-        probs = (np.abs(psi.reshape(dim, dim)) ** 2).sum(axis=1 - mode_axis)
-        pop = float(probs[-2:].sum())
-        if pop >= LEAKAGE_THRESHOLD:
-            raise LeakageError(f"two_mode_squeezed(r={r}) mode {mode_axis}", pop, LEAKAGE_THRESHOLD)
+    modes = (boson(f"two_mode_squeezed(r={r}) mode {axis}", dim) for axis in (0, 1))
+    require_low_leakage(StateVector(signature(*modes), psi))
     return psi
 
 

@@ -7,9 +7,12 @@ never have to guess a tensor layout.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
-feeling the cutoff.  Operations that can pump population upward are expected
-to keep leakage below :data:`LEAKAGE_THRESHOLD`; experiment drivers escalate
-dimensions (doubling, capped at :data:`MAX_FOCK_DIM`) when it is exceeded.
+feeling the cutoff.  Only two functions hold the rule.
+:func:`require_low_leakage` raises :class:`LeakageError` once a factor's
+leakage reaches :data:`LEAKAGE_THRESHOLD`; raw vectors are checked by
+wrapping them in a state whose factor labels name what is checked.
+:func:`escalate_fock_dim` retries with the truncation doubled, capped at
+:data:`MAX_FOCK_DIM`.
 
 All values here are immutable and safe to share across threads.
 """
@@ -303,10 +306,7 @@ def apply_local(state: State, label: str, u_local: np.ndarray) -> State:
 
 def evolve(h: LabeledOperator, t: float, state: State) -> State:
     """Propagate a state under exp(-i H t) for a Hermitian generator."""
-    _same_signature(h.signature, state.signature)
-    ed = linalg.herm_eig(h.matrix)
-    u = ed.function_of(lambda w: np.exp(-1j * w * t))
-    return apply_operator(state, LabeledOperator(h.signature, u, h.support))
+    return apply_operator(state, propagator_family(h)(t))
 
 
 def propagator_family(h: LabeledOperator):
@@ -351,11 +351,10 @@ def level_populations(state: State, label: str) -> np.ndarray:
     dims = sig.dims
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes.reshape(dims)) ** 2
-        other = tuple(i for i in range(len(dims)) if i != ax)
-        return probs.sum(axis=other) if other else probs
-    diag = np.real(np.diag(state.matrix)).reshape(dims)
+    else:
+        probs = np.real(np.diag(state.matrix)).reshape(dims)
     other = tuple(i for i in range(len(dims)) if i != ax)
-    return diag.sum(axis=other) if other else diag
+    return probs.sum(axis=other) if other else probs
 
 
 def leakage(state: State, label: str) -> float:
@@ -368,15 +367,18 @@ def require_low_leakage(
     state: State,
     labels: Iterable[str] | None = None,
     threshold: float = LEAKAGE_THRESHOLD,
-):
-    """Raise :class:`LeakageError` if any bosonic factor leaks too much."""
+) -> float:
+    """Raise :class:`LeakageError` if a bosonic factor leaks; return the worst leakage."""
     sig = state.signature
     if labels is None:
         labels = [f.label for f in sig.factors if f.kind == BOSON]
+    worst = 0.0
     for lab in labels:
         pop = leakage(state, lab)
         if pop >= threshold:
             raise LeakageError(lab, pop, threshold)
+        worst = max(worst, pop)
+    return worst
 
 
 def escalate_fock_dim(run, start_dim: int, max_dim: int = MAX_FOCK_DIM):

@@ -191,3 +191,51 @@ def test_non_hermitian_runner_exits_3(monkeypatch, capsys):
     monkeypatch.setitem(EXPERIMENTS, "noise-threshold", exp)
     assert run(["noise-threshold"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_config_file_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for nbar, expected in ((0.01, [0.01]), ([0.01, 0.02], [0.01, 0.02]), ("0.03", [0.03])):
+        blob = {"experiment": "jc-thermal", "params": {"nbar": nbar, "kt_max": 2}, "seed": 4}
+        cfg.write_text(json.dumps(blob))
+        assert run(["jc-thermal", "--config", str(cfg), "--dump-config"]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert resolved["params"]["nbar"] == expected
+        assert resolved["params"]["kt_max"] == 2.0
+        assert resolved["seed"] == 4
+
+
+def test_config_file_values_of_the_wrong_type_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    bad = [
+        ({"experiment": "jc-thermal", "fock_dim": "abc"}, "fock_dim"),
+        ({"experiment": "dicke", "fock_dim": "abc"}, "fock_dim"),
+        ({"experiment": "tavis", "seed": 1.5}, "seed"),
+        ({"experiment": "tavis", "params": {"n": [1, 2]}}, "'n'"),
+        ({"experiment": "noise-threshold", "tolerance": "small"}, "tolerance"),
+    ]
+    for blob, named in bad:
+        cfg.write_text(json.dumps(blob))
+        assert run([blob["experiment"], "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "config file" in err
+
+
+def test_zero_truncation_or_tolerance_exits_2(tmp_path, capsys):
+    assert run(["lur", "--fock-dim", "0"]) == 2
+    assert "fock_dim" in capsys.readouterr().err
+    assert run(["jc-thermal", "--fock-dim", "1"]) == 2
+    assert run(["noise-threshold", "--tolerance", "0"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert run(["noise-threshold", "--tolerance", "-1"]) == 2
+    assert run(["noise-threshold", "--tolerance", "nan"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lur", "fock_dim": 0}))
+    assert run(["lur", "--config", str(cfg)]) == 2
+
+
+def test_numerical_failures_name_the_truncated_factor(capsys):
+    assert run(["lur", "--r-values", "2.5", "--fock-dim", "16"]) == 3
+    assert "factor 'two_mode_squeezed(r=2.5) mode 0'" in capsys.readouterr().err
+    assert run(["two-mode-invariant", "--r-values", "3.0", "--fock-dim", "16"]) == 3
+    assert "factor 'squeeze(z=3.0)'" in capsys.readouterr().err

@@ -112,3 +112,15 @@ def test_config_validates_split():
         DickeConfig(n_atoms=4, k=4, field_amplitudes=ops.fock(0, 4), t=1.0)
     with pytest.raises(ValueError):
         DickeConfig(n_atoms=4, k=0, field_amplitudes=ops.fock(0, 4), t=1.0)
+
+
+def test_oracle_escalation_doubles_every_truncation_together():
+    field = ops.squeezed_vacuum(0.3, 14)
+    res = dicke_oracle(DickeConfig(4, 2, field, t=8.0, dims=(14, 4, 4)))
+    assert res.dims == (56, 16, 16)
+
+
+def test_inverse_transform_validates_split():
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            hp_inverse_transform(4, k)

@@ -310,3 +310,47 @@ def test_squeeze_heisenberg_phase_sign():
     minus = a * math.cosh(rr) - a.conj().T * np.exp(-1j * phi) * math.sinh(rr)
     assert low_block_error(lhs, plus, 20) < 1e-12
     assert low_block_error(lhs, minus, 20) > 1.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: ops.squeeze(3.0, 16),
+            "factor 'squeeze(z=3.0)' holds 6.450e-02 of its population in the top two "
+            "levels (threshold 1.0e-06); increase the truncation",
+        ),
+        (
+            lambda: ops.displacement(3.0, 8),
+            "factor 'displacement(alpha=3.0)' holds 5.382e-01 of its population in the top "
+            "two levels (threshold 1.0e-06); increase the truncation",
+        ),
+        (
+            lambda: ops.thermal(0.5, 10),
+            "factor 'thermal(nbar=0.5)' holds 1.355e-04 of its population in the top two "
+            "levels (threshold 1.0e-06); increase the truncation",
+        ),
+        (
+            lambda: ops.two_mode_squeezed(2.5, 16),
+            "factor 'two_mode_squeezed(r=2.5) mode 0' holds 7.374e-02 of its population in "
+            "the top two levels (threshold 1.0e-06); increase the truncation",
+        ),
+    ],
+)
+def test_leakage_errors_name_what_was_truncated(make, message):
+    with pytest.raises(LeakageError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_delta_matches_operator_minus_scaled_identity():
+    from entwitness.spaces import identity_operator
+
+    sig = signature(boson("field", 12), boson("b", 3))
+    st = product_state(sig, {"field": ops.coherent(0.4 + 0.2j, 12), "b": ops.fock(1, 3)})
+    a = embed(ops.annihilator(12), "field", sig, "a")
+    d = ops.delta(a, st)
+    expected = a - expectation(st, a) * identity_operator(sig)
+    assert np.array_equal(d.matrix, expected.matrix)
+    assert d.support == a.support
+    assert d.name == "delta(a)"

@@ -258,3 +258,22 @@ def test_escalate_fock_dim_doubles_until_ok():
 
     with pytest.raises(LeakageError):
         escalate_fock_dim(always_bad, 10, max_dim=20)
+
+
+def test_require_low_leakage_returns_worst_and_raises_at_threshold():
+    sig = signature(boson("a", 4), boson("b", 4), qubit("q"))
+    parts = {
+        "a": np.sqrt([0.9, 0.0, 0.06, 0.04]),
+        "b": np.sqrt([0.7, 0.1, 0.1, 0.1]),
+        "q": [0.0, 1.0],  # qubits are not bosonic factors and are never checked
+    }
+    st = product_state(sig, parts)
+    worst = require_low_leakage(st, threshold=1.0)
+    assert worst == leakage(st, "b") == pytest.approx(0.2)
+    assert require_low_leakage(st, ["a"], threshold=1.0) == pytest.approx(0.1)
+    assert require_low_leakage(st.to_density(), threshold=1.0) == pytest.approx(worst, abs=1e-15)
+    with pytest.raises(LeakageError) as err:
+        require_low_leakage(st, threshold=worst)
+    assert err.value.label == "b"
+    vacuum = product_state(sig, {"a": operators.fock(0, 4), "b": operators.fock(0, 4), "q": [1, 0]})
+    assert require_low_leakage(vacuum) == 0.0
