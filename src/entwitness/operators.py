@@ -145,9 +145,9 @@ def delta(op: LabeledOperator, state: State) -> LabeledOperator:
     matrices built from centered operators follow the state they probe.
     """
     mean = expectation(state, op)
-    centered = op.matrix - np.eye(op.signature.total_dim, dtype=complex) * mean
+    centered = op.local - np.eye(op.local.shape[0], dtype=complex) * mean
     name = f"delta({op.name})" if op.name else ""
-    return LabeledOperator(op.signature, centered, op.support, name)
+    return LabeledOperator(op.signature, centered, op.support, name, op.axes)
 
 
 # ---------------------------------------------------------------------------

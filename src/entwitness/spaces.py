@@ -5,6 +5,14 @@ truncated bosonic mode or a qubit.  Every state and operator carries its
 signature, so partial traces, partial transposes and operator embeddings
 never have to guess a tensor layout.
 
+Operators are local: a :class:`LabeledOperator` keeps the matrix of the
+factors it acts on and applies it by tensor contraction on the reshaped
+full-space index of a vector, a stack of vectors or a density matrix, so
+memory for an operator on a few modes does not grow with the total
+dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
+it: Hermitian eigensolves of Hamiltonians, sector projections, and the
+identity root of a density matrix in the witness moment tables.
+
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
 feeling the cutoff.  Only two functions hold the rule.
@@ -14,12 +22,16 @@ wrapping them in a state whose factor labels name what is checked.
 :func:`escalate_fock_dim` retries with the truncation doubled, capped at
 :data:`MAX_FOCK_DIM`.
 
-All values here are immutable and safe to share across threads.
+All values here are immutable and safe to share across threads; the
+only state an operator changes is its cached full-space matrix, which is
+the same array whichever thread builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -86,17 +98,17 @@ class SpaceSignature:
         if len(set(labels)) != len(labels):
             raise SignatureError(f"duplicate factor labels in {labels}")
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(f.label for f in self.factors)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         for i, f in enumerate(self.factors):
@@ -163,45 +175,120 @@ class DensityMatrix:
 State = Union[StateVector, DensityMatrix]
 
 
-@dataclass(frozen=True)
 class LabeledOperator:
-    signature: SpaceSignature
-    matrix: np.ndarray
-    support: frozenset = field(default_factory=frozenset)
-    name: str = ""
+    """An operator stored as its local matrix on the factors it acts on.
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.signature.total_dim
-        if m.shape != (d, d):
-            raise SignatureError(f"matrix shape {m.shape} does not match dim {d}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "support", frozenset(self.support))
+    ``local`` acts on the factors at signature positions ``axes``, in that
+    order (its tensor layout is the Kronecker product of those factors);
+    every other factor carries the identity.  ``support`` is the set of
+    factor labels the operator is meant for, which witnesses use to keep
+    the two sides of a criterion apart.
+
+    ``LabeledOperator(sig, matrix, support, name)`` takes a full-space
+    matrix (``axes`` is every factor, in signature order); pass ``axes`` to
+    give a local matrix instead.  :func:`embed` and :func:`embed_many` store
+    the local matrix, ``dag``, ``-op`` and scalar ``*`` act on it, and ``@``,
+    ``+`` and ``-`` lift both operands to the union of their axes, in
+    signature order.  :meth:`apply` contracts the local matrix into the
+    full-space index of an array, so expectation values and witnesses never
+    form a full-space matrix.  The full-space D x D :attr:`matrix` is built
+    on first access and cached; for an operator on every factor in
+    signature order (Hamiltonians, propagators) it is the stored array.
+    """
+
+    __slots__ = ("signature", "local", "axes", "support", "name", "_matrix")
+
+    def __init__(
+        self,
+        signature: SpaceSignature,
+        matrix: np.ndarray,
+        support: Iterable[str] = frozenset(),
+        name: str = "",
+        axes: Sequence[int] | None = None,
+    ):
+        axes = tuple(range(len(signature.factors))) if axes is None else tuple(axes)
+        local = np.asarray(matrix, dtype=complex)
+        sub_dims = tuple(signature.dims[ax] for ax in axes)
+        d = math.prod(sub_dims)
+        if local.shape != (d, d):
+            raise SignatureError(
+                f"matrix shape {local.shape} does not match factor dims {sub_dims}"
+            )
+        self.signature = signature
+        self.local = local
+        self.axes = axes
+        self.support = frozenset(support)
+        self.name = name
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full-space D x D matrix, built on first access."""
+        if self._matrix is None:
+            self._matrix = self._lifted(tuple(range(len(self.signature.factors))))
+        return self._matrix
+
+    def _lifted(self, axes: tuple[int, ...]) -> np.ndarray:
+        """The local matrix on ``axes`` (a superset of ``self.axes``), identity elsewhere."""
+        if axes == self.axes:
+            return self.local
+        dims = self.signature.dims
+        rest = [ax for ax in axes if ax not in self.axes]
+        d_rest = math.prod(dims[ax] for ax in rest)
+        d = self.local.shape[0] * d_rest
+        # kron(local, identity), laid out over (own axes..., rest...)
+        big = np.multiply.outer(self.local, np.eye(d_rest, dtype=complex)).transpose(0, 2, 1, 3)
+        order = list(self.axes) + rest
+        n = len(order)
+        perm = [order.index(ax) for ax in axes]
+        t = big.reshape([dims[ax] for ax in order] * 2)
+        return t.transpose(perm + [p + n for p in perm]).reshape(d, d)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``op.matrix @ x`` by contraction, without the full-space matrix.
+
+        ``x`` is a full-space vector, or an array whose second-to-last index
+        runs over the full space (a D x m stack, a density matrix, or a batch
+        of either), as for ``np.matmul``.  The local matrix is contracted into
+        the factors at ``self.axes`` of that index.
+        """
+        dims, axes, k = self.signature.dims, self.axes, len(self.axes)
+        m = x.shape[-1] if x.ndim > 1 else 1
+        if not axes or axes == tuple(range(axes[0], axes[0] + k)):
+            # adjacent factors in signature order: one (batched) matmul
+            post = math.prod(dims[axes[-1] + 1 :]) if axes else self.signature.total_dim
+            y = x.reshape(-1, self.local.shape[0], post * m)
+            return np.matmul(self.local, y).reshape(x.shape)
+        at = [1 + ax for ax in axes]
+        t = np.tensordot(
+            self.local.reshape([dims[ax] for ax in axes] * 2),
+            x.reshape((-1,) + dims + (m,)),
+            axes=(list(range(k, 2 * k)), at),
+        )
+        return np.moveaxis(t, list(range(k)), at).reshape(x.shape)
 
     def dag(self) -> "LabeledOperator":
         name = f"{self.name}^dag" if self.name else ""
-        return LabeledOperator(self.signature, self.matrix.conj().T, self.support, name)
+        return LabeledOperator(self.signature, self.local.conj().T, self.support, name, self.axes)
+
+    def _combine(self, other: "LabeledOperator", fn) -> "LabeledOperator":
+        _same_signature(self.signature, other.signature)
+        axes = tuple(sorted(set(self.axes) | set(other.axes)))
+        local = fn(self._lifted(axes), other._lifted(axes))
+        return LabeledOperator(self.signature, local, self.support | other.support, "", axes)
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        _same_signature(self.signature, other.signature)
-        return LabeledOperator(
-            self.signature, self.matrix @ other.matrix, self.support | other.support
-        )
+        return self._combine(other, np.matmul)
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        _same_signature(self.signature, other.signature)
-        return LabeledOperator(
-            self.signature, self.matrix + other.matrix, self.support | other.support
-        )
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        _same_signature(self.signature, other.signature)
-        return LabeledOperator(
-            self.signature, self.matrix - other.matrix, self.support | other.support
-        )
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "LabeledOperator":
-        return LabeledOperator(self.signature, self.matrix * scalar, self.support, self.name)
+        local = self.local * scalar
+        return LabeledOperator(self.signature, local, self.support, self.name, self.axes)
 
     __rmul__ = __mul__
 
@@ -210,7 +297,8 @@ class LabeledOperator:
 
 
 def identity_operator(sig: SpaceSignature) -> LabeledOperator:
-    return LabeledOperator(sig, np.eye(sig.total_dim, dtype=complex), frozenset(), "I")
+    """The identity, stored as the 1 x 1 matrix [[1]] on no factor."""
+    return LabeledOperator(sig, np.ones((1, 1)), frozenset(), "I", axes=())
 
 
 def embed_many(
@@ -219,36 +307,19 @@ def embed_many(
     sig: SpaceSignature,
     name: str = "",
 ) -> LabeledOperator:
-    """Lift an operator on chosen factors (in the given order) to the full space.
+    """An operator on chosen factors (its matrix laid out in the given order).
 
-    The remaining factors carry the identity.
+    The remaining factors carry the identity; the local matrix is stored as
+    given, not lifted to the full space.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise SignatureError(f"repeated labels in {labels}")
-    axes = [sig.axis(lab) for lab in labels]
-    dims = sig.dims
-    sub_dims = tuple(dims[ax] for ax in axes)
-    local = np.asarray(local, dtype=complex)
-    d_sub = int(np.prod(sub_dims))
-    if local.shape != (d_sub, d_sub):
-        raise SignatureError(
-            f"local operator shape {local.shape} does not match factor dims {sub_dims}"
-        )
-    rest = [i for i in range(len(dims)) if i not in axes]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(local, np.eye(d_rest, dtype=complex))
-    # axes currently ordered (chosen..., rest...); permute back to signature order
-    order = axes + rest
-    inverse = np.argsort(order)
-    t = big.reshape(tuple(dims[i] for i in order) * 2)
-    n = len(dims)
-    t = np.transpose(t, axes=list(inverse) + [i + n for i in inverse])
-    return LabeledOperator(sig, t.reshape(big.shape), frozenset(labels), name)
+    return LabeledOperator(sig, local, labels, name, [sig.axis(lab) for lab in labels])
 
 
 def embed(local: np.ndarray, label: str, sig: SpaceSignature, name: str = "") -> LabeledOperator:
-    """Lift a single-factor operator to the full space, identity elsewhere."""
+    """A single-factor operator, identity elsewhere."""
     return embed_many(local, [label], sig, name)
 
 
@@ -288,16 +359,17 @@ def expectation(state: State, op: LabeledOperator) -> complex:
     """<psi|O|psi> for vectors, Tr(rho O) for density matrices."""
     _same_signature(state.signature, op.signature)
     if isinstance(state, StateVector):
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    return complex(np.einsum("ij,ji->", state.matrix, op.matrix))
+        return complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
+    return complex(np.trace(op.apply(state.matrix)))
 
 
 def apply_operator(state: State, op: LabeledOperator) -> State:
     """O|psi> or O rho O^dag; used for local unitaries."""
     _same_signature(state.signature, op.signature)
     if isinstance(state, StateVector):
-        return StateVector(state.signature, op.matrix @ state.amplitudes)
-    return DensityMatrix(state.signature, op.matrix @ state.matrix @ op.matrix.conj().T)
+        return StateVector(state.signature, op.apply(state.amplitudes))
+    # O rho O^dag = (O (O rho)^dag)^dag
+    return DensityMatrix(state.signature, op.apply(op.apply(state.matrix).conj().T).conj().T)
 
 
 def apply_local(state: State, label: str, u_local: np.ndarray) -> State:

@@ -13,7 +13,10 @@ tables, c[j, k] = <F_j^dag G_k> and t[j, k, j', k'] = <F_j^dag F_j' G_k^dag G_k'
 X[(j, k), (j', k')] = c[j, k'] conj(c[j', k]) - t.  Expanding one side only is
 the case with a one-element other side, and the first test is the 1x1 case.
 Every moment is <X^dag Y> = vdot(X bra, Y ket) for the state's roots
-(bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.  The module
+(bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.
+Operators reach the roots by contracting their local matrices
+(:meth:`LabeledOperator.apply`); the identity root is never multiplied, an
+operator applied to it is read off as its full-space matrix.  The module
 also provides product-vector search on the form, local uncertainty sums, and
 the partial-transpose minimum eigenvalue as an independent cross-check.
 
@@ -122,17 +125,30 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _roots(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """(bra, ket) with <X^dag Y> = vdot(X bra, Y ket): (psi, psi) or (I, rho)."""
+def _roots(state: State) -> tuple[np.ndarray | None, np.ndarray]:
+    """(bra, ket) with <X^dag Y> = vdot(X bra, Y ket): (psi, psi) or (I, rho).
+
+    The identity root is None: an operator applied to it is its matrix.
+    """
     if isinstance(state, StateVector):
         psi = state.amplitudes[:, None]
         return psi, psi
-    return np.eye(state.signature.total_dim, dtype=complex), state.matrix
+    return None, state.matrix
 
 
-def _apply(ops: Sequence[LabeledOperator], roots: np.ndarray) -> np.ndarray:
+def _act(op: LabeledOperator, roots: np.ndarray | None) -> np.ndarray:
+    """op @ roots by contraction; roots may be a stack, None is the identity."""
+    return op.matrix if roots is None else op.apply(roots)
+
+
+def _apply(ops: Sequence[LabeledOperator], roots: np.ndarray | None) -> np.ndarray:
     """Stack of op @ roots, one entry per operator; roots may itself be a stack."""
-    return np.stack([op.matrix @ roots for op in ops])
+    return np.array([_act(op, roots) for op in ops])
+
+
+def _dot(bra: np.ndarray | None, x: np.ndarray) -> complex:
+    """vdot(bra, x), the trace when bra is the identity root."""
+    return np.trace(x) if bra is None else np.vdot(bra, x)
 
 
 def _moments(
@@ -155,10 +171,12 @@ def _moments(
     return c, t
 
 
-def _sides(op: LabeledOperator, bra: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sides(
+    op: LabeledOperator, bra: np.ndarray | None, ket: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(op bra, op ket), computed once when the two roots coincide."""
-    op_ket = op.matrix @ ket
-    return (op_ket if bra is ket else op.matrix @ bra), op_ket
+    op_ket = op.apply(ket)
+    return (op_ket if bra is ket else _act(op, bra)), op_ket
 
 
 def cond1(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
@@ -174,7 +192,7 @@ def cond2(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport
     bra, ket = _roots(state)
     a_bra, a_ket = _sides(a, bra, ket)
     b_bra, b_ket = _sides(b, bra, ket)
-    lhs = abs(np.vdot(bra, a.matrix @ b_ket)) ** 2
+    lhs = abs(_dot(bra, a.apply(b_ket))) ** 2
     rhs = _real(np.vdot(a_bra, a_ket), "<A^dag A>") * _real(np.vdot(b_bra, b_ket), "<B^dag B>")
     return _report(lhs, rhs)
 
@@ -375,8 +393,12 @@ def lur_value(
     total = 0.0
     for a, b in pairs:
         _check_disjoint([a], [b])
-        d_bra, d_ket = _sides(a + b, bra, ket)
-        total += _real(np.vdot(d_bra, d_ket), "<D^dag D>") - abs(np.vdot(bra, d_ket)) ** 2
+        # D ket = A ket + B ket: the supports are disjoint, so A + B would span the full space
+        a_bra, a_ket = _sides(a, bra, ket)
+        b_bra, b_ket = _sides(b, bra, ket)
+        d_ket = a_ket + b_ket
+        d_bra = d_ket if bra is ket else a_bra + b_bra
+        total += _real(np.vdot(d_bra, d_ket), "<D^dag D>") - abs(_dot(bra, d_ket)) ** 2
     return _report(float(separable_bound), total)
 
 

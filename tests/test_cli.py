@@ -239,3 +239,31 @@ def test_numerical_failures_name_the_truncated_factor(capsys):
     assert "factor 'two_mode_squeezed(r=2.5) mode 0'" in capsys.readouterr().err
     assert run(["two-mode-invariant", "--r-values", "3.0", "--fock-dim", "16"]) == 3
     assert "factor 'squeeze(z=3.0)'" in capsys.readouterr().err
+
+
+def test_pair_bilinear_tolerance_reaches_the_scan(monkeypatch, capsys):
+    from entwitness import families
+
+    seen = []
+
+    def fake_threshold(tol):
+        seen.append(tol)
+        return families.XThresholdComparison(0.618, 0.474, 0.618)
+
+    monkeypatch.setattr(families, "psi01_x_threshold", fake_threshold)
+    for argv, tol in (([], 1e-3), (["--tolerance", "1e-5"], 1e-5), (["--tolerance", "0.01"], 0.01)):
+        assert run(["noise-threshold", "--family", "pair-bilinear", *argv]) == 0
+        assert seen.pop() == tol
+    capsys.readouterr()
+
+
+def test_pair_bilinear_explicit_tolerance_narrows_the_bracket(tmp_path):
+    s_star = {}
+    for tol in ("1e-3", "1e-4"):
+        out = tmp_path / f"pair-{tol}.csv"
+        argv = ["noise-threshold", "--family", "pair-bilinear", "--tolerance", tol]
+        assert run([*argv, "--output", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        s_star[tol] = float(dict(zip(header.split(","), row.split(",")))["s_star"])
+    assert s_star["1e-3"] != s_star["1e-4"]
+    assert abs(s_star["1e-4"] - (math.sqrt(5) - 1) / 2) <= 1e-4
