@@ -542,6 +542,17 @@ def _parse_file_value(parse: Callable[[str], Any], key: str, value) -> Any:
         raise ConfigError(f"bad value {value!r} for '{key}' in config file: {err}") from err
 
 
+def _check_finite(name: str, value) -> None:
+    """A float must be finite; a list must be non-empty with finite float entries."""
+    if isinstance(value, tuple):
+        if not value:
+            raise ConfigError(f"{name} must not be empty")
+        for entry in value:
+            _check_finite(name, entry)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
     params = {p.name: p.default for p in exp.params}
     file_common: dict[str, Any] = {}
@@ -577,11 +588,13 @@ def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
         flag_value = getattr(args, p.name, None)
         if flag_value is not None:
             params[p.name] = flag_value
-    for p in exp.params:
-        p.check(params[p.name])
     for k, v in file_common.items():
         if getattr(args, k, None) is None:
             setattr(args, k, v)
+    for name, value in (*params.items(), ("tolerance", args.tolerance)):
+        _check_finite(name, value)
+    for p in exp.params:
+        p.check(params[p.name])
     if args.format is None:
         args.format = "csv"
     if args.seed is None:

@@ -246,9 +246,9 @@ def psi01_x_threshold(tol: float = 2e-3, dim: int = 4, grid: int = 120) -> XThre
 def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
     """Single-mode squeeze applied to one side of the single-photon pair."""
     sig = signature(boson("a", dim_a), boson("b", dim_b))
+    s = ops.squeeze(z, dim_a)
     amps = (
-        np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
-        + np.kron(ops.squeeze(z, dim_a) @ ops.fock(1, dim_a), ops.fock(0, dim_b))
+        np.kron(s[:, 0], ops.fock(1, dim_b)) + np.kron(s[:, 1], ops.fock(0, dim_b))
     ) / np.sqrt(2)
     return StateVector(sig, amps)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .. import operators as ops
 from .. import witnesses
 from ..spaces import (
+    QUBIT,
     DensityMatrix,
     LabeledOperator,
     SpaceSignature,
@@ -64,14 +65,17 @@ def jc_signature(fock_dim: int) -> SpaceSignature:
 
 
 def jc_hamiltonian(sig: SpaceSignature, omega: float, kappa: float) -> LabeledOperator:
+    """Field term plus the atom terms of every qubit factor (Tavis-Cummings for several)."""
     dim = sig.factor("field").dim
     qo = ops.qubit_ops()
     a = embed(ops.annihilator(dim), "field", sig, "a")
-    n = embed(ops.number_op(dim), "field", sig)
-    sp = embed(qo["plus"], "atom", sig)
-    sm = embed(qo["minus"], "atom", sig)
-    sz = embed(qo["z"], "atom", sig)
-    return omega * n + (omega / 2) * sz + kappa * (sp @ a + sm @ a.dag())
+    h = omega * embed(ops.number_op(dim), "field", sig)
+    for atom in (f.label for f in sig.factors if f.kind == QUBIT):
+        sp = embed(qo["plus"], atom, sig)
+        sm = embed(qo["minus"], atom, sig)
+        sz = embed(qo["z"], atom, sig)
+        h = h + (omega / 2) * sz + kappa * (sp @ a + sm @ a.dag())
+    return h
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from ..spaces import (
     qubit,
     signature,
 )
+from .jaynes_cummings import jc_hamiltonian
 
 
 def omega_rabi(n: int, kappa: float) -> float:
@@ -67,18 +68,8 @@ def tc_signature(n: int, extra_levels: int = 3) -> SpaceSignature:
     return signature(boson("field", n + extra_levels), qubit("atom1"), qubit("atom2"))
 
 
-def tc_hamiltonian(sig: SpaceSignature, omega: float, kappa: float) -> LabeledOperator:
-    dim = sig.factor("field").dim
-    qo = ops.qubit_ops()
-    a = embed(ops.annihilator(dim), "field", sig, "a")
-    n_op = embed(ops.number_op(dim), "field", sig)
-    h = omega * n_op
-    for atom in ("atom1", "atom2"):
-        sp = embed(qo["plus"], atom, sig)
-        sm = embed(qo["minus"], atom, sig)
-        sz = embed(qo["z"], atom, sig)
-        h = h + (omega / 2) * sz + kappa * (sp @ a + sm @ a.dag())
-    return h
+# the atom-field Hamiltonian sums its atom terms over every qubit factor
+tc_hamiltonian = jc_hamiltonian
 
 
 def excitation_operator(sig: SpaceSignature) -> LabeledOperator:

@@ -267,3 +267,43 @@ def test_pair_bilinear_explicit_tolerance_narrows_the_bracket(tmp_path):
         s_star[tol] = float(dict(zip(header.split(","), row.split(",")))["s_star"])
     assert s_star["1e-3"] != s_star["1e-4"]
     assert abs(s_star["1e-4"] - (math.sqrt(5) - 1) / 2) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["jc-thermal", "--kt-max", "nan"], "kt_max"),
+        (["jc-thermal", "--nbar", "nan"], "nbar"),
+        (["jc-thermal", "--nbar", "0.01,inf"], "nbar"),
+        (["jc-thermal", "--nbar="], "nbar"),
+        (["two-mode-invariant", "--r-values", "nan"], "r_values"),
+        (["noise-threshold", "--tolerance", "inf"], "tolerance"),
+        (["beamsplitters", "--t1", "nan"], "t1"),
+        (["ppt-crosscheck", "--dims", ","], "dims"),
+    ],
+)
+def test_non_finite_or_empty_flags_exit_2(tmp_path, capsys, argv, named):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "blob, named",
+    [
+        ({"experiment": "jc-thermal", "params": {"kt_max": "nan"}}, "kt_max"),
+        ({"experiment": "jc-thermal", "params": {"nbar": []}}, "nbar"),
+        ({"experiment": "two-mode-invariant", "params": {"r_values": [0.2, "inf"]}}, "r_values"),
+        ({"experiment": "noise-threshold", "tolerance": "inf"}, "tolerance"),
+        ({"experiment": "beamsplitters", "params": {"t2": "-inf"}}, "t2"),
+        ({"experiment": "ppt-crosscheck", "params": {"dims": []}}, "dims"),
+    ],
+)
+def test_non_finite_or_empty_config_values_exit_2(tmp_path, capsys, blob, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    assert run([blob["experiment"], "--config", str(cfg), "--dump-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

@@ -1,0 +1,118 @@
+"""The Gaussian factories against full-space references.
+
+`two_mode_squeezed` exponentiates the photon-pair ladder |n,n>; here it is
+checked against column 0 of the exponential of the full two-mode generator
+built with np.kron, including the leakage error it raises at the truncation
+edge.  `squeezed_psi01` builds S(z) once and must equal the construction
+that built it twice.  The atom-field Hamiltonian is one function for one or
+several atoms.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entwitness import families, linalg
+from entwitness import operators as ops
+from entwitness.models import jaynes_cummings as jc
+from entwitness.models import tavis_cummings as tc
+from entwitness.spaces import (
+    LeakageError,
+    StateVector,
+    boson,
+    embed,
+    require_low_leakage,
+    signature,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+def _full_space_two_mode_squeezed(r, dim, phase):
+    """Column 0 of exp(xi a^dag b^dag - conj(xi) ab) on the dim*dim space."""
+    xi = r * np.exp(1j * phase)
+    eye = np.eye(dim, dtype=complex)
+    a = np.kron(ops.annihilator(dim), eye)
+    b = np.kron(eye, ops.annihilator(dim))
+    psi = linalg.mat_exp(xi * (a.conj().T @ b.conj().T) - np.conj(xi) * (a @ b))[:, 0]
+    modes = (boson(f"two_mode_squeezed(r={r}) mode {axis}", dim) for axis in (0, 1))
+    require_low_leakage(StateVector(signature(*modes), psi))
+    return psi
+
+
+def _outcome(make):
+    try:
+        return make(), None
+    except LeakageError as err:
+        return None, str(err)
+
+
+@SETTINGS
+@given(
+    dim=st.integers(4, 12),
+    r=st.floats(0.0, 1.5),
+    phase=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_two_mode_squeezed_matches_the_full_space_exponential(dim, r, phase):
+    ladder, ladder_err = _outcome(lambda: ops.two_mode_squeezed(r, dim, phase=phase))
+    full, full_err = _outcome(lambda: _full_space_two_mode_squeezed(r, dim, phase))
+    assert ladder_err == full_err
+    if full_err is None:
+        assert np.abs(ladder - full).max() <= 1e-12
+
+
+def test_two_mode_squeezed_raises_like_the_full_space_exponential():
+    for r, dim in ((2.5, 16), (1.5, 4), (0.4, 5)):
+        with pytest.raises(LeakageError) as ladder:
+            ops.two_mode_squeezed(r, dim)
+        with pytest.raises(LeakageError) as full:
+            _full_space_two_mode_squeezed(r, dim, 0.0)
+        assert str(ladder.value) == str(full.value)
+
+
+def test_squeezed_psi01_builds_one_squeeze(monkeypatch):
+    z, dim_a, dim_b = 0.7 * np.exp(0.4j), 48, 4
+    fock = ops.fock
+    two_calls = (
+        np.kron(ops.squeezed_vacuum(z, dim_a), fock(1, dim_b))
+        + np.kron(ops.squeeze(z, dim_a) @ fock(1, dim_a), fock(0, dim_b))
+    ) / np.sqrt(2)
+
+    calls = []
+    squeeze = ops.squeeze
+
+    def counting_squeeze(*args):
+        calls.append(args)
+        return squeeze(*args)
+
+    monkeypatch.setattr(ops, "squeeze", counting_squeeze)
+    state = families.squeezed_psi01(z, dim_a=dim_a, dim_b=dim_b)
+    assert calls == [(z, dim_a)]
+    assert np.array_equal(state.amplitudes, two_calls)
+
+
+def _explicit_hamiltonian(sig, atoms, omega, kappa):
+    dim = sig.factor("field").dim
+    qo = ops.qubit_ops()
+    a = embed(ops.annihilator(dim), "field", sig, "a")
+    h = omega * embed(ops.number_op(dim), "field", sig)
+    for atom in atoms:
+        sp = embed(qo["plus"], atom, sig)
+        sm = embed(qo["minus"], atom, sig)
+        sz = embed(qo["z"], atom, sig)
+        h = h + (omega / 2) * sz + kappa * (sp @ a + sm @ a.dag())
+    return h
+
+
+def test_one_atom_field_hamiltonian_for_one_or_two_atoms():
+    assert tc.tc_hamiltonian is jc.jc_hamiltonian
+    for dim in (6, 20):
+        sig = jc.jc_signature(dim)
+        expected = _explicit_hamiltonian(sig, ["atom"], 1.0, 0.1)
+        assert np.array_equal(jc.jc_hamiltonian(sig, 1.0, 0.1).matrix, expected.matrix)
+    for n in (1, 2, 5):
+        sig = tc.tc_signature(n)
+        expected = _explicit_hamiltonian(sig, ["atom1", "atom2"], 1.3, 0.2)
+        assert np.array_equal(tc.tc_hamiltonian(sig, 1.3, 0.2).matrix, expected.matrix)
