@@ -143,12 +143,6 @@ def subspace_witness_basis() -> tuple[list[LabeledOperator], LabeledOperator]:
     return basis, embed(hop_b, "b", sig, "B")
 
 
-def subspace_top_eigenvalue(s: float, v1: np.ndarray, v2: np.ndarray) -> float:
-    basis, b_op = subspace_witness_basis()
-    m = witnesses.witness_matrix_expand_a(noisy_correlated_subspace(s, v1, v2), basis, b_op)
-    return m.max_eigenvalue()
-
-
 def subspace_threshold_scan(rng: np.random.Generator, tol: float = 1e-5) -> float:
     v1, v2 = random_block_vectors(rng)
     basis, b_op = subspace_witness_basis()

@@ -7,6 +7,16 @@ field quadratures {delta a, delta a^dag} against A = sigma^-.  With the
 field thermal and the atom excited, the matrix stays diagonal: only its
 upper-left entry can go positive, and it does so in bursts whose height
 shrinks as the thermal occupation grows.
+
+The whole trace comes from one spectral table
+(:func:`~entwitness.spaces.evolved_expectations`): the moment tables of
+sigma^- against the uncentred basis [a, a^dag, I], <a>, and the top-two
+field population, at every grid time.  Centring is a linear map on those
+tables, :func:`~entwitness.witnesses.form_from_moments` assembles every
+2x2 matrix at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max
+in closed form.  No propagator, density matrix or centred operator is built
+per time point; the leakage rule sees one state, evolved to the grid time
+with the largest top-two population.
 """
 
 from __future__ import annotations
@@ -25,7 +35,10 @@ from ..spaces import (
     boson,
     embed,
     escalate_fock_dim,
-    propagator_family,
+    evolve,
+    evolved_expectations,
+    identity_operator,
+    leakage_projector,
     qubit,
     require_low_leakage,
     signature,
@@ -89,33 +102,51 @@ class JCWitnessTrace:
     max_leakage: float
 
 
+def _centred(c: np.ndarray, t: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moment tables of side b = [delta a, delta a^dag] from those of [a, a^dag, I].
+
+    delta a = a - alpha and delta a^dag = a^dag - conj(alpha) are rows of a
+    linear map L onto the uncentred basis: c' = c L^T and
+    t'[k, k'] = sum conj(L[k, m]) L[k', m'] t[m, m'] on the side-b indices.
+    """
+    lmap = np.zeros(alpha.shape + (2, 3), dtype=complex)
+    lmap[..., 0, 0] = lmap[..., 1, 1] = 1.0
+    lmap[..., 0, 2] = -alpha
+    lmap[..., 1, 2] = -alpha.conj()
+    c = np.einsum("...km,...jm->...jk", lmap, c)
+    t = np.einsum("...km,...ln,...jmpn->...jkpl", lmap.conj(), lmap, t)
+    return c, t
+
+
 def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
     sig = jc_signature(dim)
     h = jc_hamiltonian(sig, cfg.omega, cfg.kappa)
-    qo = ops.qubit_ops()
-    sm = embed(qo["minus"], "atom", sig, "sigma-")
+    sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
     a = embed(ops.annihilator(dim), "field", sig, "a")
+    top_two = leakage_projector(sig, "field")
+    c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag(), identity_operator(sig)])
 
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
-    rho0 = np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj()))
+    rho0 = DensityMatrix(sig, np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj())))
+    times = np.asarray(cfg.kt_grid) / cfg.kappa
+    table = evolved_expectations(h, times, rho0, [top_two, a, *c_ops, *t_ops])
+    n = times.size
+    top_pop, alpha = table[:, 0].real, table[:, 1]
+    c_raw, t_raw = table[:, 2:5].reshape(n, 1, 3), table[:, 5:].reshape(n, 1, 3, 1, 3)
 
-    u_of_t = propagator_family(h)
-    m11 = np.empty(len(cfg.kt_grid))
-    m22 = np.empty(len(cfg.kt_grid))
-    m12 = np.empty(len(cfg.kt_grid))
-    lam = np.empty(len(cfg.kt_grid))
     worst_leak = 0.0
-    for i, kt in enumerate(cfg.kt_grid):
-        u = u_of_t(kt / cfg.kappa)
-        rho_t = DensityMatrix(sig, u.matrix @ rho0 @ u.matrix.conj().T)
-        worst_leak = max(worst_leak, require_low_leakage(rho_t, ["field"]))
-        da = ops.delta(a, rho_t)
-        m = witnesses.witness_matrix_expand_b(rho_t, sm, [da, da.dag()])
-        m11[i] = m.matrix[0, 0].real
-        m22[i] = m.matrix[1, 1].real
-        m12[i] = abs(m.matrix[0, 1])
-        lam[i] = m.max_eigenvalue()
-    return JCWitnessTrace(np.asarray(cfg.kt_grid), m11, m22, m12, lam, dim, worst_leak)
+    if n:
+        worst_leak = require_low_leakage(evolve(h, times[np.argmax(top_pop)], rho0), ["field"])
+    m = witnesses.form_from_moments(*_centred(c_raw, t_raw, alpha))
+    return JCWitnessTrace(
+        np.asarray(cfg.kt_grid),
+        m[:, 0, 0].real,
+        m[:, 1, 1].real,
+        abs(m[:, 0, 1]),
+        witnesses.eig2(m)[1],
+        dim,
+        worst_leak,
+    )
 
 
 def jc_witness_trace(cfg: JCConfig) -> JCWitnessTrace:

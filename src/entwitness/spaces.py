@@ -10,8 +10,17 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: Hermitian eigensolves of Hamiltonians, sector projections, and the
-identity root of a density matrix in the witness moment tables.
+it: Hermitian eigensolves of Hamiltonians (and so every propagator),
+sector projections, and the identity root of a density matrix in the
+witness moment tables.  Other D x D arrays are density matrices
+themselves and the eigenvector matrix of a Hamiltonian.
+
+Evolution: :func:`evolve` and :func:`propagator_family` build U(t) for one
+time at a time.  :func:`evolved_expectations` serves a whole time grid from
+one eigendecomposition: it returns the T x K table of <O_k> along
+exp(-i H t), with each operator rotated once into the eigenbasis and applied
+by one (T x D)(D x D) product, so no propagator or state is formed per time
+and memory is O(T D + D^2).
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -20,7 +29,9 @@ feeling the cutoff.  Only two functions hold the rule.
 leakage reaches :data:`LEAKAGE_THRESHOLD`; raw vectors are checked by
 wrapping them in a state whose factor labels name what is checked.
 :func:`escalate_fock_dim` retries with the truncation doubled, capped at
-:data:`MAX_FOCK_DIM`.
+:data:`MAX_FOCK_DIM`.  :func:`leakage_projector` is the leakage as an
+observable, so a time grid can locate its worst point in an
+:func:`evolved_expectations` table and hand that one state to the rule.
 
 All values here are immutable and safe to share across threads; the
 only state an operator changes is its cached full-space matrix, which is
@@ -43,6 +54,7 @@ QUBIT = "qubit"
 
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
+TIME_BLOCK = 64  # grid times per block in evolved_expectations
 
 
 class SignatureError(ValueError):
@@ -381,6 +393,43 @@ def evolve(h: LabeledOperator, t: float, state: State) -> State:
     return apply_operator(state, propagator_family(h)(t))
 
 
+def evolved_expectations(
+    h: LabeledOperator,
+    times: Sequence[float],
+    state: State,
+    ops: Sequence[LabeledOperator],
+) -> np.ndarray:
+    """T x K table of <O_k> in the state evolved by exp(-i H t), at every time.
+
+    One eigendecomposition H = V diag(E) V^dag serves the whole grid.  With
+    the phases u = exp(-i E t) and tilde X = V^dag X V,
+    Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n, and
+    <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
+    phi = u * tilde psi: one (T x D)(D x D) product per operator, run over
+    blocks of :data:`TIME_BLOCK` times.  The phase table is the only array
+    that grows with T; no propagator or state is formed per time.
+    """
+    _same_signature(state.signature, h.signature)
+    for op in ops:
+        _same_signature(state.signature, op.signature)
+    ed = linalg.herm_eig(h.matrix)
+    v, vh = ed.eigenvectors, ed.eigenvectors.conj().T
+    pure = isinstance(state, StateVector)
+    tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
+    phases = np.outer(np.asarray(times, dtype=float), -1j * ed.eigenvalues)
+    np.exp(phases, out=phases)
+    table = np.empty((phases.shape[0], len(ops)), dtype=complex)
+    for k, op in enumerate(ops):
+        o_t = (vh @ op.apply(v)).T
+        if not pure:
+            o_t *= tilde_state
+        for start in range(0, phases.shape[0], TIME_BLOCK):
+            u = phases[start : start + TIME_BLOCK]
+            left = u * tilde_state if pure else u
+            table[start : start + TIME_BLOCK, k] = np.einsum("tn,tn->t", left @ o_t, left.conj())
+    return table
+
+
 def propagator_family(h: LabeledOperator):
     """One eigendecomposition, many times: returns U(t) as a callable."""
     ed = linalg.herm_eig(h.matrix)
@@ -433,6 +482,12 @@ def leakage(state: State, label: str) -> float:
     """Population of the top two levels of a bosonic factor."""
     pops = level_populations(state, label)
     return float(pops[-2:].sum())
+
+
+def leakage_projector(sig: SpaceSignature, label: str) -> LabeledOperator:
+    """Projector onto the top two levels of a factor: its expectation is the leakage."""
+    dim = sig.factor(label).dim
+    return embed(np.diag((np.arange(dim) >= dim - 2).astype(float)), label, sig)
 
 
 def require_low_leakage(

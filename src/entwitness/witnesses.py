@@ -12,6 +12,10 @@ first test into a Hermitian form on the coefficients, built from two moment
 tables, c[j, k] = <F_j^dag G_k> and t[j, k, j', k'] = <F_j^dag F_j' G_k^dag G_k'>:
 X[(j, k), (j', k')] = c[j, k'] conj(c[j', k]) - t.  Expanding one side only is
 the case with a one-element other side, and the first test is the 1x1 case.
+:func:`form_from_moments` is the one assembly of X; it takes tables with
+leading batch axes, so a whole time trace of tables (the expectations of
+:func:`moment_operators`) becomes a stack of forms in one call, and
+:func:`eig2` gives the eigenvalues of a stack of 2x2 forms in closed form.
 Every moment is <X^dag Y> = vdot(X bra, Y ket) for the state's roots
 (bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.
 Operators reach the roots by contracting their local matrices
@@ -224,6 +228,16 @@ def witness_matrix_expand_b(
     return WitnessMatrix(bilinear_form(state, [a], ops_b).matrix, _names(ops_b, "F"))
 
 
+def eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of Hermitian 2x2 matrices in closed form.
+
+    ``m`` has shape (..., 2, 2); the leading axes are a batch.
+    """
+    m11, m22 = m[..., 0, 0].real, m[..., 1, 1].real
+    disc = np.sqrt((m11 - m22) ** 2 + 4 * abs(m[..., 0, 1]) ** 2)
+    return 0.5 * ((m11 + m22) - disc), 0.5 * ((m11 + m22) + disc)
+
+
 def eig2_positive(m: WitnessMatrix | np.ndarray) -> bool:
     """Positive-eigenvalue test for a 2x2 Hermitian matrix, in closed form.
 
@@ -232,10 +246,7 @@ def eig2_positive(m: WitnessMatrix | np.ndarray) -> bool:
     mat = m.matrix if isinstance(m, WitnessMatrix) else np.asarray(m, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    m11, m22 = mat[0, 0].real, mat[1, 1].real
-    disc = np.sqrt((m11 - m22) ** 2 + 4 * abs(mat[0, 1]) ** 2)
-    lam_max = 0.5 * ((m11 + m22) + disc)
-    lam_min = 0.5 * ((m11 + m22) - disc)
+    lam_min, lam_max = eig2(mat)
     return bool(lam_max > positivity_threshold(np.array([lam_max, lam_min])))
 
 
@@ -251,10 +262,42 @@ def bilinear_form(
     certified by a product coefficient vector with positive form value.
     """
     _check_disjoint(ops_a, ops_b)
-    c, t = _moments(state, ops_a, ops_b)
-    na, nb = c.shape
-    x = (np.einsum("jq,pk->jkpq", c, c.conj()) - t).reshape(na * nb, na * nb)
-    return WitnessMatrix((x + x.conj().T) / 2, _names(ops_a, "F"), _names(ops_b, "G"))
+    x = form_from_moments(*_moments(state, ops_a, ops_b))
+    return WitnessMatrix(x, _names(ops_a, "F"), _names(ops_b, "G"))
+
+
+def form_from_moments(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The form X[(j, k), (j', k')] = c[j, k'] conj(c[j', k]) - t, symmetrised.
+
+    ``c`` has shape (..., na, nb) and ``t`` (..., na, nb, na, nb); leading
+    axes are a batch, and X has shape (..., na nb, na nb).
+    """
+    na, nb = c.shape[-2:]
+    x = np.einsum("...jq,...pk->...jkpq", c, c.conj()) - t
+    x = x.reshape(c.shape[:-2] + (na * nb, na * nb))
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+def moment_operators(
+    ops_a: Sequence[LabeledOperator],
+    ops_b: Sequence[LabeledOperator],
+) -> tuple[list[LabeledOperator], list[LabeledOperator]]:
+    """Operators whose expectations, in row-major order, are the moment tables.
+
+    <F_j^dag G_k> fills c[j, k] (shape na x nb) and <F_j^dag F_j' G_k^dag G_k'>
+    fills t[j, k, j', k'], as :func:`_moments` computes them from a state;
+    :func:`form_from_moments` turns either into the form.
+    """
+    _check_disjoint(ops_a, ops_b)
+    c_ops = [f.dag() @ g for f in ops_a for g in ops_b]
+    t_ops = [
+        f.dag() @ f2 @ g.dag() @ g2
+        for f in ops_a
+        for g in ops_b
+        for f2 in ops_a
+        for g2 in ops_b
+    ]
+    return c_ops, t_ops
 
 
 def xv_slice(x: WitnessMatrix, v: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from entwitness.spaces import DensityMatrix, StateVector, boson, embed, expectation, signature
 from entwitness.witnesses import (
+    PPT_TOL,
     bilinear_form,
     cond1,
     cond2,
     lur_value,
+    ppt_min_eig,
     witness_matrix_expand_a,
     witness_matrix_expand_b,
 )
@@ -178,3 +180,52 @@ def test_separable_mixtures_never_flagged(case):
     assert not cond2(rho, a, b).entangled
     assert not witness_matrix_expand_a(rho, ops_a, b).has_positive_eigenvalue()
     assert not witness_matrix_expand_b(rho, a, ops_b).has_positive_eigenvalue()
+
+
+def _unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def small_cases(draw):
+    """(state, A, B) on 2 x 2 or 2 x 3, where PPT is equivalent to separability.
+
+    The state is p |psi><psi| + (1 - p) sigma: psi has random Schmidt
+    coefficients in random local bases, sigma is the maximally mixed state
+    or a mixture of random pure states, and p = 1 gives pure states (kept as
+    vectors half the time).  A and B are random complex local matrices, or
+    hops |0><1| and |j><k| in the Schmidt bases of psi, on which the tests
+    fire over a range of p.
+    """
+    sig = signature(boson("a", 2), boson("b", draw(st.sampled_from((2, 3)))))
+    d = sig.total_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ua, ub = _unitary(rng, 2), _unitary(rng, sig.dims[1])
+    schmidt = rng.random(2)
+    psi = sum(s * np.kron(ua[:, i], ub[:, i]) for i, s in enumerate(schmidt / np.linalg.norm(schmidt)))
+    if draw(st.booleans()):
+        a, b = _local_ops(rng, sig, "a", 1)[0], _local_ops(rng, sig, "b", 1)[0]
+    else:
+        j, k = draw(st.sampled_from(((0, 1), (1, 0))))
+        a = embed(np.outer(ua[:, 0], ua[:, 1].conj()), "a", sig)
+        b = embed(np.outer(ub[:, j], ub[:, k].conj()), "b", sig)
+    p = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    if p == 1.0 and draw(st.booleans()):
+        return StateVector(sig, psi), a, b
+    if draw(st.booleans()):
+        sigma = np.eye(d) / d
+    else:
+        vecs = [_pure(rng, sig).amplitudes for _ in range(draw(st.integers(1, 6)))]
+        sigma = sum(np.outer(v, v.conj()) for v in vecs) / len(vecs)
+    return DensityMatrix(sig, p * np.outer(psi, psi.conj()) + (1 - p) * sigma), a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(small_cases())
+def test_base_tests_flag_only_npt_states_in_low_dimensions(case):
+    # Peres-Horodecki: in 2 x 2 and 2 x 3 a state is separable iff its partial
+    # transpose is positive, so a flag on a PPT state would be a false positive
+    state, a, b = case
+    if cond1(state, a, b).entangled or cond2(state, a, b).entangled:
+        assert ppt_min_eig(state, ["a"]) < -PPT_TOL
