@@ -220,7 +220,7 @@ def _run_beamsplitters(p: dict, seed: int, common) -> tuple[list[dict], dict]:
 
 def _run_noise_threshold(p: dict, seed: int, common) -> tuple[list[dict], dict]:
     family = p["family"]
-    # the product-vector scan behind pair-bilinear is slow, so its default is coarser
+    # pair-bilinear keeps its coarser default so that its recorded s_star stays the same
     default_tol = 1e-3 if family == "pair-bilinear" else 1e-4
     tol = default_tol if common.tolerance is None else common.tolerance
     if family == "bell":

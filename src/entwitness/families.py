@@ -225,12 +225,12 @@ class XThresholdComparison:
         )
 
 
-def psi01_x_threshold(tol: float = 2e-3, dim: int = 4, grid: int = 120) -> XThresholdComparison:
-    """Noise threshold of the bilinear-form criterion, by dense product scan."""
+def psi01_x_threshold(tol: float = 2e-3, dim: int = 4) -> XThresholdComparison:
+    """Noise threshold of the bilinear-form criterion, by see-saw product-vector scan."""
 
     def entangled(s: float) -> bool:
         x = psi01_bilinear_x(s, dim)
-        res = witnesses.product_vector_scan(x, grid=grid)
+        res = witnesses.product_vector_scan(x)
         return res.value > witnesses.POSITIVITY_EPS
 
     s_star = threshold_scan(entangled, 0.2, 0.9, tol)

@@ -20,7 +20,9 @@ time at a time.  :func:`evolved_expectations` serves a whole time grid from
 one eigendecomposition: it returns the T x K table of <O_k> along
 exp(-i H t), with each operator rotated once into the eigenbasis and applied
 by one (T x D)(D x D) product, so no propagator or state is formed per time
-and memory is O(T D + D^2).
+and memory is O(T D + D^2).  A generator computes its eigendecomposition
+once and keeps it, so the tables, propagators and evolved states of one H
+share it.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -34,8 +36,8 @@ observable, so a time grid can locate its worst point in an
 :func:`evolved_expectations` table and hand that one state to the rule.
 
 All values here are immutable and safe to share across threads; the
-only state an operator changes is its cached full-space matrix, which is
-the same array whichever thread builds it.
+only state an operator changes is its cached full-space matrix and
+eigendecomposition, each the same array whichever thread builds it.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ class LabeledOperator:
     signature order (Hamiltonians, propagators) it is the stored array.
     """
 
-    __slots__ = ("signature", "local", "axes", "support", "name", "_matrix")
+    __slots__ = ("signature", "local", "axes", "support", "name", "_matrix", "_eig")
 
     def __init__(
         self,
@@ -232,6 +234,7 @@ class LabeledOperator:
         self.support = frozenset(support)
         self.name = name
         self._matrix = None
+        self._eig = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -239,6 +242,12 @@ class LabeledOperator:
         if self._matrix is None:
             self._matrix = self._lifted(tuple(range(len(self.signature.factors))))
         return self._matrix
+
+    def _spectrum(self) -> linalg.EigenDecomposition:
+        """The checked eigendecomposition of the full-space matrix, built on first use."""
+        if self._eig is None:
+            self._eig = linalg.herm_eig(self.matrix)
+        return self._eig
 
     def _lifted(self, axes: tuple[int, ...]) -> np.ndarray:
         """The local matrix on ``axes`` (a superset of ``self.axes``), identity elsewhere."""
@@ -412,7 +421,7 @@ def evolved_expectations(
     _same_signature(state.signature, h.signature)
     for op in ops:
         _same_signature(state.signature, op.signature)
-    ed = linalg.herm_eig(h.matrix)
+    ed = h._spectrum()
     v, vh = ed.eigenvectors, ed.eigenvectors.conj().T
     pure = isinstance(state, StateVector)
     tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
@@ -432,7 +441,7 @@ def evolved_expectations(
 
 def propagator_family(h: LabeledOperator):
     """One eigendecomposition, many times: returns U(t) as a callable."""
-    ed = linalg.herm_eig(h.matrix)
+    ed = h._spectrum()
 
     def u_of_t(t: float) -> LabeledOperator:
         u = ed.function_of(lambda w: np.exp(-1j * w * t))

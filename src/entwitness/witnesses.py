@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .spaces import (
@@ -48,6 +47,9 @@ from .spaces import (
 
 POSITIVITY_EPS = 1e-9
 WITNESS_TOL_SCALE = 1e-9
+SEESAW_SEEDS = 3
+SEESAW_RTOL = 1e-15
+SEESAW_MAX_STEPS = 1000
 
 
 class SupportError(SignatureError):
@@ -334,43 +336,45 @@ class ProductScanResult:
     v: np.ndarray
 
 
-def _lambda_max_batch(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(mats)[..., -1]
+def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
+    """Maximize (u (x) v)^dag X (u (x) v) over unit product vectors by see-saw.
 
-
-def product_vector_scan(x: WitnessMatrix, grid: int = 180) -> ProductScanResult:
-    """Maximize (u (x) v)^dag X (u (x) v) over unit product vectors.
-
-    The side-b vector is parametrized as (cos t, e^{i phi} sin t) on a
-    grid x grid mesh, the side-a optimum is the top eigenvector of X_v, and
-    the best cell is polished by a local simplex ascent.  Requires a
-    two-dimensional side-b space.
+    The seeds are cells of a grid x grid mesh of side-b vectors
+    v = (cos t, e^{i phi} sin t), each pole one cell, ranked by lambda_max(X_v):
+    the :data:`SEESAW_SEEDS` best, and as many best that no neighbour beats.
+    From each, the see-saw (Werner & Wolf, QIC 1, 1 (2001)) alternates
+    u <- top eigenvector of X_v and v <- top eigenvector of X_u, neither of
+    which lowers the value, until it rises by at most :data:`SEESAW_RTOL`
+    relative or :data:`SEESAW_MAX_STEPS` steps.  Requires a 2-dim side b.
     """
     na, nb = x.dims
     if nb != 2:
-        raise ValueError("the dense scan is implemented for a 2-dim side-b space")
+        raise ValueError("the product scan is implemented for a 2-dim side-b space")
     t4 = x.matrix.reshape(na, nb, na, nb)
-
-    ts = np.linspace(0.0, np.pi / 2, grid)
-    phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    tt, pp = np.meshgrid(ts, phis, indexing="ij")
-    vs = np.stack([np.cos(tt), np.exp(1j * pp) * np.sin(tt)], axis=-1).reshape(-1, 2)
-    xv = np.einsum("jkml,pk,pl->pjm", t4, vs.conj(), vs)
-    lams = _lambda_max_batch(xv)
-    best = int(np.argmax(lams))
-
-    def neg_best(params):
-        t, phi = params
-        v = np.array([np.cos(t), np.exp(1j * phi) * np.sin(t)])
-        return -float(np.linalg.eigvalsh(np.einsum("jkml,k,l->jm", t4, v.conj(), v))[-1])
-
-    x0 = np.array([tt.ravel()[best], pp.ravel()[best]])
-    res = scipy.optimize.minimize(neg_best, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
-    t_opt, phi_opt = (res.x if -res.fun >= lams[best] else x0)
-    v = np.array([np.cos(t_opt), np.exp(1j * phi_opt) * np.sin(t_opt)])
-    xv_opt = np.einsum("jkml,k,l->jm", t4, v.conj(), v)
-    w, vecs = np.linalg.eigh(xv_opt)
-    return ProductScanResult(float(w[-1]), vecs[:, -1], v)
+    ts = np.linspace(0.0, np.pi / 2, grid)[1:-1, None]
+    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, grid, endpoint=False))
+    ring = np.stack(np.broadcast_arrays(np.cos(ts), phases * np.sin(ts)), axis=-1)
+    vs = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], ring.reshape(-1, 2)])
+    lams = np.linalg.eigvalsh(np.einsum("jkml,pk,pl->pjm", t4, vs.conj(), vs))[:, -1]
+    # neighbours: around phi, and along t, where each pole neighbours its whole end row
+    rows = lams[2:].reshape(-1, grid)
+    padded = np.vstack([np.full(grid, lams[0]), rows, np.full(grid, lams[1])])
+    top_near = np.max([padded[:-2], padded[2:], np.roll(rows, 1, 1), np.roll(rows, -1, 1)], axis=0)
+    poles = [lams[0] >= rows[:1].max(initial=-np.inf), lams[1] >= rows[-1:].max(initial=-np.inf)]
+    peaks = np.concatenate([poles, (rows >= top_near).ravel()])
+    order = np.argsort(-lams, kind="stable")
+    seeds = dict.fromkeys([*order[:SEESAW_SEEDS], *order[peaks[order]][:SEESAW_SEEDS]])
+    results = []
+    for v in vs[list(seeds)]:
+        res = None
+        for _ in range(SEESAW_MAX_STEPS):
+            w, vecs = np.linalg.eigh(np.einsum("jkml,k,l->jm", t4, v.conj(), v))
+            if res is not None and w[-1] <= res.value + SEESAW_RTOL * abs(res.value):
+                break
+            res = ProductScanResult(float(w[-1]), vecs[:, -1], v)
+            v = np.linalg.eigh(np.einsum("jkml,j,m->kl", t4, res.u.conj(), res.u))[1][:, -1]
+        results.append(res)
+    return max(results, key=lambda res: res.value)
 
 
 def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:
@@ -378,8 +382,8 @@ def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:
 
     Any combination alpha x1 + beta x2 of the two top eigenvectors keeps a
     positive form value; the product condition on its 2x2 coefficient matrix
-    is one quadratic equation in y = alpha/beta.  Falls back to the dense
-    scan when the quadratic degenerates.
+    is one quadratic equation in y = alpha/beta.  Falls back to
+    :func:`product_vector_scan` when no root gives a product vector.
     """
     na, nb = x.dims
     if na != 2 or nb != 2:
@@ -401,10 +405,8 @@ def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:
     coeffs = [kappa[0] * kappa[1], kappa[0] * d[1, 1] + kappa[1] * d[0, 0],
               d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]]
     roots = np.roots(coeffs)
-    if roots.size == 0 or not np.all(np.isfinite(roots)):
-        return product_vector_scan(x)
     best = None
-    for y in roots:
+    for y in roots if np.all(np.isfinite(roots)) else ():
         vec = y * x1 + x2
         nrm = np.linalg.norm(vec)
         if nrm < 1e-12:
@@ -416,9 +418,7 @@ def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:
         value = float(np.real(np.conj(vec) @ x.matrix @ vec))
         if best is None or value > best.value:
             best = ProductScanResult(value, lv[:, 0], rv[:, 0])
-    if best is None:
-        return product_vector_scan(x)
-    return best
+    return best if best is not None else product_vector_scan(x)
 
 
 def lur_value(
