@@ -17,10 +17,26 @@ Sign and ordering conventions, fixed here and reused everywhere:
 
 Squeezing phases are easy to get backwards; every result in this package
 that is sensitive to them points back at this docstring.
+
+Gaussian unitaries are phase rotations of one fixed exponential.  R(theta)
+is diagonal and R a R^dag = e^{-i theta} a holds exactly at any truncation,
+so each factory is R(phase) exp(m K) R(phase)^dag for a real antisymmetric
+unit generator K:
+
+* displacement  K_d = a^dag - a, m = |alpha|, phase = arg alpha;
+* squeeze       K_s = (a^2 - a^dag^2) / 2, m = r, phase = phi / 2;
+* pair ladder   K_p[n+1, n] = n + 1 = -K_p[n, n+1], m = r, phase = theta.
+
+Only the eigendecomposition i K = V diag(lambda) V^dag is needed.  It is
+computed, and checked Hermitian, once per (kind, dim) and kept in a small
+cache of read-only arrays; a call then costs one D x D product
+V e^{-i m lambda} V^dag and two phase scalings.  Zero magnitude gives the
+identity exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,21 +71,55 @@ def number_op(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def _checked_exp(generator: np.ndarray, label: str) -> np.ndarray:
-    """exp(generator); raises if its column 0 leaks out of the truncation.
+def _unit_generator(kind: str, dim: int) -> np.ndarray:
+    """The real antisymmetric generator K of one Gaussian factory at phase 0."""
+    if kind == "pair":
+        pairs = np.arange(1, dim, dtype=float)
+        return np.diag(pairs, k=-1) - np.diag(pairs, k=1)
+    a = annihilator(dim)
+    adag = a.conj().T
+    if kind == "displacement":
+        return adag - a
+    if kind == "squeeze":
+        return (a @ a - adag @ adag) / 2
+    raise ValueError(f"unknown Gaussian generator kind {kind!r}")
+
+
+_SPECTRUM_CACHE_SIZE = 8  # (kind, dim) factors kept; each holds one D x D array
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _unit_spectrum(kind: str, dim: int) -> linalg.EigenDecomposition:
+    """Read-only eigendecomposition of i K for one generator kind and dim."""
+    ed = linalg.herm_eig(1j * _unit_generator(kind, dim))
+    ed.eigenvalues.flags.writeable = False
+    ed.eigenvectors.flags.writeable = False
+    return ed
+
+
+def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str) -> np.ndarray:
+    """R(phase) exp(magnitude K) R(phase)^dag; raises if its column 0 leaks.
 
     Column 0 is the image of the vacuum, checked as one bosonic factor
     named ``label``.
     """
-    u = linalg.mat_exp(generator)
-    require_low_leakage(StateVector(signature(boson(label, u.shape[0])), u[:, 0]))
+    ed = _unit_spectrum(kind, dim)
+    if magnitude == 0:
+        u = np.eye(dim, dtype=complex)
+    else:
+        u = ed.function_of(lambda w: np.exp(-1j * magnitude * w))
+        ph = np.exp(1j * phase * np.arange(dim))
+        u *= ph[:, None]
+        u *= ph.conj()
+    require_low_leakage(StateVector(signature(boson(label, dim)), u[:, 0]))
     return u
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha); raises if the displaced vacuum leaks out of the truncation."""
-    a = annihilator(dim)
-    return _checked_exp(alpha * a.conj().T - np.conj(alpha) * a, f"displacement(alpha={alpha})")
+    return _checked_exp(
+        "displacement", abs(alpha), float(np.angle(alpha)), dim, f"displacement(alpha={alpha})"
+    )
 
 
 def rotation(theta: float, dim: int) -> np.ndarray:
@@ -79,9 +129,7 @@ def rotation(theta: float, dim: int) -> np.ndarray:
 
 def squeeze(z: complex, dim: int) -> np.ndarray:
     """S(z); raises if the squeezed vacuum leaks out of the truncation."""
-    a = annihilator(dim)
-    adag = a.conj().T
-    return _checked_exp((np.conj(z) * (a @ a) - z * (adag @ adag)) / 2, f"squeeze(z={z})")
+    return _checked_exp("squeeze", abs(z), float(np.angle(z)) / 2, dim, f"squeeze(z={z})")
 
 
 @dataclass(frozen=True)
@@ -101,11 +149,9 @@ class GaussianParams:
 
 
 def gaussian_unitary(params: GaussianParams, dim: int) -> np.ndarray:
-    return (
-        displacement(params.alpha, dim)
-        @ rotation(params.theta, dim)
-        @ squeeze(params.z, dim)
-    )
+    """D(alpha) R(theta) S(z); R(theta) is diagonal, so it scales the columns of D."""
+    d_r = displacement(params.alpha, dim) * np.exp(1j * params.theta * np.arange(dim))
+    return d_r @ squeeze(params.z, dim)
 
 
 def qubit_ops() -> dict[str, np.ndarray]:
@@ -169,7 +215,7 @@ def fock(n: int, dim: int) -> np.ndarray:
 
 
 def coherent(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha)|0>, built from the matrix exponential."""
+    """D(alpha)|0>, column 0 of :func:`displacement`."""
     return displacement(alpha, dim)[:, 0].copy()
 
 
@@ -200,16 +246,14 @@ def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:
     Returned as a vector on the dim*dim product space (first mode major).
     The generator conserves n_a - n_b, so the vacuum evolves inside the
     photon-pair ladder |n,n>, n < dim, where it acts as the dim x dim matrix
-    K[n+1, n] = xi (n+1), K[n, n+1] = -conj(xi) (n+1).  Column 0 of exp(K)
-    holds the pair amplitudes c_n; both modes have level populations
-    |c_n|^2, so one leakage check on the ladder covers mode 0 and mode 1.
+    K[n+1, n] = xi (n+1), K[n, n+1] = -conj(xi) (n+1), which is
+    R(phase) r K_p R(phase)^dag.  Column 0 of exp(K) holds the pair
+    amplitudes c_n; both modes have level populations |c_n|^2, so one
+    leakage check on the ladder covers mode 0 and mode 1.
     """
     if r < 0:
         raise ValueError("squeeze magnitude must be nonnegative")
-    xi = r * np.exp(1j * phase)
-    pairs = np.arange(1, dim, dtype=float)
-    ladder = np.diag(xi * pairs, k=-1) - np.diag(np.conj(xi) * pairs, k=1)
-    c = _checked_exp(ladder, f"two_mode_squeezed(r={r}) mode 0")[:, 0]
+    c = _checked_exp("pair", r, phase, dim, f"two_mode_squeezed(r={r}) mode 0")[:, 0]
     psi = np.zeros(dim * dim, dtype=complex)
     psi[:: dim + 1] = c
     return psi

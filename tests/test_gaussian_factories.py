@@ -1,5 +1,9 @@
 """The Gaussian factories against full-space references.
 
+`displacement`, `squeeze` and `two_mode_squeezed` rotate one cached
+exponential per (kind, dim); here each is checked against `linalg.mat_exp`
+of its explicitly built generator, on both sides of the truncation edge,
+with the same leakage error where the reference leaks.
 `two_mode_squeezed` exponentiates the photon-pair ladder |n,n>; here it is
 checked against column 0 of the exponential of the full two-mode generator
 built with np.kron, including the leakage error it raises at the truncation
@@ -19,6 +23,7 @@ from entwitness import operators as ops
 from entwitness.models import jaynes_cummings as jc
 from entwitness.models import tavis_cummings as tc
 from entwitness.spaces import (
+    LEAKAGE_THRESHOLD,
     LeakageError,
     StateVector,
     boson,
@@ -70,6 +75,105 @@ def test_two_mode_squeezed_raises_like_the_full_space_exponential():
         with pytest.raises(LeakageError) as full:
             _full_space_two_mode_squeezed(r, dim, 0.0)
         assert str(ladder.value) == str(full.value)
+
+
+def _explicit_generator(kind, x, dim):
+    """The generator of one factory at complex parameter x, built from a and a^dag."""
+    a = ops.annihilator(dim)
+    adag = a.conj().T
+    if kind == "displacement":
+        return x * adag - np.conj(x) * a
+    if kind == "squeeze":
+        return (np.conj(x) * (a @ a) - x * (adag @ adag)) / 2
+    pairs = np.arange(1, dim, dtype=float)
+    return np.diag(x * pairs, k=-1) - np.diag(np.conj(x) * pairs, k=1)
+
+
+# kind -> (factory at magnitude m and phase p, its leakage label, largest m drawn);
+# two_mode_squeezed gives only the image of |0,0>, read off the diagonal |n,n>
+FACTORIES = {
+    "displacement": (
+        lambda m, p, dim: ops.displacement(m * np.exp(1j * p), dim),
+        lambda m, p: f"displacement(alpha={m * np.exp(1j * p)})",
+        6.0,
+    ),
+    "squeeze": (
+        lambda m, p, dim: ops.squeeze(m * np.exp(1j * p), dim),
+        lambda m, p: f"squeeze(z={m * np.exp(1j * p)})",
+        2.5,
+    ),
+    "pair": (
+        lambda m, p, dim: ops.two_mode_squeezed(m, dim, phase=p)[:: dim + 1, None],
+        lambda m, p: f"two_mode_squeezed(r={m}) mode 0",
+        2.0,
+    ),
+}
+
+
+def _reference(kind, m, p, dim):
+    """mat_exp of the explicit generator (column 0 only for the pair ladder), unchecked."""
+    u = linalg.mat_exp(_explicit_generator(kind, m * np.exp(1j * p), dim))
+    return u[:, :1] if kind == "pair" else u
+
+
+def _reference_leakage(kind, m, p, dim):
+    return float(np.sum(np.abs(_reference(kind, m, p, dim)[-2:, 0]) ** 2))
+
+
+def _assert_factory_matches_reference(kind, m, p, dim):
+    factory, label, _ = FACTORIES[kind]
+    got, got_err = _outcome(lambda: factory(m, p, dim))
+
+    def reference():
+        u = _reference(kind, m, p, dim)
+        require_low_leakage(StateVector(signature(boson(label(m, p), dim)), u[:, 0]))
+        return u
+
+    want, want_err = _outcome(reference)
+    assert got_err == want_err
+    if want_err is None:
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(sorted(FACTORIES)),
+    dim=st.integers(4, 64),
+    fraction=st.floats(0.0, 1.0),
+    phase=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_factories_match_the_explicit_exponential(kind, dim, fraction, phase):
+    _assert_factory_matches_reference(kind, fraction * FACTORIES[kind][2], phase, dim)
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@pytest.mark.parametrize("dim", [4, 17, 64])
+def test_factories_match_the_reference_at_the_truncation_edge(kind, dim):
+    # bisect the magnitude at which the reference starts to leak: the factory
+    # must pass just below it and raise the reference's message just above it
+    phase = 0.7
+    lo, hi = 0.0, FACTORIES[kind][2]
+    while _reference_leakage(kind, hi, phase, dim) < LEAKAGE_THRESHOLD:
+        hi *= 2
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        if _reference_leakage(kind, mid, phase, dim) < LEAKAGE_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    _assert_factory_matches_reference(kind, lo, phase, dim)
+    with pytest.raises(LeakageError):
+        FACTORIES[kind][0](hi, phase, dim)
+    _assert_factory_matches_reference(kind, hi, phase, dim)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 64])
+def test_zero_magnitude_is_the_exact_identity(dim):
+    eye = np.eye(dim, dtype=complex)
+    assert np.array_equal(ops.displacement(0.0, dim), eye)
+    assert np.array_equal(ops.squeeze(0.0, dim), eye)
+    assert np.array_equal(ops.gaussian_unitary(ops.GaussianParams(theta=1.3), dim), ops.rotation(1.3, dim))
+    assert np.array_equal(ops.two_mode_squeezed(0.0, dim, phase=2.0), np.eye(dim * dim)[0])
 
 
 def test_squeezed_psi01_builds_one_squeeze(monkeypatch):

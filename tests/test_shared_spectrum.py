@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entwitness import linalg
+from entwitness import operators as ops
 from entwitness.models.jaynes_cummings import JCConfig, jc_witness_trace
 from entwitness.spaces import (
     LabeledOperator,
@@ -53,3 +54,51 @@ def test_non_hermitian_generator_still_raises_every_time():
     for _ in range(2):
         with pytest.raises(linalg.NonHermitianError):
             propagator_family(h)
+
+
+@pytest.fixture
+def fresh_gaussian_spectra():
+    ops._unit_spectrum.cache_clear()
+    yield
+    ops._unit_spectrum.cache_clear()
+
+
+def test_gaussian_factories_make_one_eigendecomposition_per_kind_and_dim(
+    eig_calls, fresh_gaussian_spectra
+):
+    for r, phi in zip((0.1, 0.3, 0.5, 0.7, 0.9), (0.0, 1.0, -2.0, 3.0, 5.5)):
+        ops.squeeze(r * np.exp(1j * phi), 64)
+    assert eig_calls == [(64, 64)]
+    ops.squeeze(0.4, 48)
+    assert eig_calls == [(64, 64), (48, 48)]
+    ops.displacement(0.4 - 0.2j, 64)
+    ops.two_mode_squeezed(0.4, 64, phase=1.0)
+    ops.gaussian_unitary(ops.GaussianParams(0.3j, 0.5, 0.2), 48)
+    assert eig_calls == [(64, 64), (48, 48), (64, 64), (64, 64), (48, 48)]
+
+
+def test_tampered_gaussian_generator_fails_the_hermiticity_check(
+    monkeypatch, fresh_gaussian_spectra
+):
+    real = ops._unit_generator
+
+    def tampered(kind, dim):
+        k = real(kind, dim).copy()
+        k[0, 1] += 0.5
+        return k
+
+    monkeypatch.setattr(ops, "_unit_generator", tampered)
+    for _ in range(2):
+        with pytest.raises(linalg.NonHermitianError):
+            ops.squeeze(0.3, 8)
+
+
+def test_cached_gaussian_spectra_are_read_only(fresh_gaussian_spectra):
+    u = ops.squeeze(0.3, 24)
+    ed = ops._unit_spectrum("squeeze", 24)
+    for cached in (ed.eigenvalues, ed.eigenvectors):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    # the unitary itself belongs to the caller
+    u[0, 0] = 5.0
+    assert ops.squeeze(0.3, 24)[0, 0] != 5.0

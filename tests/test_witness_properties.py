@@ -3,7 +3,9 @@
 States are random pure states, the same states as density matrices, and
 random separable mixtures on two truncated modes of dims 2..4; operators are
 random complex local matrices.  Examples are derandomized, so the suite is
-deterministic.
+deterministic.  The local-uncertainty sum is also checked against its
+separable bound (Hofmann & Takeuchi, PRA 68, 032103 (2003)) on product
+states and separable mixtures.
 """
 
 import numpy as np
@@ -229,3 +231,95 @@ def test_base_tests_flag_only_npt_states_in_low_dimensions(case):
     state, a, b = case
     if cond1(state, a, b).entangled or cond2(state, a, b).entangled:
         assert ppt_min_eig(state, ["a"]) < -PPT_TOL
+
+
+def _gell_mann(d):
+    """The d^2 - 1 generalized Gell-Mann matrices, normalized to Tr(g_k g_l) = 2 delta_kl."""
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            mats += [sym, anti]
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l] = 1.0
+        diag[l] = -l
+        mats.append(np.diag(diag * np.sqrt(2.0 / (l * (l + 1)))).astype(complex))
+    return mats
+
+
+def _gell_mann_pairs(sig):
+    """(g_k on a, -g_k^T on b): the local-uncertainty pairs that vanish on sum_j |jj>."""
+    d = sig.dims[0]
+    return [(embed(g, "a", sig), embed(-g.T, "b", sig)) for g in _gell_mann(d)]
+
+
+def _local_spread(rho, op):
+    """<X^dag X> - |<X>|^2 of a local matrix X on a local density matrix."""
+    return float(np.real(np.trace(rho @ op.conj().T @ op)) - abs(np.trace(rho @ op)) ** 2)
+
+
+def _local_density(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+@st.composite
+def product_cases(draw):
+    """(state, reduced a, reduced b) on d x d, d in 2..4; reduced are None for mixtures."""
+    d = draw(st.integers(2, 4))
+    sig = signature(boson("a", d), boson("b", d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("pure", "mixed", "separable")))
+    if kind == "separable":
+        return _separable(rng, sig), None, None
+    one = signature(boson("a", d))
+    if kind == "pure":
+        u, v = _pure(rng, one).amplitudes, _pure(rng, one).amplitudes
+        return StateVector(sig, np.kron(u, v)), np.outer(u, u.conj()), np.outer(v, v.conj())
+    rho_a, rho_b = (_local_density(rng, d, draw(st.integers(1, d))) for _ in "ab")
+    return DensityMatrix(sig, np.kron(rho_a, rho_b)), rho_a, rho_b
+
+
+@SETTINGS
+@given(product_cases())
+def test_local_uncertainty_bound_holds_for_separable_states(case):
+    # sum_k Var(g_k) = 2 (d - Tr rho^2) >= 2 (d - 1) on each side, and the
+    # variances of a product state add, so no separable state goes below 4 (d - 1)
+    state, rho_a, rho_b = case
+    d = state.signature.dims[0]
+    bound = 4.0 * (d - 1)
+    rep = lur_value(state, _gell_mann_pairs(state.signature), bound)
+    assert not rep.entangled
+    if rho_a is not None:
+        purity = np.real(np.trace(rho_a @ rho_a) + np.trace(rho_b @ rho_b))
+        assert abs(rep.rhs - 2 * (2 * d - purity)) <= 1e-9 * bound
+
+
+@SETTINGS
+@given(product_cases(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_local_uncertainty_sum_of_a_product_state_is_the_sum_of_local_spreads(case, count, seed):
+    # <A^dag B> = <A>^* <B> on a product state, so every cross term cancels
+    state, rho_a, rho_b = case
+    if rho_a is None:
+        return
+    rng = np.random.default_rng(seed)
+    sig = state.signature
+    ops_a, ops_b = _local_ops(rng, sig, "a", count), _local_ops(rng, sig, "b", count)
+    want = sum(
+        _local_spread(rho_a, a.local) + _local_spread(rho_b, b.local) for a, b in zip(ops_a, ops_b)
+    )
+    assert _close(lur_value(state, list(zip(ops_a, ops_b)), 0.0).rhs, want)
+
+
+def test_local_uncertainty_bound_is_broken_by_the_maximally_entangled_state():
+    for d in (2, 3, 4):
+        sig = signature(boson("a", d), boson("b", d))
+        phi = StateVector(sig, np.eye(d).ravel() / np.sqrt(d))
+        rep = lur_value(phi, _gell_mann_pairs(sig), 4.0 * (d - 1))
+        assert rep.entangled
+        assert abs(rep.rhs) <= 1e-12
