@@ -309,20 +309,13 @@ def _run_lur(p: dict, seed: int, common) -> tuple[list[dict], dict]:
             )
         diag = {"correlating_branch": "pi", "dim": dim}
     elif mode == "atom-field":
-        from .spaces import basis_state, qubit
-
-        sig = signature(boson("field", 4), qubit("atom"))
+        sig = families.atom_field_signature(4)
         a_dag = embed(ops.annihilator(4), "field", sig, "a").dag()
         jp = embed(ops.collective_spin(1)["plus"], "atom", sig, "J+")
         for theta in np.linspace(-math.pi / 4, math.pi / 4, int(p["points"])):
             for phi in (0.0, math.pi):
-                amps = (
-                    math.cos(theta) * basis_state(sig, {"field": 0, "atom": 1}).amplitudes
-                    + math.sin(theta)
-                    * np.exp(1j * phi)
-                    * basis_state(sig, {"field": 1, "atom": 0}).amplitudes
-                )
-                rep = witnesses.lur_value(StateVector(sig, amps), [(a_dag, jp)], 1.0)
+                state = families.atom_field_superposition(theta, phi, sig)
+                rep = witnesses.lur_value(state, [(a_dag, jp)], 1.0)
                 rows.append(
                     {
                         "theta": float(theta),
@@ -349,48 +342,32 @@ def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[list[dict], dict]:
         if da < 2 or db < 2:
             raise ConfigError("local dimensions must be at least 2")
         dim_pairs.append((da, db))
-    rows = []
-    violations = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        da, db = dim_pairs[trial % len(dim_pairs)]
-        sig = signature(boson("a", da), boson("b", db))
-        kind = "pure" if trial % 2 == 0 else "separable"
-        if kind == "pure":
-            amps = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-            state = StateVector(sig, amps / np.linalg.norm(amps))
-        else:
-            from .spaces import DensityMatrix
-
-            n_prod = int(rng.integers(1, int(p["products"]) + 1))
-            weights = rng.random(n_prod)
-            weights /= weights.sum()
-            rho = np.zeros((da * db, da * db), dtype=complex)
-            for w in weights:
-                va = rng.normal(size=da) + 1j * rng.normal(size=da)
-                vb = rng.normal(size=db) + 1j * rng.normal(size=db)
-                v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
-                rho += w * np.outer(v, v.conj())
-            state = DensityMatrix(sig, rho)
-        ga = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
-        gb = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
-        chk = witnesses.ppt_crosscheck(state, embed(ga, "a", sig), embed(gb, "b", sig))
-        if not chk.consistent or (kind == "separable" and chk.flagged):
-            violations += 1
-        rows.append(
-            {
+    rows: list[dict | None] = [None] * trials
+    violations = flagged = 0
+    closest = math.inf  # min |margin| / tol over both criteria and all trials
+    for block in families.ppt_trials(seed, trials, dim_pairs, int(p["products"])):
+        checks = witnesses.ppt_crosscheck_batch(block.states, block.ga, block.gb)
+        for trial, chk in zip(block.trials, checks):
+            violations += not chk.consistent or (block.kind == "separable" and chk.flagged)
+            flagged += chk.flagged
+            closest = min(closest, *(abs(r.margin) / r.tolerance for r in (chk.cond1, chk.cond2)))
+            rows[trial] = {
                 "trial": trial,
-                "kind": kind,
-                "dim_a": da,
-                "dim_b": db,
+                "kind": block.kind,
+                "dim_a": block.dims[0],
+                "dim_b": block.dims[1],
                 "cond1_margin": chk.cond1.margin,
                 "cond2_margin": chk.cond2.margin,
                 "ppt_min_eig": chk.min_eigenvalue,
                 "flagged": chk.flagged,
                 "consistent": chk.consistent,
             }
-        )
-    return rows, {"violations": violations, "trials": trials}
+    return rows, {
+        "violations": violations,
+        "trials": trials,
+        "flagged": flagged,
+        "min_abs_margin_over_tol": closest,
+    }
 
 
 EXPERIMENTS: dict[str, Experiment] = {

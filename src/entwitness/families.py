@@ -14,11 +14,17 @@ Three families recur throughout the package:
 * the noisy single-photon pair on two modes, probed either directly or
   through the doubly-expanded bilinear form in {centered a, a^dag} x
   {centered b, b^dag}.
+
+It also holds the random ensemble of the partial-transpose cross-check
+(:func:`ppt_trials`) and the atom-field superposition of the local
+uncertainty scan (:func:`atom_field_superposition`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .spaces import (
     basis_state,
     boson,
     embed,
+    qubit,
     signature,
 )
 
@@ -238,22 +245,129 @@ def psi01_x_threshold(tol: float = 2e-3, dim: int = 4) -> XThresholdComparison:
 
 
 def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
-    """Single-mode squeeze applied to one side of the single-photon pair."""
+    """Single-mode squeeze applied to one side of the single-photon pair.
+
+    S(z)|0> is :func:`operators.squeezed_vacuum`, the vector every factory
+    gives for it; S(z)|1> is column 1 of the one S(z) built.
+    """
     sig = signature(boson("a", dim_a), boson("b", dim_b))
     s = ops.squeeze(z, dim_a)
     amps = (
-        np.kron(s[:, 0], ops.fock(1, dim_b)) + np.kron(s[:, 1], ops.fock(0, dim_b))
+        np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
+        + np.kron(s[:, 1], ops.fock(0, dim_b))
     ) / np.sqrt(2)
     return StateVector(sig, amps)
 
 
+def atom_field_signature(field_dim: int = 4) -> SpaceSignature:
+    """A field mode truncated to ``field_dim`` levels, then a two-level atom."""
+    return signature(boson("field", field_dim), qubit("atom"))
+
+
 def atom_field_bell(field_dim: int = 4) -> tuple[SpaceSignature, StateVector]:
     """(|e>|0> + |g>|1>)/sqrt(2) on a field (x) atom space."""
-    from .spaces import qubit  # local import keeps the module header compact
-
-    sig = signature(boson("field", field_dim), qubit("atom"))
+    sig = atom_field_signature(field_dim)
     amps = (
         basis_state(sig, {"field": 0, "atom": 1}).amplitudes
         + basis_state(sig, {"field": 1, "atom": 0}).amplitudes
     ) / np.sqrt(2)
     return sig, StateVector(sig, amps)
+
+
+def atom_field_superposition(theta: float, phi: float, sig: SpaceSignature) -> StateVector:
+    """cos(theta)|0, e> + e^{i phi} sin(theta)|1, g> on an :func:`atom_field_signature`."""
+    amps = (
+        math.cos(theta) * basis_state(sig, {"field": 0, "atom": 1}).amplitudes
+        + math.sin(theta)
+        * np.exp(1j * phi)
+        * basis_state(sig, {"field": 1, "atom": 0}).amplitudes
+    )
+    return StateVector(sig, amps)
+
+
+# ---------------------------------------------------------------------------
+# random ensemble of the partial-transpose cross-check
+# ---------------------------------------------------------------------------
+
+# cap on the bytes of one stacked D x D complex array of a block of trials:
+# a block holds PPT_BLOCK_BYTES // (16 D^2) trials (16 at D = 16), at least one
+PPT_BLOCK_BYTES = 1 << 16
+
+
+@dataclass(frozen=True)
+class PptTrialBlock:
+    """Trials of one kind on one space, stacked for ``witnesses.ppt_crosscheck_batch``.
+
+    ``states`` holds kets (n, D) for kind "pure" and density matrices
+    (n, D, D) for kind "separable"; ``ga`` (n, d_a, d_a) and ``gb``
+    (n, d_b, d_b) are the local matrices of the probe operators A and B.
+    """
+
+    kind: str
+    dims: tuple[int, int]
+    trials: list[int]
+    states: np.ndarray
+    ga: np.ndarray
+    gb: np.ndarray
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _random_separable(rng: np.random.Generator, da: int, db: int, products: int) -> np.ndarray:
+    """A mixture of 1 to ``products`` random product states with random weights."""
+    n_prod = int(rng.integers(1, products + 1))
+    weights = rng.random(n_prod)
+    weights /= weights.sum()
+    # per product: real and imaginary parts of v_a, then of v_b
+    x = rng.normal(size=(n_prod, 2 * (da + db)))
+    va = x[:, :da] + 1j * x[:, da : 2 * da]
+    vb = x[:, 2 * da : 2 * da + db] + 1j * x[:, 2 * da + db :]
+    va = va / np.array([np.linalg.norm(v) for v in va])[:, None]
+    vb = vb / np.array([np.linalg.norm(v) for v in vb])[:, None]
+    v = (va[:, :, None] * vb[:, None, :]).reshape(n_prod, da * db)
+    return (weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])).sum(axis=0)
+
+
+def ppt_trials(
+    seed: int,
+    trials: int,
+    dim_pairs: Sequence[tuple[int, int]],
+    products: int,
+) -> Iterator[PptTrialBlock]:
+    """The ``ppt-crosscheck`` ensemble, in blocks of one kind and one pair of dims.
+
+    Trial k draws everything from ``np.random.default_rng((seed, k))``, so
+    it can be reproduced alone.  It lives on the space of
+    ``dim_pairs[k % len(dim_pairs)]``; an even k is a pure state with
+    complex Gaussian amplitudes, an odd k a separable mixture of 1 to
+    ``products`` random product states.  The local matrices of A and B are
+    complex Gaussian too.  Trials are grouped by (kind, d_a, d_b), ascending
+    within a group, and yielded in blocks of at most
+    ``PPT_BLOCK_BYTES // (16 D^2)`` trials, so memory stays bounded however
+    many trials run.
+    """
+    groups: dict[tuple[str, int, int], list[int]] = {}
+    for trial in range(trials):
+        kind = "pure" if trial % 2 == 0 else "separable"
+        groups.setdefault((kind, *dim_pairs[trial % len(dim_pairs)]), []).append(trial)
+    for (kind, da, db), members in groups.items():
+        d = da * db
+        size = max(1, PPT_BLOCK_BYTES // (16 * d * d))
+        for start in range(0, len(members), size):
+            block = members[start : start + size]
+            n = len(block)
+            states = np.empty((n, d) if kind == "pure" else (n, d, d), dtype=complex)
+            ga = np.empty((n, da, da), dtype=complex)
+            gb = np.empty((n, db, db), dtype=complex)
+            for i, trial in enumerate(block):
+                rng = np.random.default_rng((seed, trial))
+                if kind == "pure":
+                    amps = _complex_normal(rng, d)
+                    states[i] = amps / np.linalg.norm(amps)
+                else:
+                    states[i] = _random_separable(rng, da, db, products)
+                ga[i] = _complex_normal(rng, (da, da))
+                gb[i] = _complex_normal(rng, (db, db))
+            yield PptTrialBlock(kind, (da, db), block, states, ga, gb)

@@ -31,7 +31,9 @@ Only the eigendecomposition i K = V diag(lambda) V^dag is needed.  It is
 computed, and checked Hermitian, once per (kind, dim) and kept in a small
 cache of read-only arrays; a call then costs one D x D product
 V e^{-i m lambda} V^dag and two phase scalings.  Zero magnitude gives the
-identity exactly.
+identity exactly.  The states :func:`coherent`, :func:`squeezed_vacuum` and
+:func:`two_mode_squeezed` need only the image of the vacuum, column 0, which
+costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -113,6 +115,27 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
         u *= ph.conj()
     require_low_leakage(StateVector(signature(boson(label, dim)), u[:, 0]))
     return u
+
+
+def _checked_vacuum_image(
+    kind: str, magnitude: float, phase: float, dim: int, label: str
+) -> np.ndarray:
+    """Column 0 of :func:`_checked_exp`, without the D x D unitary, under the same check.
+
+    With i K = V diag(lambda) V^dag and R(phase)^dag |0> = |0>, the column is
+    ph * (V (e^{-i m lambda} * conj(V[0]))) for the phases ph_n = e^{i phase n}:
+    one D x D matrix-vector product.
+    """
+    ed = _unit_spectrum(kind, dim)
+    if magnitude == 0:
+        column = np.zeros(dim, dtype=complex)
+        column[0] = 1.0
+    else:
+        v = ed.eigenvectors
+        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[0].conj())
+        column *= np.exp(1j * phase * np.arange(dim))
+    require_low_leakage(StateVector(signature(boson(label, dim)), column))
+    return column
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
@@ -215,13 +238,15 @@ def fock(n: int, dim: int) -> np.ndarray:
 
 
 def coherent(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha)|0>, column 0 of :func:`displacement`."""
-    return displacement(alpha, dim)[:, 0].copy()
+    """D(alpha)|0>, column 0 of :func:`displacement`, under the same leakage check."""
+    return _checked_vacuum_image(
+        "displacement", abs(alpha), float(np.angle(alpha)), dim, f"displacement(alpha={alpha})"
+    )
 
 
 def squeezed_vacuum(z: complex, dim: int) -> np.ndarray:
-    """S(z)|0>."""
-    return squeeze(z, dim)[:, 0].copy()
+    """S(z)|0>, column 0 of :func:`squeeze`, under the same leakage check."""
+    return _checked_vacuum_image("squeeze", abs(z), float(np.angle(z)) / 2, dim, f"squeeze(z={z})")
 
 
 def thermal(nbar: float, dim: int) -> np.ndarray:
@@ -253,7 +278,7 @@ def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:
     """
     if r < 0:
         raise ValueError("squeeze magnitude must be nonnegative")
-    c = _checked_exp("pair", r, phase, dim, f"two_mode_squeezed(r={r}) mode 0")[:, 0]
+    c = _checked_vacuum_image("pair", r, phase, dim, f"two_mode_squeezed(r={r}) mode 0")
     psi = np.zeros(dim * dim, dtype=complex)
     psi[:: dim + 1] = c
     return psi

@@ -22,7 +22,8 @@ Operators reach the roots by contracting their local matrices
 (:meth:`LabeledOperator.apply`); the identity root is never multiplied, an
 operator applied to it is read off as its full-space matrix.  The module
 also provides product-vector search on the form, local uncertainty sums, and
-the partial-transpose minimum eigenvalue as an independent cross-check.
+the partial-transpose minimum eigenvalue as an independent cross-check, for
+one state or (:func:`ppt_crosscheck_batch`) a stack of states on one space.
 
 An eigenvalue counts as positive when it exceeds
 ``POSITIVITY_EPS * max(1, spectral scale)``; everything below that is
@@ -490,3 +491,62 @@ def ppt_crosscheck(state: State, a: LabeledOperator, b: LabeledOperator) -> PptC
     rep2 = cond2(state, a, b)
     labels = sorted(a.support) or [state.signature.labels[0]]
     return PptCrosscheck(rep1, rep2, ppt_min_eig(state, labels))
+
+
+def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """vdot(x[i], y[i]) for each entry i of two stacks, as batched (1 x m)(m x 1) products."""
+    n = len(x)
+    return np.matmul(x.reshape(n, 1, -1).conj(), y.reshape(n, -1, 1)).ravel()
+
+
+def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> list[PptCrosscheck]:
+    """:func:`ppt_crosscheck` for a stack of states on one space a (x) b.
+
+    ``states`` holds n kets (n, D) or n density matrices (n, D, D) with
+    D = d_a d_b, ``ga`` (n, d_a, d_a) and ``gb`` (n, d_b, d_b) the local
+    matrices of A and B on sides a and b, and the partial transpose is taken
+    on side a.  Entry i equals
+    ``ppt_crosscheck(state_i, embed(ga[i], "a", sig), embed(gb[i], "b", sig))``
+    for ``sig = signature(boson("a", d_a), boson("b", d_b))`` bit for bit:
+    every product has the inner shapes of :meth:`LabeledOperator.apply` and
+    of the moments, batched over the stack, and the partial-transpose
+    eigenvalues come from one ``eigvalsh`` call.
+    """
+    n, da, db = len(ga), ga.shape[-1], gb.shape[-1]
+    d = da * db
+    pure = states.ndim == 2
+    m = 1 if pure else d
+    # B ket, A ket and A B ket, contracted as LabeledOperator.apply contracts them
+    b_ket = np.matmul(gb[:, None], states.reshape(n, da, db, m))
+    a_ket = np.matmul(ga, states.reshape(n, da, db * m))
+    ab_ket = np.matmul(ga, b_ket.reshape(n, da, db * m))
+    if pure:
+        # bra = ket = psi
+        c = _vdots(a_ket, b_ket)
+        pair = _vdots(states, ab_ket)
+        a_bra, b_bra, ab_bra = a_ket, b_ket, ab_ket
+        rho = states[:, :, None] * states.conj()[:, None, :]
+    else:
+        # bra = identity: the operators applied to it are their full-space matrices
+        eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
+        a_bra = (ga[:, :, None, :, None] * eye_b[:, None, :]).reshape(n, d, d)
+        b_bra = (gb[:, None, :, None, :] * eye_a[:, None, :, None]).reshape(n, d, d)
+        ab_bra = np.matmul(ga, b_bra.reshape(n, da, db * d))
+        c = _vdots(a_bra, b_ket)
+        pair = np.trace(ab_ket.reshape(n, d, d), axis1=1, axis2=2)
+        rho = states
+    t = _vdots(ab_bra, ab_ket)
+    aa = _vdots(a_bra, a_ket)
+    bb = _vdots(b_bra, b_ket)
+    pt = rho.reshape(n, da, db, da, db).swapaxes(1, 3).reshape(n, d, d)
+    min_eig = np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0]
+    return [
+        PptCrosscheck(
+            _report(abs(c_i) ** 2, _real(t_i, "<A^dag A B^dag B>")),
+            _report(abs(p_i) ** 2, _real(aa_i, "<A^dag A>") * _real(bb_i, "<B^dag B>")),
+            w,
+        )
+        for c_i, t_i, p_i, aa_i, bb_i, w in zip(
+            c.tolist(), t.tolist(), pair.tolist(), aa.tolist(), bb.tolist(), min_eig.tolist()
+        )
+    ]

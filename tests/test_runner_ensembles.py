@@ -1,0 +1,275 @@
+"""The ensembles and states the CLI runners take from `families`.
+
+`ppt-crosscheck` draws its trials from `families.ppt_trials` and evaluates
+them in stacks with `witnesses.ppt_crosscheck_batch`.  The per-trial loop
+the runner used before is kept here verbatim as `reference_rows`: the
+batched runner must give byte-identical CSV, each batch entry must equal
+`witnesses.ppt_crosscheck` on its own state bit for bit, and the blocks
+must keep the peak memory of a bench-size run near that of the loop.
+`lur --mode atom-field` takes its state from
+`families.atom_field_superposition`, checked against the inline
+construction it replaced.
+"""
+
+import json
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entwitness import cli, families, linalg, witnesses
+from entwitness.spaces import (
+    DensityMatrix,
+    StateVector,
+    basis_state,
+    boson,
+    embed,
+    signature,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+BENCH_DIMS = ("2x4", "3x3", "4x4", "3x5")
+
+
+def reference_rows(p: dict, seed: int, common=None) -> tuple[list[dict], dict]:
+    """The ppt-crosscheck runner as a loop over trials, one state at a time."""
+    trials = int(p["trials"])
+    dim_pairs = []
+    for ds in p["dims"]:
+        try:
+            da, db = (int(x) for x in ds.split("x"))
+        except ValueError as err:
+            raise cli.ConfigError(f"bad dims entry '{ds}', expected like 2x4") from err
+        if da < 2 or db < 2:
+            raise cli.ConfigError("local dimensions must be at least 2")
+        dim_pairs.append((da, db))
+    rows = []
+    violations = 0
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        da, db = dim_pairs[trial % len(dim_pairs)]
+        sig = signature(boson("a", da), boson("b", db))
+        kind = "pure" if trial % 2 == 0 else "separable"
+        if kind == "pure":
+            amps = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+            state = StateVector(sig, amps / np.linalg.norm(amps))
+        else:
+            n_prod = int(rng.integers(1, int(p["products"]) + 1))
+            weights = rng.random(n_prod)
+            weights /= weights.sum()
+            rho = np.zeros((da * db, da * db), dtype=complex)
+            for w in weights:
+                va = rng.normal(size=da) + 1j * rng.normal(size=da)
+                vb = rng.normal(size=db) + 1j * rng.normal(size=db)
+                v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
+                rho += w * np.outer(v, v.conj())
+            state = DensityMatrix(sig, rho)
+        ga = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+        gb = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+        chk = witnesses.ppt_crosscheck(state, embed(ga, "a", sig), embed(gb, "b", sig))
+        if not chk.consistent or (kind == "separable" and chk.flagged):
+            violations += 1
+        rows.append(
+            {
+                "trial": trial,
+                "kind": kind,
+                "dim_a": da,
+                "dim_b": db,
+                "cond1_margin": chk.cond1.margin,
+                "cond2_margin": chk.cond2.margin,
+                "ppt_min_eig": chk.min_eigenvalue,
+                "flagged": chk.flagged,
+                "consistent": chk.consistent,
+            }
+        )
+    return rows, {"violations": violations, "trials": trials}
+
+
+def _params(trials, dims=("2x4", "3x3"), products=16):
+    return {"trials": trials, "dims": tuple(dims), "products": products}
+
+
+def _assert_same_csv(p, seed):
+    rows, diag = cli._run_ppt_crosscheck(p, seed, None)
+    ref_rows, ref_diag = reference_rows(p, seed)
+    assert cli._rows_to_csv(rows) == cli._rows_to_csv(ref_rows)
+    assert {k: diag[k] for k in ref_diag} == ref_diag
+    return rows, diag
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 11])
+@pytest.mark.parametrize("dims", [("2x4", "3x3"), BENCH_DIMS, ("2x4", "4x2", "3x5", "2x2")])
+def test_batched_runner_matches_the_per_trial_loop(seed, dims):
+    _assert_same_csv(_params(120, dims), seed)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_fewer_trials_than_dims(trials):
+    rows, _ = _assert_same_csv(_params(trials, ("2x4", "4x2", "3x5", "2x2")), 4)
+    assert [r["trial"] for r in rows] == list(range(trials))
+
+
+def test_trials_not_a_multiple_of_the_block():
+    d = 16
+    block = families.PPT_BLOCK_BYTES // (16 * d * d)
+    trials = 4 * block + 3
+    # each kind gets about half the trials: neither count is a multiple of the block
+    assert (trials + 1) // 2 % block and trials // 2 % block
+    _assert_same_csv(_params(trials, ("4x4",)), 2)
+
+
+def test_products_one():
+    _assert_same_csv(_params(60, ("2x4", "3x3", "2x2"), products=1), 5)
+
+
+def test_blocks_cover_every_trial_once_in_ascending_order():
+    blocks = list(families.ppt_trials(7, 101, [(2, 4), (3, 3), (4, 4)], 16))
+    seen = []
+    for blk in blocks:
+        d = blk.dims[0] * blk.dims[1]
+        assert 1 <= len(blk.trials) <= max(1, families.PPT_BLOCK_BYTES // (16 * d * d))
+        assert blk.trials == sorted(blk.trials)
+        assert {t % 2 for t in blk.trials} == {0 if blk.kind == "pure" else 1}
+        assert blk.states.shape[1:] == ((d,) if blk.kind == "pure" else (d, d))
+        seen += blk.trials
+    assert sorted(seen) == list(range(101))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _assert_same_report(got: witnesses.WitnessReport, want: witnesses.WitnessReport):
+    for field in ("lhs", "rhs", "margin", "tolerance"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert got.entangled == want.entangled
+
+
+def _schmidt_hops(psi, da, db):
+    """Probes hopping between the first two Schmidt vectors of psi, which fire on it."""
+    _, left, right = linalg.schmidt(psi, (da, db))
+    return np.outer(left[:, 1], left[:, 0].conj()), np.outer(right[:, 0], right[:, 1].conj())
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    da=st.integers(2, 4),
+    db=st.integers(2, 4),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["pure", "mixed", "pure-hops"]),
+)
+def test_batch_entries_equal_the_per_state_crosscheck_bit_for_bit(seed, da, db, n, kind):
+    rng = np.random.default_rng(seed)
+    d = da * db
+    ga = rng.normal(size=(n, da, da)) + 1j * rng.normal(size=(n, da, da))
+    gb = rng.normal(size=(n, db, db)) + 1j * rng.normal(size=(n, db, db))
+    if kind == "mixed":
+        rank = int(rng.integers(1, d + 1))
+        g = rng.normal(size=(n, d, rank)) + 1j * rng.normal(size=(n, d, rank))
+        rho = g @ g.conj().swapaxes(1, 2)
+        states = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    else:
+        psi = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        states = psi / np.linalg.norm(psi, axis=1)[:, None]
+        if kind == "pure-hops":
+            for i in range(n):
+                ga[i], gb[i] = _schmidt_hops(states[i], da, db)
+    sig = signature(boson("a", da), boson("b", db))
+    got = witnesses.ppt_crosscheck_batch(states, ga, gb)
+    assert len(got) == n
+    for i, chk in enumerate(got):
+        state = StateVector(sig, states[i]) if states.ndim == 2 else DensityMatrix(sig, states[i])
+        want = witnesses.ppt_crosscheck(state, embed(ga[i], "a", sig), embed(gb[i], "b", sig))
+        _assert_same_report(chk.cond1, want.cond1)
+        _assert_same_report(chk.cond2, want.cond2)
+        assert _bits(chk.min_eigenvalue) == _bits(want.min_eigenvalue)
+        assert (chk.flagged, chk.consistent) == (want.flagged, want.consistent)
+
+
+def test_schmidt_hops_flag_pure_states_in_a_batch():
+    rng = np.random.default_rng(5)
+    da, db, n = 3, 3, 8
+    psi = rng.normal(size=(n, da * db)) + 1j * rng.normal(size=(n, da * db))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    hops = [_schmidt_hops(v, da, db) for v in psi]
+    checks = witnesses.ppt_crosscheck_batch(
+        psi, np.array([h[0] for h in hops]), np.array([h[1] for h in hops])
+    )
+    assert all(chk.flagged and chk.consistent for chk in checks)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bench_size_run_stays_near_the_per_trial_peak():
+    p = _params(2000, BENCH_DIMS)
+    cli._run_ppt_crosscheck(_params(8, BENCH_DIMS), 0, None)  # imports and caches
+    reference_rows(_params(8, BENCH_DIMS), 0)
+    batched = _peak_bytes(lambda: cli._run_ppt_crosscheck(p, 0, None))
+    per_trial = _peak_bytes(lambda: reference_rows(p, 0))
+    assert batched <= per_trial + 1_000_000
+
+
+@pytest.mark.parametrize("seed", [0, 2, 9])
+def test_separable_trials_are_never_flagged(seed):
+    rows, diag = cli._run_ppt_crosscheck(_params(400, BENCH_DIMS + ("2x2", "5x3")), seed, None)
+    separable = [r for r in rows if r["kind"] == "separable"]
+    assert len(separable) == 200
+    assert not any(r["flagged"] for r in separable)
+    assert all(r["ppt_min_eig"] > -1e-8 for r in separable)
+    assert diag["violations"] == 0
+
+
+def test_meta_diagnostics_count_flags_and_the_closest_margin(tmp_path):
+    out = tmp_path / "ppt.csv"
+    argv = ["ppt-crosscheck", "--trials", "90", "--dims", "2x4,3x3,2x2", "--seed", "6"]
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    diag = json.loads((tmp_path / "ppt.csv.meta.json").read_text())["diagnostics"]
+    assert set(diag) == {"violations", "trials", "flagged", "min_abs_margin_over_tol"}
+    rows = out.read_text().splitlines()[1:]
+    assert diag["trials"] == len(rows) == 90
+    assert diag["flagged"] == sum(",true," in row for row in rows)
+    closest = math.inf
+    for blk in families.ppt_trials(6, 90, [(2, 4), (3, 3), (2, 2)], 16):
+        sig = signature(boson("a", blk.dims[0]), boson("b", blk.dims[1]))
+        for state, ga, gb in zip(blk.states, blk.ga, blk.gb):
+            state = StateVector(sig, state) if blk.kind == "pure" else DensityMatrix(sig, state)
+            chk = witnesses.ppt_crosscheck(state, embed(ga, "a", sig), embed(gb, "b", sig))
+            for rep in (chk.cond1, chk.cond2):
+                closest = min(closest, abs(rep.margin) / rep.tolerance)
+    assert diag["min_abs_margin_over_tol"] == closest
+
+
+def test_rerun_is_byte_identical(tmp_path):
+    argv = ["ppt-crosscheck", "--trials", "37", "--dims", "4x2,2x2,3x5", "--seed", "3"]
+    outputs = []
+    for name in ("one.csv", "two.csv"):
+        assert cli.main(argv + ["--output", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert [int(r.split(",")[0]) for r in outputs[0].decode().splitlines()[1:]] == list(range(37))
+
+
+@pytest.mark.parametrize("theta", np.linspace(-math.pi / 4, math.pi / 4, 9).tolist())
+@pytest.mark.parametrize("phi", [0.0, math.pi])
+def test_atom_field_superposition_matches_the_inline_construction(theta, phi):
+    sig = families.atom_field_signature(4)
+    amps = (
+        math.cos(theta) * basis_state(sig, {"field": 0, "atom": 1}).amplitudes
+        + math.sin(theta)
+        * np.exp(1j * phi)
+        * basis_state(sig, {"field": 1, "atom": 0}).amplitudes
+    )
+    state = families.atom_field_superposition(theta, phi, sig)
+    assert state.signature == sig
+    assert state.amplitudes.tobytes() == amps.astype(complex).tobytes()
