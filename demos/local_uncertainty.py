@@ -4,46 +4,25 @@ For the pair (A, B) = (a, b^dag) every separable two-mode state keeps
 <D^dag D> - |<D>|^2 at or above 1, with D = a + b^dag.  A two-mode squeezed
 vacuum dips to e^{-2r}, but only on the squeezing phase that correlates the
 right quadratures; the opposite branch climbs to e^{+2r}.  The analogous
-atom-field sum dips below 1 on one phase branch of
-cos(t)|e,0> + e^{i phi} sin(t)|g,1>.
+atom-field sum over cos(t)|0,e> + e^{i phi} sin(t)|1,g> dips below 1 for
+t < 0 on the phi = 0 branch and, mirrored, for t > 0 on the pi branch.
 """
 
 import math
 
 import numpy as np
 
-from entwitness import operators as ops, witnesses
-from entwitness.spaces import StateVector, basis_state, boson, embed, qubit, signature
-
-dim = 48
-sig = signature(boson("a", dim), boson("b", dim))
-a = embed(ops.annihilator(dim), "a", sig, "a")
-b = embed(ops.annihilator(dim), "b", sig, "b")
+from entwitness import families
 
 print(f"{'r':>5} {'phase 0 value':>14} {'phase pi value':>15} {'e^-2r':>9}")
-for r in (0.1, 0.3, 0.6):
-    plus = StateVector(sig, ops.two_mode_squeezed(r, dim, phase=0.0))
-    minus = StateVector(sig, ops.two_mode_squeezed(r, dim, phase=math.pi))
-    v_plus = witnesses.lur_value(plus, [(a, b.dag())], 1.0).rhs
-    v_minus = witnesses.lur_value(minus, [(a, b.dag())], 1.0).rhs
-    print(f"{r:>5.2f} {v_plus:>14.6f} {v_minus:>15.6f} {math.exp(-2 * r):>9.6f}")
+for r, plus, minus in families.tmsv_lur((0.1, 0.3, 0.6), 48):
+    print(f"{r:>5.2f} {plus.rhs:>14.6f} {minus.rhs:>15.6f} {math.exp(-2 * r):>9.6f}")
 print("only the pi branch violates the separable bound of 1")
 
 print("\natom-field sum over the superposition phase (values below 1 violate):")
-sig_af = signature(boson("field", 4), qubit("atom"))
-a_dag = embed(ops.annihilator(4), "field", sig_af, "a").dag()
-jp = embed(ops.collective_spin(1)["plus"], "atom", sig_af, "J+")
+scan = families.atom_field_lur(np.linspace(-math.pi / 4, math.pi / 4, 201), (0.0, math.pi))
 for phi, label in ((0.0, "plus branch"), (math.pi, "pi branch")):
-    violating = []
-    for theta in np.linspace(-math.pi / 4, math.pi / 4, 201):
-        amps = (
-            math.cos(theta) * basis_state(sig_af, {"field": 0, "atom": 1}).amplitudes
-            + math.sin(theta) * np.exp(1j * phi)
-            * basis_state(sig_af, {"field": 1, "atom": 0}).amplitudes
-        )
-        rep = witnesses.lur_value(StateVector(sig_af, amps), [(a_dag, jp)], 1.0)
-        if rep.entangled:
-            violating.append(theta)
+    violating = [theta for theta, branch, rep in scan if branch == phi and rep.entangled]
     if violating:
         print(f"  {label}: violations for theta in ({min(violating):+.3f}, {max(violating):+.3f})")
     else:

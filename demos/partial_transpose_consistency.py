@@ -9,7 +9,7 @@ state, and the partial transpose confirms every single verdict.
 
 import numpy as np
 
-from entwitness import linalg, witnesses
+from entwitness import families, linalg, witnesses
 from entwitness.spaces import DensityMatrix, StateVector, boson, embed, signature
 
 rng = np.random.default_rng(5)
@@ -33,14 +33,7 @@ print(f"random pure states: criterion fired on {fired}/200, "
 false_alarms = 0
 for trial in range(200):
     sig = signature(boson("a", 3), boson("b", 3))
-    rho = np.zeros((9, 9), dtype=complex)
-    weights = rng.random(rng.integers(1, 17))
-    weights /= weights.sum()
-    for w in weights:
-        va = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vb = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
-        rho += w * np.outer(v, v.conj())
+    rho = families.random_separable(rng, 3, 3, 16)
     ga = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     gb = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     chk = witnesses.ppt_crosscheck(

@@ -15,9 +15,13 @@ Three families recur throughout the package:
   through the doubly-expanded bilinear form in {centered a, a^dag} x
   {centered b, b^dag}.
 
-It also holds the random ensemble of the partial-transpose cross-check
-(:func:`ppt_trials`) and the atom-field superposition of the local
-uncertainty scan (:func:`atom_field_superposition`).
+It also holds the states and probes of the worked examples, so the
+experiment runners and the demos share one definition: the squeezed
+single-photon pair with its quadrature-expanded witness and plain
+correlation test (:func:`squeezed_pair_witnesses`), the local-uncertainty
+sums of the two-mode squeezed vacuum (:func:`tmsv_lur`) and of the
+atom-field superposition (:func:`atom_field_lur`), and the random ensemble
+of the partial-transpose cross-check (:func:`ppt_trials`).
 """
 
 from __future__ import annotations
@@ -57,19 +61,23 @@ def bell_pair(c1: float, sig: SpaceSignature | None = None) -> StateVector:
     return StateVector(sig, amps)
 
 
-def noisy_bell(s: float, c1: float, sig: SpaceSignature | None = None) -> DensityMatrix:
-    """s |psi><psi| + (1-s)/4 * (flat noise on the correlated 2x2 block)."""
+def _with_flat_noise(s: float, psi: StateVector, levels_a: int, levels_b: int) -> DensityMatrix:
+    """s |psi><psi| + (1-s) * (flat noise on the lowest levels_a x levels_b levels)."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"mixing weight s={s} outside [0, 1]")
-    sig = sig or bell_signature()
-    psi = bell_pair(c1, sig)
+    sig = psi.signature
     p_a = np.zeros(sig.dims[0])
-    p_a[:2] = 1.0
+    p_a[:levels_a] = 1.0
     p_b = np.zeros(sig.dims[1])
-    p_b[:2] = 1.0
+    p_b[:levels_b] = 1.0
     noise = np.kron(np.diag(p_a), np.diag(p_b)).astype(complex)
-    rho = s * np.outer(psi.amplitudes, psi.amplitudes.conj()) + (1 - s) / 4 * noise
-    return DensityMatrix(sig, rho)
+    rho = s * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return DensityMatrix(sig, rho + (1 - s) / (levels_a * levels_b) * noise)
+
+
+def noisy_bell(s: float, c1: float, sig: SpaceSignature | None = None) -> DensityMatrix:
+    """s |psi><psi| + (1-s)/4 * (flat noise on the correlated 2x2 block)."""
+    return _with_flat_noise(s, bell_pair(c1, sig or bell_signature()), 2, 2)
 
 
 def bell_witness_ops(sig: SpaceSignature) -> tuple[LabeledOperator, LabeledOperator]:
@@ -126,13 +134,7 @@ def correlated_subspace_state(v1: np.ndarray, v2: np.ndarray) -> StateVector:
 
 def noisy_correlated_subspace(s: float, v1: np.ndarray, v2: np.ndarray) -> DensityMatrix:
     """s |psi><psi| + (1-s)/8 * (flat noise on the 4x2 block)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"mixing weight s={s} outside [0, 1]")
-    sig = subspace_signature()
-    psi = correlated_subspace_state(v1, v2)
-    rho = s * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    rho = rho + (1 - s) / 8 * np.eye(8, dtype=complex)
-    return DensityMatrix(sig, rho)
+    return _with_flat_noise(s, correlated_subspace_state(v1, v2), 4, 2)
 
 
 def subspace_witness_basis() -> tuple[list[LabeledOperator], LabeledOperator]:
@@ -180,15 +182,7 @@ def psi01_state(sig: SpaceSignature) -> StateVector:
 
 def noisy_psi01(s: float, dim: int = 4) -> DensityMatrix:
     """s |psi01><psi01| + (1-s)/4 * (zero/one-photon block on each mode)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"mixing weight s={s} outside [0, 1]")
-    sig = psi01_signature(dim)
-    psi = psi01_state(sig)
-    p01 = np.zeros(dim)
-    p01[:2] = 1.0
-    noise = np.kron(np.diag(p01), np.diag(p01)).astype(complex)
-    rho = s * np.outer(psi.amplitudes, psi.amplitudes.conj()) + (1 - s) / 4 * noise
-    return DensityMatrix(sig, rho)
+    return _with_flat_noise(s, psi01_state(psi01_signature(dim)), 2, 2)
 
 
 def centered_quadrature_basis(state, label: str) -> list[LabeledOperator]:
@@ -259,6 +253,45 @@ def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
     return StateVector(sig, amps)
 
 
+def squeezed_pair_witnesses(
+    r: float, dim_a: int, dim_b: int = 4
+) -> tuple[witnesses.WitnessMatrix, witnesses.WitnessReport]:
+    """The two verdicts of ``two-mode-invariant`` on :func:`squeezed_psi01`.
+
+    Returns the witness matrix of [delta a^dag, delta a] (centered on the
+    state) against b, whose positive eigenvalue survives every squeeze, and
+    the plain ``cond1(a, b)`` report, which flips at tanh r = 1/sqrt(2).
+    """
+    st = squeezed_psi01(r, dim_a=dim_a, dim_b=dim_b)
+    sig = st.signature
+    a = embed(ops.annihilator(dim_a), "a", sig, "a")
+    b = embed(ops.annihilator(dim_b), "b", sig, "b")
+    basis = centered_quadrature_basis(st, "a")
+    m = witnesses.witness_matrix_expand_a(st, [basis[1], basis[0]], b)
+    return m, witnesses.cond1(st, a, b)
+
+
+def tmsv_lur(
+    r_values: Sequence[float], dim: int
+) -> list[tuple[float, witnesses.WitnessReport, witnesses.WitnessReport]]:
+    """Local-uncertainty sum of (a, b^dag) on two-mode squeezed vacua.
+
+    One (r, phase-0 report, phase-pi report) per r.  Every separable state
+    keeps the sum at or above 1; the pi branch lands on e^{-2r}, the phase-0
+    branch on e^{+2r}.  The signature and the pair are built once.
+    """
+    sig = signature(boson("a", dim), boson("b", dim))
+    a = embed(ops.annihilator(dim), "a", sig, "a")
+    b = embed(ops.annihilator(dim), "b", sig, "b")
+    pair = [(a, b.dag())]
+    out = []
+    for r in r_values:
+        plus = StateVector(sig, ops.two_mode_squeezed(r, dim, phase=0.0))
+        minus = StateVector(sig, ops.two_mode_squeezed(r, dim, phase=math.pi))
+        out.append((r, witnesses.lur_value(plus, pair, 1.0), witnesses.lur_value(minus, pair, 1.0)))
+    return out
+
+
 def atom_field_signature(field_dim: int = 4) -> SpaceSignature:
     """A field mode truncated to ``field_dim`` levels, then a two-level atom."""
     return signature(boson("field", field_dim), qubit("atom"))
@@ -283,6 +316,30 @@ def atom_field_superposition(theta: float, phi: float, sig: SpaceSignature) -> S
         * basis_state(sig, {"field": 1, "atom": 0}).amplitudes
     )
     return StateVector(sig, amps)
+
+
+def atom_field_lur(
+    thetas: Sequence[float], phis: Sequence[float]
+) -> list[tuple[float, float, witnesses.WitnessReport]]:
+    """Local-uncertainty sum of (a^dag, J+) on :func:`atom_field_superposition`.
+
+    One (theta, phi, report) per pair, theta in the outer loop, on a
+    four-level field.  The sum dips below the separable bound 1 on the
+    phi = 0 branch for theta in (-pi/4, 0) and on the phi = pi branch for
+    theta in (0, pi/4), and is back on the bound at both ends of each interval.
+    """
+    sig = atom_field_signature(4)
+    a_dag = embed(ops.annihilator(4), "field", sig, "a").dag()
+    jp = embed(ops.collective_spin(1)["plus"], "atom", sig, "J+")
+    return [
+        (
+            theta,
+            phi,
+            witnesses.lur_value(atom_field_superposition(theta, phi, sig), [(a_dag, jp)], 1.0),
+        )
+        for theta in thetas
+        for phi in phis
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +372,7 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _random_separable(rng: np.random.Generator, da: int, db: int, products: int) -> np.ndarray:
+def random_separable(rng: np.random.Generator, da: int, db: int, products: int) -> np.ndarray:
     """A mixture of 1 to ``products`` random product states with random weights."""
     n_prod = int(rng.integers(1, products + 1))
     weights = rng.random(n_prod)
@@ -367,7 +424,7 @@ def ppt_trials(
                     amps = _complex_normal(rng, d)
                     states[i] = amps / np.linalg.norm(amps)
                 else:
-                    states[i] = _random_separable(rng, da, db, products)
+                    states[i] = random_separable(rng, da, db, products)
                 ga[i] = _complex_normal(rng, (da, da))
                 gb[i] = _complex_normal(rng, (db, db))
             yield PptTrialBlock(kind, (da, db), block, states, ga, gb)

@@ -7,7 +7,6 @@ simulation oracle; the tests hold the two against each other.
 
 from .jaynes_cummings import JCConfig, jc_hamiltonian, jc_signature, jc_witness_trace
 from .tavis_cummings import (
-    TCConfig,
     tc_atom_field_condition,
     tc_closed_state,
     tc_epsilon_check,
@@ -24,7 +23,6 @@ __all__ = [
     "jc_hamiltonian",
     "jc_signature",
     "jc_witness_trace",
-    "TCConfig",
     "tc_atom_field_condition",
     "tc_closed_state",
     "tc_epsilon_check",

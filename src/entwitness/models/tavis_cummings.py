@@ -25,7 +25,6 @@ at every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +48,6 @@ from .jaynes_cummings import jc_hamiltonian
 
 def omega_rabi(n: int, kappa: float) -> float:
     return kappa * math.sqrt(2.0 * (2 * n - 1))
-
-
-@dataclass(frozen=True)
-class TCConfig:
-    n: int
-    omega_t_grid: tuple[float, ...]
-    omega: float = 1.0
-    kappa: float = 0.1
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_t_grid", tuple(float(x) for x in self.omega_t_grid))
-        if self.n < 1:
-            raise ValueError("need at least one excitation")
 
 
 def tc_signature(n: int, extra_levels: int = 3) -> SpaceSignature:
