@@ -66,6 +66,8 @@ def parse_field_spec(spec: str, dim: int) -> np.ndarray:
             out = np.zeros(dim, dtype=complex)
             out[: v.size] = v / np.linalg.norm(v)
             return out
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as err:
         raise ConfigError(f"could not parse field spec '{spec}'") from err
     raise ConfigError(f"unknown field spec kind '{kind}' (use fock/coherent/squeezed/amps)")

@@ -16,14 +16,24 @@ the case with a one-element other side, and the first test is the 1x1 case.
 leading batch axes, so a whole time trace of tables (the expectations of
 :func:`moment_operators`) becomes a stack of forms in one call, and
 :func:`eig2` gives the eigenvalues of a stack of 2x2 forms in closed form.
-Every moment is <X^dag Y> = vdot(X bra, Y ket) for the state's roots
-(bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.
-Operators reach the roots by contracting their local matrices
-(:meth:`LabeledOperator.apply`); the identity root is never multiplied, an
-operator applied to it is read off as its full-space matrix.  The module
-also provides product-vector search on the form, local uncertainty sums, and
-the partial-transpose minimum eigenvalue as an independent cross-check, for
-one state or (:func:`ppt_crosscheck_batch`) a stack of states on one space.
+
+Every moment the module reads is an entry of a Gram table
+G[i, j] = <W_i^dag W_j> = vdot(W_i bra, W_j ket) over a few operator words W
+(products of operators; the empty word is the identity) for the state's
+roots (bra, ket): (psi, psi) for a vector, (I, rho) for a density matrix.
+Words reach the roots by contraction (:meth:`LabeledOperator.apply`).
+
+* cond1 and cond2 read the table of [I, A, B, AB]: |G[A, B]|^2 against
+  G[AB, AB], and |G[I, AB]|^2 against G[A, A] G[B, B];
+* :func:`lur_value` reads the table of [I, A, B] of each pair:
+  <D^dag D> is the sum of its A, B block and <D> = G[I, A] + G[I, B];
+* :func:`bilinear_form` (and the expanded matrices, its one-sided cases)
+  reads c and t as two blocks of the table of [F_j] + [G_k] + [F_j G_k];
+* :func:`ppt_crosscheck_batch` builds the tables of [I, A, B, AB] of a
+  stack of states on one space at once and reads them like cond1 and cond2,
+  next to the partial-transpose minimum eigenvalue as a cross-check.
+
+The module also provides product-vector search on the form.
 
 An eigenvalue counts as positive when it exceeds
 ``POSITIVITY_EPS * max(1, spectral scale)``; everything below that is
@@ -132,76 +142,68 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _roots(state: State) -> tuple[np.ndarray | None, np.ndarray]:
-    """(bra, ket) with <X^dag Y> = vdot(X bra, Y ket): (psi, psi) or (I, rho).
+_Word = tuple[LabeledOperator, ...]
 
-    The identity root is None: an operator applied to it is its matrix.
+
+def _images(state: State, words: Sequence[_Word]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (bras, kets) of W @ bra and W @ ket, one flattened row per word W.
+
+    A word (X, Y, ...) is the product X Y ...; it reaches the roots right to
+    left, and the image of a suffix shared by several words is computed once.
     """
+
+    def stack(root: np.ndarray) -> np.ndarray:
+        images: dict[_Word, np.ndarray] = {(): root}
+        for word in words:
+            for i in reversed(range(len(word))):
+                if word[i:] not in images:
+                    images[word[i:]] = word[i].apply(images[word[i + 1 :]])
+        return np.array([images[w] for w in words]).reshape(len(words), -1)
+
     if isinstance(state, StateVector):
-        psi = state.amplitudes[:, None]
-        return psi, psi
-    return None, state.matrix
+        kets = stack(state.amplitudes)
+        return kets, kets
+    return stack(np.eye(state.signature.total_dim, dtype=complex)), stack(state.matrix)
 
 
-def _act(op: LabeledOperator, roots: np.ndarray | None) -> np.ndarray:
-    """op @ roots by contraction; roots may be a stack, None is the identity."""
-    return op.matrix if roots is None else op.apply(roots)
+def _gram(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """G[..., i, j] = vdot(bras[..., i, :], kets[..., j, :]); leading axes are a batch.
 
-
-def _apply(ops: Sequence[LabeledOperator], roots: np.ndarray | None) -> np.ndarray:
-    """Stack of op @ roots, one entry per operator; roots may itself be a stack."""
-    return np.array([_act(op, roots) for op in ops])
-
-
-def _dot(bra: np.ndarray | None, x: np.ndarray) -> complex:
-    """vdot(bra, x), the trace when bra is the identity root."""
-    return np.trace(x) if bra is None else np.vdot(bra, x)
-
-
-def _moments(
-    state: State,
-    ops_a: Sequence[LabeledOperator],
-    ops_b: Sequence[LabeledOperator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment tables c[j, k] and t[j, k, j', k'] of F_j = ops_a[j], G_k = ops_b[k].
-
-    F and G have disjoint supports, so they commute and
-    t[j, k, j', k'] = vdot(F_j G_k bra, F_j' G_k' ket).
+    Row i is one (1 x L)(L x n) product of bra i with the kets: under OpenBLAS as
+    fast as one (n x L)(L x n) product for a few long rows, twice as fast at n = 3.
     """
-    na, nb = len(ops_a), len(ops_b)
-    bra, ket = _roots(state)
-    g_ket = _apply(ops_b, ket)
-    fg_ket = _apply(ops_a, g_ket).reshape(na * nb, -1)
-    fg_bra = fg_ket if bra is ket else _apply(ops_a, _apply(ops_b, bra)).reshape(na * nb, -1)
-    c = _apply(ops_a, bra).reshape(na, -1).conj() @ g_ket.reshape(nb, -1).T
-    t = (fg_bra.conj() @ fg_ket.T).reshape(na, nb, na, nb)
-    return c, t
+    rows = np.matmul(bras.conj()[..., None, :], kets.swapaxes(-1, -2)[..., None, :, :])
+    return rows[..., 0, :]
 
 
-def _sides(
-    op: LabeledOperator, bra: np.ndarray | None, ket: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(op bra, op ket), computed once when the two roots coincide."""
-    op_ket = op.apply(ket)
-    return (op_ket if bra is ket else _act(op, bra)), op_ket
+# the entries of the table of [I, A, B, AB] that the base tests read:
+# <A^dag B>, <(AB)^dag AB> = <A^dag A B^dag B>, <AB>, <A^dag A>, <B^dag B>
+_BASE_ROWS, _BASE_COLS = [1, 3, 0, 1, 2], [2, 3, 3, 1, 2]
+
+
+def _base_moments(state: State, a: LabeledOperator, b: LabeledOperator) -> list[complex]:
+    """The base-test entries of the Gram table of the words [I, A, B, AB]."""
+    _check_disjoint([a], [b])
+    return _gram(*_images(state, [(), (a,), (b,), (a, b)]))[_BASE_ROWS, _BASE_COLS].tolist()
+
+
+def _base_reports(moments: Sequence[complex]) -> tuple[WitnessReport, WitnessReport]:
+    """cond1 and cond2 from the base-test entries of a Gram table."""
+    a_b, ab_ab, ab, a_a, b_b = moments
+    return (
+        _report(abs(a_b) ** 2, _real(ab_ab, "<A^dag A B^dag B>")),
+        _report(abs(ab) ** 2, _real(a_a, "<A^dag A>") * _real(b_b, "<B^dag B>")),
+    )
 
 
 def cond1(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Cross-correlation test: |<A^dag B>|^2 > <A^dag A B^dag B>."""
-    _check_disjoint([a], [b])
-    c, t = _moments(state, [a], [b])
-    return _report(abs(c[0, 0]) ** 2, _real(t[0, 0, 0, 0], "<A^dag A B^dag B>"))
+    return _base_reports(_base_moments(state, a, b))[0]
 
 
 def cond2(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Pairing test: |<A B>|^2 > <A^dag A><B^dag B>."""
-    _check_disjoint([a], [b])
-    bra, ket = _roots(state)
-    a_bra, a_ket = _sides(a, bra, ket)
-    b_bra, b_ket = _sides(b, bra, ket)
-    lhs = abs(_dot(bra, a.apply(b_ket))) ** 2
-    rhs = _real(np.vdot(a_bra, a_ket), "<A^dag A>") * _real(np.vdot(b_bra, b_ket), "<B^dag B>")
-    return _report(lhs, rhs)
+    return _base_reports(_base_moments(state, a, b))[1]
 
 
 def witness_matrix_expand_a(
@@ -269,6 +271,23 @@ def bilinear_form(
     return WitnessMatrix(x, _names(ops_a, "F"), _names(ops_b, "G"))
 
 
+def _moments(
+    state: State,
+    ops_a: Sequence[LabeledOperator],
+    ops_b: Sequence[LabeledOperator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment tables c[j, k] and t[j, k, j', k'] of F_j = ops_a[j], G_k = ops_b[k].
+
+    Both are blocks of the Gram table of the words [F_j] + [G_k] + [F_j G_k]:
+    F and G have disjoint supports, so they commute and
+    t[j, k, j', k'] = <(F_j G_k)^dag F_j' G_k'>.
+    """
+    na, nb = len(ops_a), len(ops_b)
+    words = [(f,) for f in ops_a] + [(g,) for g in ops_b] + [(f, g) for f in ops_a for g in ops_b]
+    g = _gram(*_images(state, words))
+    return g[:na, na : na + nb], g[na + nb :, na + nb :].reshape(na, nb, na, nb)
+
+
 def form_from_moments(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The form X[(j, k), (j', k')] = c[j, k'] conj(c[j', k]) - t, symmetrised.
 
@@ -288,8 +307,9 @@ def moment_operators(
     """Operators whose expectations, in row-major order, are the moment tables.
 
     <F_j^dag G_k> fills c[j, k] (shape na x nb) and <F_j^dag F_j' G_k^dag G_k'>
-    fills t[j, k, j', k'], as :func:`_moments` computes them from a state;
-    :func:`form_from_moments` turns either into the form.
+    fills t[j, k, j', k'], the same numbers that :func:`bilinear_form` reads
+    from the Gram table of a state; :func:`form_from_moments` turns either
+    into the form.
     """
     _check_disjoint(ops_a, ops_b)
     c_ops = [f.dag() @ g for f in ops_a for g in ops_b]
@@ -433,16 +453,13 @@ def lur_value(
     caller-supplied bound and rhs is the measured value: a positive margin
     (value below the bound) certifies entanglement.
     """
-    bra, ket = _roots(state)
     total = 0.0
     for a, b in pairs:
         _check_disjoint([a], [b])
-        # D ket = A ket + B ket: the supports are disjoint, so A + B would span the full space
-        a_bra, a_ket = _sides(a, bra, ket)
-        b_bra, b_ket = _sides(b, bra, ket)
-        d_ket = a_ket + b_ket
-        d_bra = d_ket if bra is ket else a_bra + b_bra
-        total += _real(np.vdot(d_bra, d_ket), "<D^dag D>") - abs(_dot(bra, d_ket)) ** 2
+        # the table of [I, A, B]: A + B itself would span the full space
+        g = _gram(*_images(state, [(), (a,), (b,)])).tolist()
+        d_dag_d = g[1][1] + g[1][2] + g[2][1] + g[2][2]
+        total += _real(d_dag_d, "<D^dag D>") - abs(g[0][1] + g[0][2]) ** 2
     return _report(float(separable_bound), total)
 
 
@@ -487,16 +504,9 @@ def ppt_crosscheck(state: State, a: LabeledOperator, b: LabeledOperator) -> PptC
     they flag must have a negative partial transpose; the report makes that
     implication checkable.
     """
-    rep1 = cond1(state, a, b)
-    rep2 = cond2(state, a, b)
+    rep1, rep2 = _base_reports(_base_moments(state, a, b))
     labels = sorted(a.support) or [state.signature.labels[0]]
     return PptCrosscheck(rep1, rep2, ppt_min_eig(state, labels))
-
-
-def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """vdot(x[i], y[i]) for each entry i of two stacks, as batched (1 x m)(m x 1) products."""
-    n = len(x)
-    return np.matmul(x.reshape(n, 1, -1).conj(), y.reshape(n, -1, 1)).ravel()
 
 
 def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> list[PptCrosscheck]:
@@ -508,45 +518,33 @@ def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> 
     on side a.  Entry i equals
     ``ppt_crosscheck(state_i, embed(ga[i], "a", sig), embed(gb[i], "b", sig))``
     for ``sig = signature(boson("a", d_a), boson("b", d_b))`` bit for bit:
-    every product has the inner shapes of :meth:`LabeledOperator.apply` and
-    of the moments, batched over the stack, and the partial-transpose
+    the images of the words [I, A, B, AB] are contracted with the inner
+    shapes of :meth:`LabeledOperator.apply`, batched over the stack, one
+    :func:`_gram` call gives every table, and the partial-transpose
     eigenvalues come from one ``eigvalsh`` call.
     """
     n, da, db = len(ga), ga.shape[-1], gb.shape[-1]
     d = da * db
-    pure = states.ndim == 2
-    m = 1 if pure else d
-    # B ket, A ket and A B ket, contracted as LabeledOperator.apply contracts them
-    b_ket = np.matmul(gb[:, None], states.reshape(n, da, db, m))
-    a_ket = np.matmul(ga, states.reshape(n, da, db * m))
-    ab_ket = np.matmul(ga, b_ket.reshape(n, da, db * m))
-    if pure:
-        # bra = ket = psi
-        c = _vdots(a_ket, b_ket)
-        pair = _vdots(states, ab_ket)
-        a_bra, b_bra, ab_bra = a_ket, b_ket, ab_ket
+
+    def images(roots: np.ndarray) -> np.ndarray:
+        # roots (n, D, m); rows I, A, B, AB as in _images, each written in place
+        m = roots.shape[-1]
+        out = np.empty((n, 4, d * m), dtype=complex)
+        out[:, 0] = roots.reshape(n, -1)
+        a, b, ab = (out[:, k].reshape(n, da, db * m) for k in (1, 2, 3))
+        np.matmul(gb[:, None], roots.reshape(n, da, db, m), out=b.reshape(n, da, db, m))
+        np.matmul(ga, roots.reshape(n, da, db * m), out=a)
+        np.matmul(ga, b, out=ab)
+        return out
+
+    if states.ndim == 2:
+        bras = kets = images(states[:, :, None])
         rho = states[:, :, None] * states.conj()[:, None, :]
     else:
-        # bra = identity: the operators applied to it are their full-space matrices
-        eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
-        a_bra = (ga[:, :, None, :, None] * eye_b[:, None, :]).reshape(n, d, d)
-        b_bra = (gb[:, None, :, None, :] * eye_a[:, None, :, None]).reshape(n, d, d)
-        ab_bra = np.matmul(ga, b_bra.reshape(n, da, db * d))
-        c = _vdots(a_bra, b_ket)
-        pair = np.trace(ab_ket.reshape(n, d, d), axis1=1, axis2=2)
+        bras = images(np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)))
+        kets = images(states)
         rho = states
-    t = _vdots(ab_bra, ab_ket)
-    aa = _vdots(a_bra, a_ket)
-    bb = _vdots(b_bra, b_ket)
+    moments = _gram(bras, kets)[:, _BASE_ROWS, _BASE_COLS].tolist()
     pt = rho.reshape(n, da, db, da, db).swapaxes(1, 3).reshape(n, d, d)
     min_eig = np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0]
-    return [
-        PptCrosscheck(
-            _report(abs(c_i) ** 2, _real(t_i, "<A^dag A B^dag B>")),
-            _report(abs(p_i) ** 2, _real(aa_i, "<A^dag A>") * _real(bb_i, "<B^dag B>")),
-            w,
-        )
-        for c_i, t_i, p_i, aa_i, bb_i, w in zip(
-            c.tolist(), t.tolist(), pair.tolist(), aa.tolist(), bb.tolist(), min_eig.tolist()
-        )
-    ]
+    return [PptCrosscheck(*_base_reports(m), w) for m, w in zip(moments, min_eig.tolist())]

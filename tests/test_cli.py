@@ -307,3 +307,19 @@ def test_non_finite_or_empty_config_values_exit_2(tmp_path, capsys, blob, named)
     assert run([blob["experiment"], "--config", str(cfg), "--dump-config"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dicke", "--input", "amps:0,0"],
+        ["dicke", "--input", "amps:1,1,1,1,1", "--fock-dim", "4"],
+    ],
+)
+def test_bad_amplitude_list_names_itself(tmp_path, capsys, argv):
+    # the specific message must not be swallowed by the generic parse failure
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad amplitude list in '{argv[2]}'\n"
+    assert not out.exists()
