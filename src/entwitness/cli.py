@@ -11,8 +11,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -118,24 +116,27 @@ def _run_jc_thermal(p: dict, seed: int, common) -> tuple[list[dict], dict]:
     rows = []
     worst_leak = 0.0
     dims_used = []
-    for nbar in p["nbar"]:
-        cfg = jc.JCConfig(
-            nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"]
-        )
-        trace = jc.jc_witness_trace(cfg)
-        worst_leak = max(worst_leak, trace.max_leakage)
-        dims_used.append(trace.fock_dim)
-        for i, t in enumerate(trace.kt):
-            rows.append(
-                {
-                    "kt": float(t),
-                    "nbar": nbar,
-                    "M11": trace.m11[i],
-                    "M22": trace.m22[i],
-                    "absM12": trace.abs_m12[i],
-                    "lambda_max": trace.lambda_max[i],
-                }
+    try:
+        for nbar in p["nbar"]:
+            cfg = jc.JCConfig(
+                nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"]
             )
+            trace = jc.jc_witness_trace(cfg)
+            worst_leak = max(worst_leak, trace.max_leakage)
+            dims_used.append(trace.fock_dim)
+            for i, t in enumerate(trace.kt):
+                rows.append(
+                    {
+                        "kt": float(t),
+                        "nbar": nbar,
+                        "M11": trace.m11[i],
+                        "M22": trace.m22[i],
+                        "absM12": trace.abs_m12[i],
+                        "lambda_max": trace.lambda_max[i],
+                    }
+                )
+    finally:
+        jc._system.cache_clear()  # the nbar of one run share a system; runs do not
     rows.sort(key=lambda r: (r["nbar"], r["kt"]))
     return rows, {"fock_dims": dims_used, "max_leakage": worst_leak}
 
@@ -576,14 +577,48 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it beside other fields.
+
+    A field holding a comma, a quote, CR or LF is quoted.  Before Python
+    3.13 ``csv.writer`` left a lone CR unquoted, which its reader then
+    splits on; no runner writes one.
+    """
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_code(values: list) -> str:
+    """One printf code for a column: ``%.17e`` floats, ``%d`` ints, else ``%s``."""
+    types = set(map(type, values))
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return "%.17e"
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+        return "%d"
+    return "%s"
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """The rows as CSV under a header of the first row's keys, one ``%`` per row.
+
+    Each column gets one printf code from the types of its values; a ``%s``
+    column holds its :func:`_format_cell` texts, quoted as ``csv.writer``
+    quotes them.  ``%.17e`` and ``%d`` print what :func:`_format_cell` does.
+    As with ``csv.writer``, a row of one empty field is written ``""``.
+    """
     header = list(rows[0].keys()) if rows else []
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(row[k]) for k in header])
-    return buf.getvalue()
+    if not header:
+        return "\n" * (len(rows) + 1)
+    columns = [[row[k] for row in rows] for k in header]
+    codes = [_column_code(col) for col in columns]
+    for i, code in enumerate(codes):
+        if code == "%s":
+            texts = [_csv_quote(_format_cell(v)) for v in columns[i]]
+            columns[i] = [t or '""' for t in texts] if len(header) == 1 else texts
+    fmt = ",".join(codes) + "\n"
+    head = ",".join(_csv_quote(str(k)) for k in header) or '""'
+    return head + "\n" + "".join([fmt % cells for cells in zip(*columns)])
 
 
 def _jsonable(value):

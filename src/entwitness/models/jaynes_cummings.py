@@ -16,11 +16,15 @@ tables, :func:`~entwitness.witnesses.form_from_moments` assembles every
 2x2 matrix at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max
 in closed form.  No propagator, density matrix or centred operator is built
 per time point; the leakage rule sees one state, evolved to the grid time
-with the largest top-two population.
+with the largest top-two population.  H, its spectrum and the 14
+observables depend only on the truncation and the couplings, so the last
+such system is kept (``_system``) and every nbar of a run reads it; the
+``jc-thermal`` runner drops it when the run ends.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,18 +122,29 @@ def _centred(c: np.ndarray, t: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarra
     return c, t
 
 
-def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
+@functools.lru_cache(maxsize=1)
+def _system(
+    dim: int, omega: float, kappa: float
+) -> tuple[SpaceSignature, LabeledOperator, tuple[LabeledOperator, ...]]:
+    """Signature, H and the observables [top_two, a, *c_ops, *t_ops] at one truncation.
+
+    Every nbar of a run shares them, and with them H's cached spectrum; a
+    new truncation replaces the one kept.
+    """
     sig = jc_signature(dim)
-    h = jc_hamiltonian(sig, cfg.omega, cfg.kappa)
+    h = jc_hamiltonian(sig, omega, kappa)
     sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
     a = embed(ops.annihilator(dim), "field", sig, "a")
-    top_two = leakage_projector(sig, "field")
     c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag(), identity_operator(sig)])
+    return sig, h, (leakage_projector(sig, "field"), a, *c_ops, *t_ops)
 
+
+def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
+    sig, h, observables = _system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
     rho0 = DensityMatrix(sig, np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj())))
     times = np.asarray(cfg.kt_grid) / cfg.kappa
-    table = evolved_expectations(h, times, rho0, [top_two, a, *c_ops, *t_ops])
+    table = evolved_expectations(h, times, rho0, observables)
     n = times.size
     top_pop, alpha = table[:, 0].real, table[:, 1]
     c_raw, t_raw = table[:, 2:5].reshape(n, 1, 3), table[:, 5:].reshape(n, 1, 3, 1, 3)

@@ -18,11 +18,13 @@ themselves and the eigenvector matrix of a Hamiltonian.
 Evolution: :func:`evolve` and :func:`propagator_family` build U(t) for one
 time at a time.  :func:`evolved_expectations` serves a whole time grid from
 one eigendecomposition: it returns the T x K table of <O_k> along
-exp(-i H t), with each operator rotated once into the eigenbasis and applied
-by one (T x D)(D x D) product, so no propagator or state is formed per time
-and memory is O(T D + D^2).  A generator computes its eigendecomposition
-once and keeps it, so the tables, propagators and evolved states of one H
-share it.
+exp(-i H t).  Each operator is rotated once into the eigenbasis and written
+beside the others into a D x (k D) stack, and a block of times reads every
+operator of a stack with one product, so no propagator or state is formed
+per time.  :data:`_BLOCK_BYTES` bounds the stack and the per-block product
+(an operator larger than the bound is a stack by itself), so memory is
+O(T D + D^2).  A generator computes its eigendecomposition once and keeps
+it, so the tables, propagators and evolved states of one H share it.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -56,7 +58,7 @@ QUBIT = "qubit"
 
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
-TIME_BLOCK = 64  # grid times per block in evolved_expectations
+_BLOCK_BYTES = 512 * 2**10  # bound on each temporary of evolved_expectations
 
 
 class SignatureError(ValueError):
@@ -414,28 +416,44 @@ def evolved_expectations(
     the phases u = exp(-i E t) and tilde X = V^dag X V,
     Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n, and
     <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
-    phi = u * tilde psi: one (T x D)(D x D) product per operator, run over
-    blocks of :data:`TIME_BLOCK` times.  The phase table is the only array
-    that grows with T; no propagator or state is formed per time.
+    phi = u * tilde psi.  Each operator is rotated once and written beside
+    the others into one D x (k D) stack, k operators at a time, so that a
+    block of times is one (t x D)(D x k D) product followed by one batched
+    product against the conjugate phases.  :data:`_BLOCK_BYTES` bounds the
+    stack (unless one operator alone is larger) and the product, which
+    sets k and the number of times per block.  The phase table is the only
+    array that grows with T; no propagator or state is formed per time.
     """
     _same_signature(state.signature, h.signature)
     for op in ops:
         _same_signature(state.signature, op.signature)
     ed = h._spectrum()
     v, vh = ed.eigenvectors, ed.eigenvectors.conj().T
+    d = v.shape[0]
     pure = isinstance(state, StateVector)
     tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
     phases = np.outer(np.asarray(times, dtype=float), -1j * ed.eigenvalues)
     np.exp(phases, out=phases)
-    table = np.empty((phases.shape[0], len(ops)), dtype=complex)
-    for k, op in enumerate(ops):
-        o_t = (vh @ op.apply(v)).T
-        if not pure:
-            o_t *= tilde_state
-        for start in range(0, phases.shape[0], TIME_BLOCK):
-            u = phases[start : start + TIME_BLOCK]
+    n_t = phases.shape[0]
+    table = np.empty((n_t, len(ops)), dtype=complex)
+    row_bytes = d * table.itemsize
+    per_stack = max(1, min(len(ops), _BLOCK_BYTES // (d * row_bytes)))
+    stack = np.empty((d, per_stack * d), dtype=complex)
+    for k0 in range(0, len(ops), per_stack):
+        chunk = ops[k0 : k0 + per_stack]
+        k = len(chunk)
+        for j, op in enumerate(chunk):
+            # tilde O^T = (O V)^T conj(V), written in place
+            o_t = np.matmul(op.apply(v).T, vh.T, out=stack[:, j * d : (j + 1) * d])
+            if not pure:
+                o_t *= tilde_state
+        step = max(1, _BLOCK_BYTES // (k * row_bytes))
+        for start in range(0, n_t, step):
+            u = phases[start : start + step]
             left = u * tilde_state if pure else u
-            table[start : start + TIME_BLOCK, k] = np.einsum("tn,tn->t", left @ o_t, left.conj())
+            prod = (left @ stack[:, : k * d]).reshape(-1, k, d)
+            values = np.matmul(prod, left.conj()[:, :, None])
+            table[start : start + step, k0 : k0 + k] = values[..., 0]
     return table
 
 

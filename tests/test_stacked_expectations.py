@@ -1,0 +1,199 @@
+"""Stacked evaluation in ``evolved_expectations``, the jc system cache, and memory.
+
+``evolved_expectations`` writes the rotated observables side by side into
+byte-bounded stacks and reads a block of times with one product per stack;
+here it is checked against per-time ``evolve`` + ``expectation`` with the
+byte bound shrunk so that the observables span several stacks and the grid
+several uneven time blocks.  The jc trace keeps one system (H, its
+spectrum and the moment observables) per truncation; a sequence of
+configurations must give what a fresh process gives for each, and a
+``jc-thermal`` run must leave no system for the next run.  The memory
+bounds are the tracemalloc peaks of the per-operator evaluation this
+replaced.
+"""
+
+import json
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from entwitness import spaces
+from entwitness.models import jaynes_cummings as jc
+from entwitness.models.jaynes_cummings import JCConfig
+from entwitness.spaces import (
+    DensityMatrix,
+    LabeledOperator,
+    StateVector,
+    boson,
+    embed,
+    embed_many,
+    evolve,
+    evolved_expectations,
+    expectation,
+    identity_operator,
+    qubit,
+    signature,
+)
+
+OP_BYTES = 12 * 12 * 16  # one rotated observable of the 12-dim test space
+
+
+def _unit(m: np.ndarray) -> np.ndarray:
+    return m / np.linalg.norm(m, 2)
+
+
+def _case(rng):
+    sig = signature(boson("a", 3), qubit("q"), boson("b", 2))
+    d = sig.total_dim
+
+    def rand(n):
+        return _unit(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    g = rand(d)
+    h = LabeledOperator(sig, g + g.conj().T)
+    observables = [
+        embed_many(rand(6), ["a", "b"], sig),  # non-adjacent factors
+        embed(rand(2), "q", sig),
+        embed_many(rand(6), ["b", "a"], sig),  # non-adjacent, reversed order
+        identity_operator(sig),
+        embed_many(rand(4), ["b", "q"], sig),  # adjacent, reversed order
+        LabeledOperator(sig, rand(d)),
+        embed(rand(3), "a", sig),
+        embed_many(rand(6), ["a", "b"], sig),
+    ]
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    w = rng.random(3)
+    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in w]
+    rho = sum(wk * np.outer(v, v.conj()) / np.vdot(v, v).real for wk, v in zip(w / w.sum(), vecs))
+    states = (StateVector(sig, psi / np.linalg.norm(psi)), DensityMatrix(sig, rho))
+    return h, observables, states
+
+
+# 3 observables per stack (stacks of 3, 3, 2), blocks of 12 and 18 times;
+# below one observable, so 1 per stack and blocks of 6 times; the default
+# bound, one stack of all 8
+@pytest.mark.parametrize("block_bytes", [3 * OP_BYTES, 1200, spaces._BLOCK_BYTES])
+def test_stacked_table_matches_per_time_evolution(monkeypatch, block_bytes):
+    monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
+    h, observables, states = _case(np.random.default_rng(3))
+    # 50 times: a multiple of none of the block lengths above
+    times = np.concatenate([[0.9, 0.0, -2.0, 0.9], np.linspace(0.0, 4.0, 46)])
+    for state in states:
+        table = evolved_expectations(h, times, state, observables)
+        assert table.shape == (len(times), len(observables))
+        for i, t in enumerate(times):
+            evolved = evolve(h, t, state)
+            want = [expectation(evolved, op) for op in observables]
+            np.testing.assert_allclose(table[i], want, rtol=0, atol=1e-12)
+
+
+def test_no_observables_or_no_times_give_empty_tables():
+    h, observables, states = _case(np.random.default_rng(4))
+    for state in states:
+        assert evolved_expectations(h, [0.0, 1.0], state, []).shape == (2, 0)
+        assert evolved_expectations(h, [], state, observables).shape == (0, len(observables))
+
+
+KT = tuple(np.linspace(0.0, 6.0, 41))
+# (nbar, fock_dim, kappa); the last escalates from 2 to 4
+SEQUENCE = [(0.02, 20, 0.1), (0.03, 20, 0.1), (0.02, 20, 0.2), (0.02, 20, 0.1), (0.0, 2, 0.1)]
+FIELDS = ("m11", "m22", "abs_m12", "lambda_max")
+
+FRESH = """
+import json, sys
+import numpy as np
+from entwitness.models import jaynes_cummings as jc
+nbar, dim, kappa = json.loads(sys.argv[1])
+kt = tuple(np.linspace(0.0, 6.0, 41))
+tr = jc.jc_witness_trace(jc.JCConfig(nbar=nbar, kt_grid=kt, fock_dim=dim, kappa=kappa))
+out = {f: [float(x).hex() for x in getattr(tr, f)] for f in %r}
+out["fock_dim"] = tr.fock_dim
+print(json.dumps(out))
+""" % (FIELDS,)
+
+
+def _fresh_process_trace(config) -> dict:
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH, json.dumps(config)],
+        capture_output=True, text=True, check=True,
+    )
+    out = json.loads(run.stdout)
+    return {k: v if k == "fock_dim" else [float.fromhex(x) for x in v] for k, v in out.items()}
+
+
+def test_system_cache_gives_fresh_process_results():
+    fresh = {config: _fresh_process_trace(config) for config in set(SEQUENCE)}
+    jc._system.cache_clear()
+    for nbar, dim, kappa in SEQUENCE:
+        got = jc.jc_witness_trace(JCConfig(nbar=nbar, kt_grid=KT, fock_dim=dim, kappa=kappa))
+        want = fresh[(nbar, dim, kappa)]
+        assert got.fock_dim == want["fock_dim"]
+        for field in FIELDS:
+            np.testing.assert_array_equal(getattr(got, field), want[field])
+    # the second nbar at (20, 0.1) reused the first one's system
+    assert jc._system.cache_info().hits >= 1
+    assert jc._system.cache_info().currsize == 1
+
+
+def test_each_jc_thermal_run_builds_its_own_system(monkeypatch, tmp_path):
+    from entwitness import cli, linalg
+
+    sizes = []
+    herm_eig = linalg.herm_eig
+    def counted(h, *args, **kwargs):
+        sizes.append(len(h))
+        return herm_eig(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "herm_eig", counted)
+    out = str(tmp_path / "jc.csv")
+    argv = ["jc-thermal", "--nbar", "0.01,0.02", "--points", "5", "--output", out]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        assert jc._system.cache_info().currsize == 0
+    # one spectrum of H per run, shared by its two nbar
+    assert sizes == [40, 40]
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_jc_trace_at_fock_160_stays_at_per_operator_peak():
+    jc.jc_witness_trace(JCConfig(nbar=0.02, kt_grid=KT))  # lazy imports outside the measurement
+    jc._system.cache_clear()
+    cfg = JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 600)), fock_dim=160)
+    try:
+        peak = _peak_mib(lambda: jc.jc_witness_trace(cfg))
+    finally:
+        jc._system.cache_clear()  # do not hold the D = 320 system for later tests
+    assert peak <= 32.0
+
+
+@pytest.mark.parametrize("pure, bound_mib", [(True, 6.5), (False, 7.4)])
+def test_dense_stack_at_d256_stays_at_per_operator_peak(pure, bound_mib):
+    rng = np.random.default_rng(5)
+    sig = signature(boson("a", 16), boson("b", 16))
+    d = sig.total_dim
+
+    def rand():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    g = rand()
+    h = LabeledOperator(sig, g + g.conj().T)
+    observables = [LabeledOperator(sig, rand()) for _ in range(3)]
+    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(4)]
+    rho = sum(np.outer(v, v.conj()) for v in vecs)
+    state = StateVector(sig, vecs[0] / np.linalg.norm(vecs[0])) if pure else DensityMatrix(
+        sig, rho / np.trace(rho).real
+    )
+    times = np.linspace(0.0, 5.0, 600)
+    evolved_expectations(h, times, state, observables)  # H's spectrum is cached from here on
+    assert _peak_mib(lambda: evolved_expectations(h, times, state, observables)) <= bound_mib
