@@ -5,12 +5,19 @@ so verdicts can be recomputed downstream, plus a JSON sidecar with the
 resolved configuration, library version and truncation diagnostics.
 Re-running with the same configuration and seed is byte-identical.
 
+Every option is one ``Param``: an experiment's own in its ``params``, the
+five shared ones in ``COMMON_PARAMS``.  That table gives the flags of the
+parser, built once per process, and reads the config file: an option takes
+its flag value, else its non-null file value read as its flag reads the
+same text, else its default.
+
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -482,23 +489,67 @@ EXPERIMENTS: dict[str, Experiment] = {
 # configuration plumbing and output
 # ---------------------------------------------------------------------------
 
-# options shared by every experiment, with the parser their flag uses
-_COMMON_OPTIONS: dict[str, Callable[[str], Any]] = {
-    "output": str,
-    "format": str,
-    "seed": int,
-    "fock_dim": int,
-    "tolerance": float,
-}
+
+def _check_format(value: str) -> None:
+    if value not in ("csv", "json"):
+        raise ConfigError(f"unknown format '{value}'")
 
 
-def _parse_file_value(parse: Callable[[str], Any], key: str, value) -> Any:
+def _check_fock_dim(value: int) -> None:
+    if value < 2:
+        raise ConfigError(f"fock_dim must be at least 2, got {value}")
+
+
+def _check_tolerance(value: float) -> None:
+    if not value > 0:
+        raise ConfigError(f"tolerance must be positive, got {value}")
+
+
+# options shared by every experiment; a None default means unset, which for
+# fock_dim and tolerance means the experiment's own value
+COMMON_PARAMS: tuple[Param, ...] = (
+    Param("output", str, None, "output file (default stdout)"),
+    Param("format", str, "csv", "output format: csv | json", _check_format),
+    Param("seed", int, 0, "master seed"),
+    Param("fock_dim", int, None, "Fock truncation per mode (default: the experiment's own)", _check_fock_dim),
+    Param("tolerance", float, None, "criterion tolerance (default: the experiment's own)", _check_tolerance),
+)
+
+
+def _parse_file_value(p: Param, value) -> Any:
     """Read a config-file value as its flag would read the same text."""
     text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
     try:
-        return parse(text)
+        return p.parse(text)
     except ValueError as err:
-        raise ConfigError(f"bad value {value!r} for '{key}' in config file: {err}") from err
+        raise ConfigError(f"bad value {value!r} for '{p.name}' in config file: {err}") from err
+
+
+def _read_config_file(exp: Experiment, path: str) -> dict[str, Any]:
+    """The non-null values of a config file, each read as its flag reads the same text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"could not read config file: {err}") from err
+    if not isinstance(blob, dict):
+        raise ConfigError("config file must hold a JSON object")
+    if blob.get("experiment", exp.name) != exp.name:
+        raise ConfigError(f"config file is for '{blob.get('experiment')}', not '{exp.name}'")
+    file_params = blob.get("params", {})
+    if not isinstance(file_params, dict):
+        raise ConfigError(f"'params' in config file must be a JSON object, got {json.dumps(file_params)}")
+    known = {p.name: p for p in exp.params}
+    for key in file_params:
+        if key not in known:
+            raise ConfigError(f"unknown parameter '{key}' for experiment '{exp.name}'")
+    common = {p.name: p for p in COMMON_PARAMS}
+    for key in blob:
+        if key not in ("experiment", "params", *common):
+            raise ConfigError(f"unknown config key '{key}'")
+    entries = [(known[k], v) for k, v in file_params.items()]
+    entries += [(common[k], v) for k, v in blob.items() if k in common]
+    return {p.name: _parse_file_value(p, v) for p, v in entries if v is not None}
 
 
 def _check_finite(name: str, value) -> None:
@@ -512,59 +563,20 @@ def _check_finite(name: str, value) -> None:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def _resolve_config(exp: Experiment, args: argparse.Namespace) -> dict:
-    params = {p.name: p.default for p in exp.params}
-    file_common: dict[str, Any] = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"could not read config file: {err}") from err
-        if not isinstance(blob, dict):
-            raise ConfigError("config file must hold a JSON object")
-        if blob.get("experiment", exp.name) != exp.name:
-            raise ConfigError(
-                f"config file is for '{blob.get('experiment')}', not '{exp.name}'"
-            )
-        known = {p.name for p in exp.params}
-        file_params = blob.get("params", {})
-        for key in file_params:
-            if key not in known:
-                raise ConfigError(f"unknown parameter '{key}' for experiment '{exp.name}'")
-        for key, value in file_params.items():
-            spec = next(p for p in exp.params if p.name == key)
-            params[key] = _parse_file_value(spec.parse, key, value)
-        for key in blob:
-            if key not in ("experiment", "params", *_COMMON_OPTIONS):
-                raise ConfigError(f"unknown config key '{key}'")
-        file_common = {
-            k: _parse_file_value(parse, k, blob[k])
-            for k, parse in _COMMON_OPTIONS.items()
-            if blob.get(k) is not None
-        }
-    for p in exp.params:
-        flag_value = getattr(args, p.name, None)
-        if flag_value is not None:
-            params[p.name] = flag_value
-    for k, v in file_common.items():
-        if getattr(args, k, None) is None:
-            setattr(args, k, v)
-    for name, value in (*params.items(), ("tolerance", args.tolerance)):
-        _check_finite(name, value)
-    for p in exp.params:
-        p.check(params[p.name])
-    if args.format is None:
-        args.format = "csv"
-    if args.seed is None:
-        args.seed = 0
-    if args.format not in ("csv", "json"):
-        raise ConfigError(f"unknown format '{args.format}'")
-    if args.fock_dim is not None and args.fock_dim < 2:
-        raise ConfigError(f"fock_dim must be at least 2, got {args.fock_dim}")
-    if args.tolerance is not None and not args.tolerance > 0:
-        raise ConfigError(f"tolerance must be positive, got {args.tolerance}")
-    return params
+def _resolve_config(exp: Experiment, args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
+    """``(params, common)``: each option's flag value, else its config-file value, else its default."""
+    from_file = _read_config_file(exp, args.config) if args.config else {}
+    values = {}
+    for p in (*exp.params, *COMMON_PARAMS):
+        value = getattr(args, p.name)
+        if value is None:
+            value = from_file.get(p.name, p.default)
+        if value is not None:
+            _check_finite(p.name, value)
+            p.check(value)
+        values[p.name] = value
+    params = {p.name: values.pop(p.name) for p in exp.params}
+    return params, argparse.Namespace(**values)
 
 
 def _format_cell(value) -> str:
@@ -621,53 +633,39 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return head + "\n" + "".join([fmt % cells for cells in zip(*columns)])
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _numpy_scalar(value):
+    """``json`` hook: a numpy scalar as the Python scalar it holds.
+
+    ``np.float64`` subclasses ``float`` and never reaches the hook; ``json``
+    writes it as it writes the ``float`` of the same value.
+    """
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _resolved_config(exp_name: str, params, args) -> dict:
-    return {
-        "experiment": exp_name,
-        "params": _jsonable(params),
-        "seed": args.seed,
-        "format": args.format,
-        "output": args.output,
-        "fock_dim": args.fock_dim,
-        "tolerance": args.tolerance,
-    }
+def _dumps(blob) -> str:
+    return json.dumps(blob, indent=2, sort_keys=True, default=_numpy_scalar)
 
 
-def _write_output(exp_name: str, rows, diagnostics, params, args) -> None:
-    meta = {
-        "config": _resolved_config(exp_name, params, args),
-        "version": __version__,
-        "diagnostics": _jsonable(diagnostics),
-    }
-    if args.format == "csv":
+def _write_output(config: dict, rows, diagnostics, common: argparse.Namespace) -> None:
+    meta = {"config": config, "version": __version__, "diagnostics": diagnostics}
+    if common.format == "csv":
         payload = _rows_to_csv(rows)
     else:
-        payload = json.dumps(
-            {**meta, "rows": _jsonable(rows)}, indent=2, sort_keys=True
-        ) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        payload = _dumps({**meta, "rows": rows}) + "\n"
+    if common.output:
+        with open(common.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
-        with open(args.output + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(common.output + ".meta.json", "w", encoding="utf-8") as fh:
+            fh.write(_dumps(meta) + "\n")
     else:
         sys.stdout.write(payload)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entwitness`` parser, built once per process; every option flag is one ``Param``."""
     parser = argparse.ArgumentParser(
         prog="entwitness",
         description="entanglement-criteria experiments on truncated bosonic/qubit systems",
@@ -678,19 +676,14 @@ def build_parser() -> argparse.ArgumentParser:
     desc.add_argument("experiment", choices=sorted(EXPERIMENTS))
     for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name, help=exp.summary)
-        for param in exp.params:
+        for param in (*exp.params, *COMMON_PARAMS):
             p.add_argument(
                 f"--{param.name.replace('_', '-')}",
                 dest=param.name,
                 type=param.parse,
                 default=None,
-                help=f"{param.help} (default {param.default})",
+                help=param.help if param.default is None else f"{param.help} (default {param.default})",
             )
-        p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--fock-dim", dest="fock_dim", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--config", default=None, help="JSON config file; flags win")
         p.add_argument("--dump-config", action="store_true", help="print resolved config and exit")
     return parser
@@ -714,15 +707,16 @@ def main(argv=None) -> int:
 
     exp = EXPERIMENTS[args.command]
     try:
-        params = _resolve_config(exp, args)
+        params, common = _resolve_config(exp, args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    config = {"experiment": exp.name, "params": params, **vars(common)}
     if args.dump_config:
-        print(json.dumps(_resolved_config(exp.name, params, args), indent=2, sort_keys=True))
+        print(_dumps(config))
         return EXIT_OK
     try:
-        rows, diagnostics = exp.runner(params, args.seed, args)
+        rows, diagnostics = exp.runner(params, common.seed, common)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -733,7 +727,7 @@ def main(argv=None) -> int:
         # range problems surface during the run for a handful of parameters
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_output(exp.name, rows, diagnostics, params, args)
+    _write_output(config, rows, diagnostics, common)
     return EXIT_OK
 
 
