@@ -50,6 +50,16 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"could not parse float list '{text}'") from err
 
 
+def _bool(text: str) -> bool:
+    """1/true/yes or 0/false/no in any case; a JSON boolean reads as its text."""
+    word = str(text).lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"could not parse boolean '{text}' (use 1/true/yes or 0/false/no)")
+
+
 def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in str(text).split(",") if x.strip() != "")
 
@@ -422,7 +432,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("epsilon", _float_list, (-0.02,), "epsilon values for the |0>/|2> family"),
             Param("t1", float, 1 / math.sqrt(2), "first splitter transmittance"),
             Param("t2", float, 1 / math.sqrt(2), "second splitter transmittance"),
-            Param("simulate", lambda s: str(s).lower() in ("1", "true", "yes"), True, "run the 3-mode check"),
+            Param("simulate", _bool, True, "run the 3-mode check"),
         ),
         _run_beamsplitters,
     ),
@@ -534,7 +544,7 @@ def _read_config_file(exp: Experiment, path: str) -> dict[str, Any]:
         raise ConfigError(f"could not read config file: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError("config file must hold a JSON object")
-    if blob.get("experiment", exp.name) != exp.name:
+    if blob.get("experiment") not in (None, exp.name):
         raise ConfigError(f"config file is for '{blob.get('experiment')}', not '{exp.name}'")
     file_params = blob.get("params", {})
     if not isinstance(file_params, dict):
@@ -722,6 +732,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (LeakageError, linalg.NonHermitianError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:
+        # numpy's MemoryError names the allocation it refused; a bare one says nothing
+        print(f"numerical failure: out of memory ({str(err) or 'no detail'})", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:
         # range problems surface during the run for a handful of parameters

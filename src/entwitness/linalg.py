@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 HERMITICITY_RTOL = 1e-10
 
@@ -78,7 +78,9 @@ def mat_exp(a) -> np.ndarray:
 
     (Anti-)Hermitian inputs, which cover every generator used here, go
     through an exact eigendecomposition; anything else falls back to
-    scipy's Pade scaling-and-squaring.
+    scipy's Pade scaling-and-squaring.  ``scipy.linalg`` is loaded on the
+    first such fallback, through scipy's lazy submodule attribute, so
+    importing this module does not pay for it.
     """
     a = _square(a)
     scale = float(np.abs(a).max())

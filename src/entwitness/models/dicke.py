@@ -18,6 +18,10 @@ in vacuum both margins collapse onto properties of the input field alone:
 
 The oracle here is an honest three-mode truncated simulation; sparse
 storage plus a Krylov-type propagator keeps comfortable truncations cheap.
+``scipy.sparse`` and ``scipy.sparse.linalg`` are reached as attributes of
+``scipy``, whose lazy loader imports them on the oracle's first call, so
+importing this module (and every CLI run, none of which calls the oracle)
+leaves them unloaded.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
+import scipy
 
 from .. import operators as ops
 from ..spaces import StateVector, boson, escalate_fock_dim, require_low_leakage, signature
@@ -204,7 +207,7 @@ def _evolve(cfg: DickeConfig, dims: tuple[int, int, int]):
     field[: len(cfg.field_amplitudes)] = cfg.field_amplitudes
     psi0 = np.zeros(int(np.prod(dims)), dtype=complex)
     psi0.reshape(dims)[:, 0, 0] = field
-    psi = expm_multiply(-1j * cfg.t * h.tocsc(), psi0)
+    psi = scipy.sparse.linalg.expm_multiply(-1j * cfg.t * h.tocsc(), psi0)
     modes = (boson(f"dicke-oracle {m}", d) for m, d in zip(("a", "x1", "x2"), dims))
     worst = require_low_leakage(StateVector(signature(*modes), psi))
     return psi, worst, x1, x2

@@ -193,6 +193,21 @@ def test_non_hermitian_runner_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 5.00 GiB")])
+def test_out_of_memory_in_a_runner_exits_3(monkeypatch, capsys, tmp_path, error):
+    import dataclasses
+
+    def runner(params, seed, args):
+        raise error
+
+    exp = dataclasses.replace(EXPERIMENTS["tavis"], runner=runner)
+    monkeypatch.setitem(EXPERIMENTS, "tavis", exp)
+    assert run(["tavis", "--output", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory") and str(error) in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_config_file_values_parse_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for nbar, expected in ((0.01, [0.01]), ([0.01, 0.02], [0.01, 0.02]), ("0.03", [0.03])):

@@ -98,3 +98,45 @@ def test_an_unknown_format_exits_2_from_a_flag_or_a_file(tmp_path, capsys):
     assert main(["tavis", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "format" in err
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1", True), ("true", True), ("YES", True), ("True", True), ("0", False), ("false", False), ("No", False)],
+)
+def test_simulate_reads_the_six_words_in_any_case(tmp_path, capsys, text, expected):
+    assert json.loads(_dump(capsys, ["beamsplitters", "--simulate", text]))["params"]["simulate"] is expected
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "beamsplitters", "params": {"simulate": text}}))
+    assert json.loads(_dump(capsys, ["beamsplitters", "--config", str(cfg)]))["params"]["simulate"] is expected
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_simulate_reads_json_booleans(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "beamsplitters", "params": {"simulate": value}}))
+    assert json.loads(_dump(capsys, ["beamsplitters", "--config", str(cfg)]))["params"]["simulate"] is value
+
+
+@pytest.mark.parametrize("text", ["ture", "2", "", "on", "flase"])
+def test_simulate_rejects_other_text_naming_it(tmp_path, capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["beamsplitters", "--simulate", text, "--dump-config"])
+    assert exc.value.code == 2
+    assert "simulate" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "beamsplitters", "params": {"simulate": text}}))
+    assert main(["beamsplitters", "--config", str(cfg), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "simulate" in captured.err
+
+
+def test_a_null_experiment_means_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": None, "params": {"grid": 7}}))
+    resolved = json.loads(_dump(capsys, ["tavis", "--config", str(cfg)]))
+    assert (resolved["experiment"], resolved["params"]["grid"]) == ("tavis", 7)
+    assert main(["tavis", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 0
+    cfg.write_text(json.dumps({"experiment": "lur"}))
+    assert main(["tavis", "--config", str(cfg)]) == 2
+    assert "not 'tavis'" in capsys.readouterr().err
