@@ -34,8 +34,12 @@ from .models import tavis_cummings as tc
 from .spaces import LeakageError
 
 
-class ConfigError(ValueError):
-    """Rejected experiment configuration."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Rejected experiment configuration.
+
+    It is also an ``ArgumentTypeError``, so a flag that a ``Param.parse``
+    rejects prints this text, the reason a config file's value prints too.
+    """
 
 
 EXIT_OK = 0

@@ -242,13 +242,16 @@ def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
     """Single-mode squeeze applied to one side of the single-photon pair.
 
     S(z)|0> is :func:`operators.squeezed_vacuum`, the vector every factory
-    gives for it; S(z)|1> is column 1 of the one S(z) built.
+    gives for it, and S(z)|1> is :func:`operators.squeezed_single_photon`;
+    each is one column of S(z) taken from the cached factor, so no D x D
+    unitary is built.  Leakage is checked on S(z)|0> alone, as
+    :func:`operators.squeeze` checks it; S(z)|1> reaches the top two levels
+    at a somewhat smaller r.
     """
     sig = signature(boson("a", dim_a), boson("b", dim_b))
-    s = ops.squeeze(z, dim_a)
     amps = (
         np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
-        + np.kron(s[:, 1], ops.fock(0, dim_b))
+        + np.kron(ops.squeezed_single_photon(z, dim_a), ops.fock(0, dim_b))
     ) / np.sqrt(2)
     return StateVector(sig, amps)
 

@@ -32,8 +32,9 @@ computed, and checked Hermitian, once per (kind, dim) and kept in a small
 cache of read-only arrays; a call then costs one D x D product
 V e^{-i m lambda} V^dag and two phase scalings.  Zero magnitude gives the
 identity exactly.  The states :func:`coherent`, :func:`squeezed_vacuum` and
-:func:`two_mode_squeezed` need only the image of the vacuum, column 0, which
-costs one matrix-vector product.
+:func:`two_mode_squeezed` need only the image of the vacuum, column 0, and
+:func:`squeezed_single_photon` only column 1; a column costs one
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -117,23 +118,29 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
     return u
 
 
-def _checked_vacuum_image(
-    kind: str, magnitude: float, phase: float, dim: int, label: str
-) -> np.ndarray:
-    """Column 0 of :func:`_checked_exp`, without the D x D unitary, under the same check.
+def _unit_column(kind: str, magnitude: float, phase: float, dim: int, n: int) -> np.ndarray:
+    """Column n of :func:`_checked_exp`, without the D x D unitary and unchecked.
 
-    With i K = V diag(lambda) V^dag and R(phase)^dag |0> = |0>, the column is
-    ph * (V (e^{-i m lambda} * conj(V[0]))) for the phases ph_n = e^{i phase n}:
-    one D x D matrix-vector product.
+    With i K = V diag(lambda) V^dag, entry k of the column is
+    e^{i phase (k - n)} (V (e^{-i m lambda} * conj(V[n])))_k: one D x D
+    matrix-vector product.
     """
     ed = _unit_spectrum(kind, dim)
     if magnitude == 0:
         column = np.zeros(dim, dtype=complex)
-        column[0] = 1.0
+        column[n] = 1.0
     else:
         v = ed.eigenvectors
-        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[0].conj())
-        column *= np.exp(1j * phase * np.arange(dim))
+        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[n].conj())
+        column *= np.exp(1j * phase * (np.arange(dim) - n))
+    return column
+
+
+def _checked_vacuum_image(
+    kind: str, magnitude: float, phase: float, dim: int, label: str
+) -> np.ndarray:
+    """Column 0 of :func:`_checked_exp`, without the D x D unitary, under the same check."""
+    column = _unit_column(kind, magnitude, phase, dim, 0)
     require_low_leakage(StateVector(signature(boson(label, dim)), column))
     return column
 
@@ -247,6 +254,11 @@ def coherent(alpha: complex, dim: int) -> np.ndarray:
 def squeezed_vacuum(z: complex, dim: int) -> np.ndarray:
     """S(z)|0>, column 0 of :func:`squeeze`, under the same leakage check."""
     return _checked_vacuum_image("squeeze", abs(z), float(np.angle(z)) / 2, dim, f"squeeze(z={z})")
+
+
+def squeezed_single_photon(z: complex, dim: int) -> np.ndarray:
+    """S(z)|1>, column 1 of :func:`squeeze`, with no leakage check of its own."""
+    return _unit_column("squeeze", abs(z), float(np.angle(z)) / 2, dim, 1)
 
 
 def thermal(nbar: float, dim: int) -> np.ndarray:

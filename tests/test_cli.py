@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -148,6 +149,22 @@ def test_two_mode_invariant_rows(tmp_path):
     assert all(r["matrix_entangled"] == "true" for r in rows)
     flips = [r["cond1_entangled"] for r in rows]
     assert flips == ["true", "false"]  # plain test dies past tanh r = 1/sqrt(2)
+
+
+def test_two_mode_invariant_builds_no_unitary(monkeypatch, tmp_path):
+    # every state of the run is one column of S(z), so the D x D exponential never runs
+    def no_unitary(*args):
+        raise AssertionError(f"_checked_exp{args} built a D x D unitary")
+
+    monkeypatch.setattr("entwitness.operators._checked_exp", no_unitary)
+    out = tmp_path / "inv.csv"
+    argv = ["two-mode-invariant", "--fock-dim", "256", "--r-values", "0.2,0.6,0.9,1.1,1.5"]
+    assert run([*argv, "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 5
+    for row in rows:
+        assert row["matrix_entangled"] == "true"
+        assert row["cond1_entangled"] == str(math.tanh(float(row["r"])) < 1 / math.sqrt(2)).lower()
 
 
 def test_lur_tmsv_values(tmp_path):

@@ -131,6 +131,26 @@ def test_simulate_rejects_other_text_naming_it(tmp_path, capsys, text):
     assert captured.out == "" and captured.err.startswith("error: ") and "simulate" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["beamsplitters", "--simulate", "ture"], "could not parse boolean 'ture' (use 1/true/yes or 0/false/no)"),
+        (["jc-thermal", "--nbar", "x"], "could not parse float list 'x'"),
+    ],
+    ids=["simulate", "nbar"],
+)
+def test_a_bad_flag_value_prints_the_reason_a_config_file_prints(tmp_path, capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dump-config"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: {reason}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": argv[0], "params": {argv[1][2:]: argv[2]}}))
+    assert main([argv[0], "--config", str(cfg), "--dump-config"]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_a_null_experiment_means_unset(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": None, "params": {"grid": 7}}))

@@ -7,9 +7,10 @@ with the same leakage error where the reference leaks.
 `two_mode_squeezed` exponentiates the photon-pair ladder |n,n>; here it is
 checked against column 0 of the exponential of the full two-mode generator
 built with np.kron, including the leakage error it raises at the truncation
-edge.  `squeezed_psi01` builds S(z) once and must equal the construction
-that built it twice.  The atom-field Hamiltonian is one function for one or
-several atoms.
+edge.  `squeezed_psi01` takes S(z)|0> and S(z)|1> from the cached factor
+and builds no D x D unitary; it must equal the construction that read
+S(z)|1> off the whole S(z), and raise its leakage error.  The atom-field
+Hamiltonian is one function for one or several atoms.
 """
 
 import math
@@ -176,25 +177,59 @@ def test_zero_magnitude_is_the_exact_identity(dim):
     assert np.array_equal(ops.two_mode_squeezed(0.0, dim, phase=2.0), np.eye(dim * dim)[0])
 
 
-def test_squeezed_psi01_builds_one_squeeze(monkeypatch):
-    z, dim_a, dim_b = 0.7 * np.exp(0.4j), 48, 4
-    fock = ops.fock
-    two_calls = (
-        np.kron(ops.squeezed_vacuum(z, dim_a), fock(1, dim_b))
-        + np.kron(ops.squeeze(z, dim_a) @ fock(1, dim_a), fock(0, dim_b))
+def _squeezed_psi01_from_the_full_squeeze(z, dim_a, dim_b=4):
+    """The construction that read S(z)|1> off the whole D x D S(z)."""
+    return (
+        np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
+        + np.kron(ops.squeeze(z, dim_a) @ ops.fock(1, dim_a), ops.fock(0, dim_b))
     ) / np.sqrt(2)
 
-    calls = []
-    squeeze = ops.squeeze
 
-    def counting_squeeze(*args):
-        calls.append(args)
-        return squeeze(*args)
+def _assert_squeezed_psi01_matches_the_full_squeeze(z, dim_a):
+    def no_unitary(*args):
+        raise AssertionError(f"squeezed_psi01 built a D x D unitary: {args}")
 
-    monkeypatch.setattr(ops, "squeeze", counting_squeeze)
-    state = families.squeezed_psi01(z, dim_a=dim_a, dim_b=dim_b)
-    assert calls == [(z, dim_a)]
-    assert np.array_equal(state.amplitudes, two_calls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "squeeze", no_unitary)
+        mp.setattr(ops, "_checked_exp", no_unitary)
+        got, got_err = _outcome(lambda: families.squeezed_psi01(z, dim_a=dim_a).amplitudes)
+    want, want_err = _outcome(lambda: _squeezed_psi01_from_the_full_squeeze(z, dim_a))
+    assert got_err == want_err
+    if want_err is None:
+        assert np.abs(got - want).max() <= 1e-13
+    return got_err
+
+
+@SETTINGS
+@given(
+    dim_a=st.integers(4, 64),
+    r=st.floats(0.0, 2.5),
+    arg_z=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_squeezed_psi01_builds_no_squeeze(dim_a, r, arg_z):
+    _assert_squeezed_psi01_matches_the_full_squeeze(r * np.exp(1j * arg_z), dim_a)
+
+
+@pytest.mark.parametrize("dim_a", [4, 17, 64])
+def test_squeezed_psi01_raises_like_the_full_squeeze_at_the_truncation_edge(dim_a):
+    # bisect the magnitude at which the full-squeeze construction starts to
+    # leak; squeezed_psi01 must match it just below and raise its text just above
+    phase = 0.7
+
+    def leak_error(r):
+        return _outcome(lambda: _squeezed_psi01_from_the_full_squeeze(r * np.exp(1j * phase), dim_a))[1]
+
+    lo, hi = 0.0, 2.5
+    while leak_error(hi) is None:
+        hi *= 2
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        if leak_error(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    assert _assert_squeezed_psi01_matches_the_full_squeeze(lo * np.exp(1j * phase), dim_a) is None
+    assert _assert_squeezed_psi01_matches_the_full_squeeze(hi * np.exp(1j * phase), dim_a) is not None
 
 
 def _explicit_hamiltonian(sig, atoms, omega, kappa):

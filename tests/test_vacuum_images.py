@@ -1,10 +1,12 @@
-"""Gaussian states built as the image of the vacuum alone.
+"""Gaussian states built as one column of their factory's unitary.
 
 `coherent`, `squeezed_vacuum` and `two_mode_squeezed` compute column 0 of
 their factory's unitary from the cached factor, with one matrix-vector
 product.  Each must equal column 0 of the full unitary of
 `operators._checked_exp` to 1e-13, and raise the same `LeakageError` text
-on both sides of the truncation edge.
+on both sides of the truncation edge.  The column helper they share,
+`operators._unit_column`, must equal columns 0 and 1 of that unitary, and
+column 0 bit for bit as the vacuum-only expression it replaced computed it.
 """
 
 import math
@@ -106,3 +108,44 @@ def test_zero_magnitude_is_the_exact_vacuum(dim):
             continue
         got = state(0.0, 0.3, dim)
         assert np.array_equal(got, vacuum), kind
+
+
+def _vacuum_only_column(kind, magnitude, phase, dim):
+    """Column 0 as `_checked_vacuum_image` computed it before the column helper, unchecked."""
+    ed = ops._unit_spectrum(kind, dim)
+    if magnitude == 0:
+        column = np.zeros(dim, dtype=complex)
+        column[0] = 1.0
+    else:
+        v = ed.eigenvectors
+        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[0].conj())
+        column *= np.exp(1j * phase * np.arange(dim))
+    return column
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(sorted(STATES)),
+    n=st.sampled_from([0, 1]),
+    dim=st.integers(4, 64),
+    fraction=st.floats(0.0, 1.0),
+    arg=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_the_column_helper_equals_a_column_of_the_unitary(kind, n, dim, fraction, arg):
+    magnitude, phase, label = STATES[kind][1](fraction * STATES[kind][2], arg)
+    with pytest.MonkeyPatch.context() as mp:
+        # compare past the truncation edge too: the helper itself checks nothing
+        mp.setattr(ops, "require_low_leakage", lambda state: None)
+        full = ops._checked_exp(kind, magnitude, phase, dim, label)
+    column = ops._unit_column(kind, magnitude, phase, dim, n)
+    assert np.abs(column - full[:, n]).max() <= 1e-13
+    if n == 0:
+        assert column.tobytes() == _vacuum_only_column(kind, magnitude, phase, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64])
+def test_zero_magnitude_is_the_exact_single_photon(dim):
+    photon = ops.fock(1, dim)
+    for kind in STATES:
+        assert np.array_equal(ops._unit_column(kind, 0.0, 0.3, dim, 1), photon), kind
+    assert np.array_equal(ops.squeezed_single_photon(0.0, dim), photon)
