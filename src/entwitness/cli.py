@@ -382,7 +382,10 @@ EXPERIMENTS: dict[str, Experiment] = {
         "sigma^- against the centered field quadratures over time: off-diagonals\n"
         "stay zero, the lower-right entry stays negative, and the upper-left\n"
         "entry rises into entanglement bursts that shrink as the thermal\n"
-        "occupation grows.  Columns: kt, nbar, M11, M22, absM12, lambda_max.",
+        "occupation grows.  Columns: kt, nbar, M11, M22, absM12, lambda_max.\n"
+        "--fock-dim (default 20) is where the field truncation starts: it doubles\n"
+        "while the thermal start or its evolution leaks, and the dims used per\n"
+        "nbar are in the .meta.json sidecar (fock_dims).",
         (
             Param("nbar", _float_list, (0.01, 0.02, 0.03), "thermal occupations (comma list)"),
             Param("kt_max", float, 6.0, "trace length in coupling units", _nonnegative("kt_max")),

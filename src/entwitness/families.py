@@ -244,9 +244,9 @@ def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
     S(z)|0> is :func:`operators.squeezed_vacuum`, the vector every factory
     gives for it, and S(z)|1> is :func:`operators.squeezed_single_photon`;
     each is one column of S(z) taken from the cached factor, so no D x D
-    unitary is built.  Leakage is checked on S(z)|0> alone, as
-    :func:`operators.squeeze` checks it; S(z)|1> reaches the top two levels
-    at a somewhat smaller r.
+    unitary is built.  Both columns pass the leakage check; S(z)|1> reaches
+    the top two levels at a somewhat smaller r, so it is the one that
+    raises first (labelled ``squeeze(z=...) |1>``).
     """
     sig = signature(boson("a", dim_a), boson("b", dim_b))
     amps = (

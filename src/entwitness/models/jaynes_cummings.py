@@ -20,11 +20,21 @@ with the largest top-two population.  H, its spectrum and the 14
 observables depend only on the truncation and the couplings, so the last
 such system is kept (``_system``) and every nbar of a run reads it; the
 ``jc-thermal`` runner drops it when the run ends.
+
+Truncation: ``fock_dim`` is where escalation starts.  The thermal start is
+built first and checked by the one leakage rule of
+:func:`~entwitness.spaces.require_low_leakage`, so a start too wide for the
+truncation doubles it (:func:`~entwitness.spaces.escalate_fock_dim`) before
+any D x D work; so does a trace that reaches the top levels later.  A new
+system is refused with ``MemoryError`` when its estimated size,
+:data:`SYSTEM_BYTES_PER_D2` bytes per D^2 (D = 2 fock_dim), exceeds the
+memory the machine reports free.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +58,10 @@ from ..spaces import (
     signature,
 )
 
-THERMAL_TAIL_LIMIT = 1e-12
+# peak bytes of one trace per D^2: about 19 complex D x D arrays (H, its
+# eigenvectors, the observables and their rotated stacks), measured as the
+# peak RSS of jc-thermal --points 50 at D = 320 and D = 640
+SYSTEM_BYTES_PER_D2 = 19 * 16
 
 
 @dataclass(frozen=True)
@@ -68,13 +81,6 @@ class JCConfig:
             raise ValueError(f"unknown atom_initial '{self.atom_initial}'")
         if self.kappa <= 0:
             raise ValueError("coupling must be positive")
-        if self.nbar > 0:
-            tail = (self.nbar / (1 + self.nbar)) ** self.fock_dim
-            if tail >= THERMAL_TAIL_LIMIT:
-                raise ValueError(
-                    f"fock_dim {self.fock_dim} leaves thermal tail {tail:.2e}; "
-                    f"needs to be below {THERMAL_TAIL_LIMIT:.0e}"
-                )
 
 
 def jc_signature(fock_dim: int) -> SpaceSignature:
@@ -122,6 +128,25 @@ def _centred(c: np.ndarray, t: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarra
     return c, t
 
 
+def _require_free_memory(dim: int) -> None:
+    """Raise ``MemoryError`` if a trace at this truncation would not fit in free memory.
+
+    Free memory is what the machine reports (``os.sysconf``); where it
+    reports none, nothing is checked.
+    """
+    d = 2 * dim
+    need = SYSTEM_BYTES_PER_D2 * d * d
+    try:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return
+    if need > free:
+        raise MemoryError(
+            f"a jc trace at fock_dim {dim} (D = {d}) needs about {need / 2**20:.0f} MiB, "
+            f"but only {free / 2**20:.0f} MiB are free"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _system(
     dim: int, omega: float, kappa: float
@@ -129,8 +154,10 @@ def _system(
     """Signature, H and the observables [top_two, a, *c_ops, *t_ops] at one truncation.
 
     Every nbar of a run shares them, and with them H's cached spectrum; a
-    new truncation replaces the one kept.
+    new truncation replaces the one kept.  A truncation too large for free
+    memory is refused before anything is built.
     """
+    _require_free_memory(dim)
     sig = jc_signature(dim)
     h = jc_hamiltonian(sig, omega, kappa)
     sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
@@ -140,9 +167,11 @@ def _system(
 
 
 def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
+    # first, so that a start too wide for dim raises before any system is built
+    field = ops.thermal(cfg.nbar, dim)
     sig, h, observables = _system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
-    rho0 = DensityMatrix(sig, np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj())))
+    rho0 = DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
     times = np.asarray(cfg.kt_grid) / cfg.kappa
     table = evolved_expectations(h, times, rho0, observables)
     n = times.size
@@ -167,8 +196,8 @@ def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
 def jc_witness_trace(cfg: JCConfig) -> JCWitnessTrace:
     """Evolve the thermal-field start and record the witness matrix over time.
 
-    Escalates the field truncation (doubling) if evolution ever populates
-    the top Fock levels.
+    Starts at ``cfg.fock_dim`` and escalates the field truncation (doubling)
+    if the thermal start or its evolution populates the top Fock levels.
     """
     return escalate_fock_dim(lambda dim: _trace_at_dim(cfg, dim), cfg.fock_dim)
 

@@ -35,6 +35,11 @@ identity exactly.  The states :func:`coherent`, :func:`squeezed_vacuum` and
 :func:`two_mode_squeezed` need only the image of the vacuum, column 0, and
 :func:`squeezed_single_photon` only column 1; a column costs one
 matrix-vector product.
+
+The Gaussian and thermal states are checked under the one truncation rule
+of :func:`~entwitness.spaces.require_low_leakage`: the four Gaussian states
+through :func:`_checked_column`, :func:`thermal` on its weights.  A unitary
+factory checks its column 0, the image of the vacuum.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ import numpy as np
 
 from . import linalg
 from .spaces import (
-    DensityMatrix,
     LabeledOperator,
     SpaceSignature,
     State,
@@ -136,11 +140,14 @@ def _unit_column(kind: str, magnitude: float, phase: float, dim: int, n: int) ->
     return column
 
 
-def _checked_vacuum_image(
-    kind: str, magnitude: float, phase: float, dim: int, label: str
+def _checked_column(
+    kind: str, magnitude: float, phase: float, dim: int, n: int, label: str
 ) -> np.ndarray:
-    """Column 0 of :func:`_checked_exp`, without the D x D unitary, under the same check."""
-    column = _unit_column(kind, magnitude, phase, dim, 0)
+    """Column n of :func:`_checked_exp`, without the D x D unitary; raises if it leaks.
+
+    The column is checked as one bosonic factor named ``label``.
+    """
+    column = _unit_column(kind, magnitude, phase, dim, n)
     require_low_leakage(StateVector(signature(boson(label, dim)), column))
     return column
 
@@ -246,23 +253,33 @@ def fock(n: int, dim: int) -> np.ndarray:
 
 def coherent(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha)|0>, column 0 of :func:`displacement`, under the same leakage check."""
-    return _checked_vacuum_image(
-        "displacement", abs(alpha), float(np.angle(alpha)), dim, f"displacement(alpha={alpha})"
+    return _checked_column(
+        "displacement", abs(alpha), float(np.angle(alpha)), dim, 0, f"displacement(alpha={alpha})"
     )
 
 
 def squeezed_vacuum(z: complex, dim: int) -> np.ndarray:
     """S(z)|0>, column 0 of :func:`squeeze`, under the same leakage check."""
-    return _checked_vacuum_image("squeeze", abs(z), float(np.angle(z)) / 2, dim, f"squeeze(z={z})")
+    return _checked_column("squeeze", abs(z), float(np.angle(z)) / 2, dim, 0, f"squeeze(z={z})")
 
 
 def squeezed_single_photon(z: complex, dim: int) -> np.ndarray:
-    """S(z)|1>, column 1 of :func:`squeeze`, with no leakage check of its own."""
-    return _unit_column("squeeze", abs(z), float(np.angle(z)) / 2, dim, 1)
+    """S(z)|1>, column 1 of :func:`squeeze`; raises if it leaks.
+
+    S(z)|1> reaches the top two levels at a smaller r than S(z)|0>, so a
+    squeeze that :func:`squeeze` accepts can still fail here.
+    """
+    return _checked_column(
+        "squeeze", abs(z), float(np.angle(z)) / 2, dim, 1, f"squeeze(z={z}) |1>"
+    )
 
 
 def thermal(nbar: float, dim: int) -> np.ndarray:
-    """Thermal density matrix with geometric weights, renormalized to trace 1."""
+    """Thermal density matrix with geometric weights, renormalized to trace 1.
+
+    The weights are checked before the D x D matrix is built, as the vector
+    sqrt(w), whose level populations are w; so a refusal costs O(dim).
+    """
     if nbar < 0:
         raise ValueError("mean photon number must be nonnegative")
     if nbar == 0:
@@ -272,7 +289,7 @@ def thermal(nbar: float, dim: int) -> np.ndarray:
         q = nbar / (1.0 + nbar)
         w = q ** np.arange(dim) / (1.0 + nbar)
         mode = signature(boson(f"thermal(nbar={nbar})", dim))
-        require_low_leakage(DensityMatrix(mode, np.diag(w)))
+        require_low_leakage(StateVector(mode, np.sqrt(w)))
         w = w / w.sum()
     return np.diag(w).astype(complex)
 
@@ -290,7 +307,7 @@ def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:
     """
     if r < 0:
         raise ValueError("squeeze magnitude must be nonnegative")
-    c = _checked_vacuum_image("pair", r, phase, dim, f"two_mode_squeezed(r={r}) mode 0")
+    c = _checked_column("pair", r, phase, dim, 0, f"two_mode_squeezed(r={r}) mode 0")
     psi = np.zeros(dim * dim, dtype=complex)
     psi[:: dim + 1] = c
     return psi

@@ -10,10 +10,11 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: Hermitian eigensolves of Hamiltonians (and so every propagator),
-sector projections, and the identity root of a density matrix in the
-witness moment tables.  Other D x D arrays are density matrices
-themselves and the eigenvector matrix of a Hamiltonian.
+it: Hermitian eigensolves of Hamiltonians (and so every propagator) and
+sector projections.  Other D x D arrays are density matrices themselves,
+the eigenvector matrix of a Hamiltonian, and the identity root of a density
+matrix in the witness moment tables, an explicit ``np.eye(D)`` to which
+the operator words are applied.
 
 Evolution: :func:`evolve` and :func:`propagator_family` build U(t) for one
 time at a time.  :func:`evolved_expectations` serves a whole time grid from
@@ -28,12 +29,12 @@ it, so the tables, propagators and evolved states of one H share it.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
-feeling the cutoff.  Only two functions hold the rule.
-:func:`require_low_leakage` raises :class:`LeakageError` once a factor's
-leakage reaches :data:`LEAKAGE_THRESHOLD`; raw vectors are checked by
-wrapping them in a state whose factor labels name what is checked.
-:func:`escalate_fock_dim` retries with the truncation doubled, capped at
-:data:`MAX_FOCK_DIM`.  :func:`leakage_projector` is the leakage as an
+feeling the cutoff.  Only two functions hold the rule, and the package has
+no other.  :func:`require_low_leakage` raises :class:`LeakageError` once a
+factor's leakage reaches :data:`LEAKAGE_THRESHOLD`; raw vectors are checked
+by wrapping them in a state whose factor labels name what is checked.
+:func:`escalate_fock_dim` is the only retry: it runs again with the
+truncation doubled, capped at :data:`MAX_FOCK_DIM`.  :func:`leakage_projector` is the leakage as an
 observable, so a time grid can locate its worst point in an
 :func:`evolved_expectations` table and hand that one state to the rule.
 

@@ -8,9 +8,10 @@ with the same leakage error where the reference leaks.
 checked against column 0 of the exponential of the full two-mode generator
 built with np.kron, including the leakage error it raises at the truncation
 edge.  `squeezed_psi01` takes S(z)|0> and S(z)|1> from the cached factor
-and builds no D x D unitary; it must equal the construction that read
-S(z)|1> off the whole S(z), and raise its leakage error.  The atom-field
-Hamiltonian is one function for one or several atoms.
+and builds no D x D unitary; it must equal the construction that reads
+S(z)|1> off the whole S(z) and checks both columns, and raise its leakage
+error.  The atom-field Hamiltonian is one function for one or several
+atoms.
 """
 
 import math
@@ -178,10 +179,12 @@ def test_zero_magnitude_is_the_exact_identity(dim):
 
 
 def _squeezed_psi01_from_the_full_squeeze(z, dim_a, dim_b=4):
-    """The construction that read S(z)|1> off the whole D x D S(z)."""
+    """The construction that reads S(z)|1> off the whole D x D S(z), both columns checked."""
+    photon = ops.squeeze(z, dim_a) @ ops.fock(1, dim_a)
+    require_low_leakage(StateVector(signature(boson(f"squeeze(z={z}) |1>", dim_a)), photon))
     return (
         np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
-        + np.kron(ops.squeeze(z, dim_a) @ ops.fock(1, dim_a), ops.fock(0, dim_b))
+        + np.kron(photon, ops.fock(0, dim_b))
     ) / np.sqrt(2)
 
 

@@ -1,0 +1,144 @@
+"""One truncation rule and one retry, for the jc thermal start and S(z)|1>.
+
+A jc thermal start too wide for its truncation is refused by the leakage
+rule of `spaces.require_low_leakage` inside `ops.thermal`, before the jc
+system is built, and `escalate_fock_dim` doubles the truncation: a trace
+that escalated equals, bit for bit, the trace started where it ended.  A
+start that no truncation up to `MAX_FOCK_DIM` holds raises `LeakageError`
+without building any system, and a truncation whose system would not fit
+in the free memory the machine reports raises `MemoryError` before
+anything is built (exit 3 from the CLI).  S(z)|1> passes the same check as
+every factory state, under its own label.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entwitness import cli
+from entwitness import operators as ops
+from entwitness.models import jaynes_cummings as jc
+from entwitness.spaces import LeakageError
+
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+def _fields(trace):
+    return (trace.kt, trace.m11, trace.m22, trace.abs_m12, trace.lambda_max)
+
+
+@SETTINGS
+@given(
+    nbar=st.floats(0.0, 3.0),
+    start=st.integers(4, 24),
+    kt=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6),
+)
+def test_an_escalated_trace_equals_the_trace_started_where_it_ended(nbar, start, kt):
+    cfg = jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=start)
+    escalated = jc.jc_witness_trace(cfg)
+    assert escalated.fock_dim >= start
+    jc._system.cache_clear()  # the direct run builds its own system
+    direct = jc.jc_witness_trace(jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=escalated.fock_dim))
+    assert direct.fock_dim == escalated.fock_dim
+    for got, want in zip(_fields(escalated), _fields(direct)):
+        assert got.tobytes() == want.tobytes()
+    assert escalated.max_leakage == direct.max_leakage
+
+
+def test_a_wide_thermal_start_escalates_before_any_system_is_built(monkeypatch):
+    built = []
+    system = jc._system
+
+    def recording_system(dim, omega, kappa):
+        built.append(dim)
+        return system(dim, omega, kappa)
+
+    monkeypatch.setattr(jc, "_system", recording_system)
+    trace = jc.jc_witness_trace(jc.JCConfig(nbar=2.0, kt_grid=(0.0, 1.0), fock_dim=20))
+    assert trace.fock_dim == 40
+    assert built == [40]
+
+
+def test_a_start_no_truncation_holds_raises_without_building_a_system(monkeypatch):
+    def no_system(*args):
+        raise AssertionError(f"_system was called: {args}")
+
+    monkeypatch.setattr(jc, "_system", no_system)
+    with pytest.raises(LeakageError, match=r"thermal\(nbar=1000000\.0\)"):
+        jc.jc_witness_trace(jc.JCConfig(nbar=1e6, kt_grid=(0.0, 1.0), fock_dim=20))
+
+
+def _fake_sysconf(free_pages):
+    real = os.sysconf
+
+    def sysconf(name):
+        if name == "SC_AVPHYS_PAGES":
+            return free_pages
+        if name == "SC_PAGE_SIZE":
+            return 4096
+        return real(name)
+
+    return sysconf
+
+
+def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(monkeypatch):
+    def not_built(*args):
+        raise AssertionError("the jc system was built")
+
+    jc._system.cache_clear()
+    monkeypatch.setattr(jc.os, "sysconf", _fake_sysconf(100))  # 400 KiB free
+    monkeypatch.setattr(jc, "jc_signature", not_built)
+    monkeypatch.setattr(jc, "jc_hamiltonian", not_built)
+    # D = 80 needs 19 * 16 * 80^2 bytes, about 1.9 MiB
+    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 2 MiB, but only 0 MiB"):
+        jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
+
+
+def test_free_memory_that_fits_or_is_not_reported_passes(monkeypatch):
+    jc._system.cache_clear()
+    monkeypatch.setattr(jc.os, "sysconf", _fake_sysconf(2**18))  # 1 GiB free
+    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
+
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    jc._system.cache_clear()
+    monkeypatch.setattr(jc.os, "sysconf", unreported)
+    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
+
+
+def test_the_cli_exits_3_when_the_truncation_does_not_fit_in_free_memory(monkeypatch, capsys):
+    jc._system.cache_clear()
+    monkeypatch.setattr(jc.os, "sysconf", _fake_sysconf(10))
+    assert cli.main(["jc-thermal", "--nbar", "0.01", "--points", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err
+    assert "fock_dim 20" in err
+
+
+def test_the_cli_escalates_a_wide_thermal_start(tmp_path):
+    out = tmp_path / "jc.csv"
+    assert cli.main(["jc-thermal", "--nbar", "0.5,2", "--points", "50", "--output", str(out)]) == 0
+    diagnostics = json.loads((tmp_path / "jc.csv.meta.json").read_text())["diagnostics"]
+    assert diagnostics["fock_dims"] == [20, 40]
+    assert diagnostics["max_leakage"] < 1e-6
+
+
+def test_the_cli_exits_3_for_a_start_no_truncation_holds(capsys):
+    assert cli.main(["jc-thermal", "--nbar", "1e6", "--points", "5"]) == 3
+    assert "thermal(nbar=1000000.0)" in capsys.readouterr().err
+
+
+def test_the_squeezed_single_photon_is_checked_under_its_own_label():
+    # at d = 64, S(z)|1> leaks from r = 1.055 on and S(z)|0> only from r = 1.17
+    assert np.isclose(np.linalg.norm(ops.squeezed_vacuum(1.1, 64)), 1.0)
+    with pytest.raises(LeakageError, match=r"factor 'squeeze\(z=1\.1\) \|1>'"):
+        ops.squeezed_single_photon(1.1, 64)
+
+
+def test_two_mode_invariant_refuses_a_leaking_single_photon_branch(capsys):
+    assert cli.main(["two-mode-invariant", "--fock-dim", "64", "--r-values", "1.1"]) == 3
+    assert "factor 'squeeze(z=1.1) |1>'" in capsys.readouterr().err

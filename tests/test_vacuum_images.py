@@ -148,4 +148,9 @@ def test_zero_magnitude_is_the_exact_single_photon(dim):
     photon = ops.fock(1, dim)
     for kind in STATES:
         assert np.array_equal(ops._unit_column(kind, 0.0, 0.3, dim, 1), photon), kind
+    if dim <= 3:
+        # |1> sits in the top two levels of a two- or three-level truncation
+        with pytest.raises(LeakageError, match=r"\|1>"):
+            ops.squeezed_single_photon(0.0, dim)
+        return
     assert np.array_equal(ops.squeezed_single_photon(0.0, dim), photon)
