@@ -371,23 +371,78 @@ class PptTrialBlock:
     gb: np.ndarray
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` with each row divided by its 2-norm, bit for bit ``row / np.linalg.norm(row)``.
+
+    ``np.vecdot`` on the real and imaginary parts reaches the same BLAS
+    ``ddot`` per row, with the same strides, as ``np.linalg.norm`` does on
+    one row; an einsum or batched-matmul norm sums in another order.
+    """
+    re, im = v.real, v.imag
+    return v / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+
+
+def _product_kets(x: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Unit product kets v_a (x) v_b, one per row of ``x``.
+
+    A row holds the real and imaginary parts of v_a, then of v_b.
+    """
+    va = _unit_rows(x[:, :da] + 1j * x[:, da : 2 * da])
+    vb = _unit_rows(x[:, 2 * da : 2 * da + db] + 1j * x[:, 2 * da + db :])
+    return (va[:, :, None] * vb[:, None, :]).reshape(len(x), da * db)
+
+
+def _mixture(weights: np.ndarray, v: np.ndarray, v_conj: np.ndarray) -> np.ndarray:
+    """sum_j w_j |v_j><v_j| with the weights normalised to sum to one."""
+    w = weights / weights.sum()
+    return (w[:, None, None] * (v[:, :, None] * v_conj[:, None, :])).sum(axis=0)
+
+
+def _local_stack(x: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d, d) complex stack whose real, then imaginary, parts are the rows of ``x``."""
+    return (x[:, : d * d] + 1j * x[:, d * d :]).reshape(len(x), d, d)
 
 
 def random_separable(rng: np.random.Generator, da: int, db: int, products: int) -> np.ndarray:
-    """A mixture of 1 to ``products`` random product states with random weights."""
+    """A mixture of 1 to ``products`` random product states with random weights.
+
+    It draws ``integers``, ``random``, then one ``normal`` holding every
+    product ket, and computes what a separable block of ``ppt_trials`` does
+    for one trial.
+    """
     n_prod = int(rng.integers(1, products + 1))
     weights = rng.random(n_prod)
-    weights /= weights.sum()
-    # per product: real and imaginary parts of v_a, then of v_b
-    x = rng.normal(size=(n_prod, 2 * (da + db)))
-    va = x[:, :da] + 1j * x[:, da : 2 * da]
-    vb = x[:, 2 * da : 2 * da + db] + 1j * x[:, 2 * da + db :]
-    va = va / np.array([np.linalg.norm(v) for v in va])[:, None]
-    vb = vb / np.array([np.linalg.norm(v) for v in vb])[:, None]
-    v = (va[:, :, None] * vb[:, None, :]).reshape(n_prod, da * db)
-    return (weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])).sum(axis=0)
+    v = _product_kets(rng.normal(size=(n_prod, 2 * (da + db))), da, db)
+    return _mixture(weights, v, v.conj())
+
+
+def _separable_block(
+    seed: int, block: Sequence[int], da: int, db: int, products: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices (n, D, D) of a separable block, and its rows of local draws."""
+    n, width = len(block), 2 * (da + db)
+    local = np.empty((n, 2 * (da * da + db * db)))
+    x = np.empty((n * products, width))
+    weights = np.empty(n * products)
+    ends = []
+    used = 0
+    for i, trial in enumerate(block):
+        rng = np.random.default_rng((seed, trial))
+        n_prod = int(rng.integers(1, products + 1))
+        weights[used : used + n_prod] = rng.random(n_prod)
+        draw = rng.normal(size=n_prod * width + local.shape[1])
+        x[used : used + n_prod] = draw[: n_prod * width].reshape(n_prod, width)
+        local[i] = draw[n_prod * width :]
+        used += n_prod
+        ends.append(used)
+    v = _product_kets(x[:used], da, db)
+    v_conj = v.conj()
+    states = np.empty((n, da * db, da * db), dtype=complex)
+    start = 0
+    for i, end in enumerate(ends):
+        states[i] = _mixture(weights[start:end], v[start:end], v_conj[start:end])
+        start = end
+    return states, local
 
 
 def ppt_trials(
@@ -398,15 +453,20 @@ def ppt_trials(
 ) -> Iterator[PptTrialBlock]:
     """The ``ppt-crosscheck`` ensemble, in blocks of one kind and one pair of dims.
 
-    Trial k draws everything from ``np.random.default_rng((seed, k))``, so
-    it can be reproduced alone.  It lives on the space of
+    Trial k draws everything from one stream, ``np.random.default_rng((seed,
+    k))``, so it can be reproduced alone.  It lives on the space of
     ``dim_pairs[k % len(dim_pairs)]``; an even k is a pure state with
     complex Gaussian amplitudes, an odd k a separable mixture of 1 to
-    ``products`` random product states.  The local matrices of A and B are
-    complex Gaussian too.  Trials are grouped by (kind, d_a, d_b), ascending
-    within a group, and yielded in blocks of at most
-    ``PPT_BLOCK_BYTES // (16 D^2)`` trials, so memory stays bounded however
-    many trials run.
+    ``products`` random product states (``integers`` for their number, then
+    ``random`` for their weights).  The local matrices of A and B are
+    complex Gaussian too.  After that a trial makes one ``normal`` draw: the
+    real and imaginary parts of the ket or of each product's v_a and v_b,
+    then of g_a, then of g_b.  The complex stacks are assembled and every
+    ket normalised once per block; each mixture is still summed over its
+    own products, so the bits are those of drawing trial by trial.  Trials
+    are grouped by (kind, d_a, d_b), ascending within a group, and yielded
+    in blocks of at most ``PPT_BLOCK_BYTES // (16 D^2)`` trials, so memory
+    stays bounded however many trials run.
     """
     groups: dict[tuple[str, int, int], list[int]] = {}
     for trial in range(trials):
@@ -417,17 +477,14 @@ def ppt_trials(
         size = max(1, PPT_BLOCK_BYTES // (16 * d * d))
         for start in range(0, len(members), size):
             block = members[start : start + size]
-            n = len(block)
-            states = np.empty((n, d) if kind == "pure" else (n, d, d), dtype=complex)
-            ga = np.empty((n, da, da), dtype=complex)
-            gb = np.empty((n, db, db), dtype=complex)
-            for i, trial in enumerate(block):
-                rng = np.random.default_rng((seed, trial))
-                if kind == "pure":
-                    amps = _complex_normal(rng, d)
-                    states[i] = amps / np.linalg.norm(amps)
-                else:
-                    states[i] = random_separable(rng, da, db, products)
-                ga[i] = _complex_normal(rng, (da, da))
-                gb[i] = _complex_normal(rng, (db, db))
+            if kind == "pure":
+                x = np.empty((len(block), 2 * (d + da * da + db * db)))
+                for i, trial in enumerate(block):
+                    x[i] = np.random.default_rng((seed, trial)).normal(size=x.shape[1])
+                states = _unit_rows(x[:, :d] + 1j * x[:, d : 2 * d])
+                local = x[:, 2 * d :]
+            else:
+                states, local = _separable_block(seed, block, da, db, products)
+            ga = _local_stack(local[:, : 2 * da * da], da)
+            gb = _local_stack(local[:, 2 * da * da :], db)
             yield PptTrialBlock(kind, (da, db), block, states, ga, gb)

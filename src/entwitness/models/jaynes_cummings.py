@@ -27,8 +27,9 @@ built first and checked by the one leakage rule of
 truncation doubles it (:func:`~entwitness.spaces.escalate_fock_dim`) before
 any D x D work; so does a trace that reaches the top levels later.  A new
 system is refused with ``MemoryError`` when its estimated size,
-:data:`SYSTEM_BYTES_PER_D2` bytes per D^2 (D = 2 fock_dim), exceeds the
-memory the machine reports free.
+:data:`SYSTEM_BYTES_PER_D2` bytes per D^2 (D = 2 fock_dim), exceeds
+:func:`_available_memory`: the kernel's ``MemAvailable``, or the headroom
+under the process's cgroup v2 memory limit where that is smaller.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ from ..spaces import (
 # eigenvectors, the observables and their rotated stacks), measured as the
 # peak RSS of jc-thermal --points 50 at D = 320 and D = 640
 SYSTEM_BYTES_PER_D2 = 19 * 16
+
+# where _available_memory reads the kernel's and the cgroup's figures
+MEMINFO = "/proc/meminfo"
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 @dataclass(frozen=True)
@@ -128,19 +134,61 @@ def _centred(c: np.ndarray, t: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarra
     return c, t
 
 
+def _read_text(path: str) -> str | None:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _meminfo_available() -> int | None:
+    """``MemAvailable`` in bytes: free memory plus the cache the kernel can reclaim."""
+    for line in (_read_text(MEMINFO) or "").splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] == "MemAvailable:" and fields[1].isdigit():
+            return int(fields[1]) * 1024
+    return None
+
+
+def _cgroup_headroom() -> int | None:
+    """``memory.max`` less ``memory.current`` of this process's cgroup v2, if a number."""
+    for line in (_read_text(PROC_CGROUP) or "").splitlines():
+        if line.startswith("0::"):
+            group = os.path.join(CGROUP_ROOT, line[3:].strip().lstrip("/"))
+            limit = (_read_text(os.path.join(group, "memory.max")) or "").strip()
+            current = (_read_text(os.path.join(group, "memory.current")) or "").strip()
+            if limit.isdigit() and current.isdigit():
+                return max(0, int(limit) - int(current))
+    return None
+
+
+def _available_memory() -> int | None:
+    """Bytes a new allocation can take, or None where nothing can be read.
+
+    The smaller of ``MemAvailable`` and the cgroup v2 headroom, of those
+    that can be read; else the free pages of ``os.sysconf``, which leave
+    out reclaimable cache.
+    """
+    known = [b for b in (_meminfo_available(), _cgroup_headroom()) if b is not None]
+    if known:
+        return min(known)
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return None
+
+
 def _require_free_memory(dim: int) -> None:
     """Raise ``MemoryError`` if a trace at this truncation would not fit in free memory.
 
-    Free memory is what the machine reports (``os.sysconf``); where it
-    reports none, nothing is checked.
+    Free memory is :func:`_available_memory`; where none can be read,
+    nothing is checked.
     """
     d = 2 * dim
     need = SYSTEM_BYTES_PER_D2 * d * d
-    try:
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError, AttributeError):
-        return
-    if need > free:
+    free = _available_memory()
+    if free is not None and need > free:
         raise MemoryError(
             f"a jc trace at fock_dim {dim} (D = {d}) needs about {need / 2**20:.0f} MiB, "
             f"but only {free / 2**20:.0f} MiB are free"

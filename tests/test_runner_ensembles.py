@@ -5,7 +5,10 @@ them in stacks with `witnesses.ppt_crosscheck_batch`.  The per-trial loop
 the runner used before is kept here verbatim as `reference_rows`: the
 batched runner must give byte-identical CSV, each batch entry must equal
 `witnesses.ppt_crosscheck` on its own state bit for bit, and the blocks
-must keep the peak memory of a bench-size run near that of the loop.
+must keep the peak memory of a bench-size run near that of the loop.  The
+blocks normalise their kets all at once, which keeps the loop's bits only
+while `np.vecdot` sums a row as `np.linalg.norm` does; that is pinned here
+too.
 `lur --mode atom-field` takes its state from
 `families.atom_field_superposition`, checked against the inline
 construction it replaced.
@@ -136,6 +139,35 @@ def test_blocks_cover_every_trial_once_in_ascending_order():
         assert blk.states.shape[1:] == ((d,) if blk.kind == "pure" else (d, d))
         seen += blk.trials
     assert sorted(seen) == list(range(101))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.tuples(st.integers(2, 6), st.integers(2, 6)), min_size=1, max_size=4),
+    products=st.integers(1, 16),
+    trials=st.integers(1, 40),
+)
+def test_runner_equals_the_per_trial_loop_on_random_configs(seed, dims, products, trials):
+    _assert_same_csv(_params(trials, [f"{da}x{db}" for da, db in dims], products), seed)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2, 1e5])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_block_normalisation_equals_linalg_norm_bit_for_bit(kind, scale):
+    """ppt_trials normalises a block of rows at once; each row must keep its per-row bits.
+
+    Real rows reach ``ddot`` with unit stride; complex rows through the
+    strided ``.real`` and ``.imag`` views.
+    """
+    rng = np.random.default_rng(int(scale * 1000) + len(kind))
+    for length in range(1, 65):
+        x = scale * rng.normal(size=(8, length))
+        if kind == "complex":
+            x = x + 1j * scale * rng.normal(size=(8, length))
+        got = families._unit_rows(x)
+        want = np.array([row / np.linalg.norm(row) for row in x])
+        assert got.tobytes() == want.tobytes(), length
 
 
 def _bits(x: float) -> bytes:

@@ -111,7 +111,10 @@ def test_zero_magnitude_is_the_exact_vacuum(dim):
 
 
 def _vacuum_only_column(kind, magnitude, phase, dim):
-    """Column 0 as `_checked_vacuum_image` computed it before the column helper, unchecked."""
+    """Column 0 as the vacuum image was computed before `_unit_column`, unchecked.
+
+    It now comes from `operators._checked_column` with n = 0.
+    """
     ed = ops._unit_spectrum(kind, dim)
     if magnitude == 0:
         column = np.zeros(dim, dtype=complex)
