@@ -462,11 +462,10 @@ def ppt_trials(
     complex Gaussian too.  After that a trial makes one ``normal`` draw: the
     real and imaginary parts of the ket or of each product's v_a and v_b,
     then of g_a, then of g_b.  The complex stacks are assembled and every
-    ket normalised once per block; each mixture is still summed over its
-    own products, so the bits are those of drawing trial by trial.  Trials
-    are grouped by (kind, d_a, d_b), ascending within a group, and yielded
-    in blocks of at most ``PPT_BLOCK_BYTES // (16 D^2)`` trials, so memory
-    stays bounded however many trials run.
+    ket normalised once per block, with the bits of one trial at a time.
+    Trials are grouped by (kind, d_a, d_b), ascending within a group, and
+    yielded in blocks of at most ``PPT_BLOCK_BYTES // (16 D^2)`` trials, so
+    memory stays bounded however many trials run.
     """
     groups: dict[tuple[str, int, int], list[int]] = {}
     for trial in range(trials):
