@@ -1,8 +1,8 @@
 """Dense complex linear algebra for truncated quantum systems.
 
 Matrices are plain numpy arrays with complex128 entries.  Nothing in this
-module knows about physics, only about shapes: Hermitian eigenproblems,
-matrix exponentials, Kronecker products, partial traces and transposes, and
+module knows about physics, only about shapes: Hermitian eigenproblems
+(of one matrix or of a stack of equal-size blocks), matrix exponentials, Kronecker products, partial traces and transposes, and
 Schmidt decompositions of bipartite vectors.
 
 Storage is dense throughout; the systems handled by this package stay at a
@@ -40,9 +40,9 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
     def function_of(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Return V f(Lambda) V^dag with f applied entrywise to the spectrum."""
+        """Return V f(Lambda) V^dag with f applied entrywise to the spectrum (per matrix of a stack)."""
         v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ v.conj().T
+        return (v * f(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _square(a) -> np.ndarray:
@@ -52,24 +52,43 @@ def _square(a) -> np.ndarray:
     return a
 
 
-def max_asymmetry(h: np.ndarray) -> float:
-    """Largest entrywise deviation of a matrix from its own adjoint."""
-    h = _square(h)
-    return float(np.abs(h - h.conj().T).max())
+def _square_stack(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
+def require_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """Check each matrix of a ``(..., d, d)`` stack for Hermiticity; return the stack.
+
+    Each matrix must be Hermitian within ``rtol`` relative to its own
+    largest entry (at least 1); otherwise a :class:`NonHermitianError`
+    reports the block that exceeds its tolerance by the largest factor.
+    """
+    h = _square_stack(h)
+    if h.size == 0:
+        return h
+    tol = rtol * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    asym = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = asym > tol
+    if bad.any():
+        worst = np.argmax(np.where(bad, asym / tol, 0.0))
+        raise NonHermitianError(asym.flat[worst], tol.flat[worst])
+    return h
 
 
 def herm_eig(h, rtol: float = HERMITICITY_RTOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    The input must be Hermitian within ``rtol`` relative to its largest
-    entry; otherwise a :class:`NonHermitianError` reports the asymmetry.
+    ``h`` is one d x d matrix or a ``(..., d, d)`` stack; the result then
+    has eigenvalues of shape ``(..., d)`` and eigenvectors ``(..., d, d)``,
+    one ``numpy.linalg.eigh`` call for the whole stack.  Every matrix must
+    pass :func:`require_hermitian`; otherwise a :class:`NonHermitianError`
+    reports the worst one.
     """
-    h = _square(h)
-    scale = max(1.0, float(np.abs(h).max()))
-    asym = max_asymmetry(h)
-    if asym > rtol * scale:
-        raise NonHermitianError(asym, rtol * scale)
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    h = require_hermitian(h, rtol)
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 

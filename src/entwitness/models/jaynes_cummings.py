@@ -11,15 +11,23 @@ shrinks as the thermal occupation grows.
 The whole trace comes from one spectral table
 (:func:`~entwitness.spaces.evolved_expectations`): the moment tables of
 sigma^- against the uncentred basis [a, a^dag, I], <a>, and the top-two
-field population, at every grid time.  Centring is a linear map on those
-tables, :func:`~entwitness.witnesses.form_from_moments` assembles every
-2x2 matrix at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max
-in closed form.  No propagator, density matrix or centred operator is built
-per time point; the leakage rule sees one state, evolved to the grid time
-with the largest top-two population.  H, its spectrum and the 14
-observables depend only on the truncation and the couplings, so the last
-such system is kept (``_system``) and every nbar of a run reads it; the
-``jc-thermal`` runner drops it when the run ends.
+field population, at every grid time.  H conserves the excitation number
+a^dag a + sigma^+ sigma^-, and the thermal (x) |e><e| start is diagonal in
+it, so the table is read sector by sector: each sector {|n, g>, |n-1, e>}
+is a 2 x 2 block of H, all of them eigensolved in one batched call, and
+an observable contributes only through its diagonal blocks (<a> and eight
+of the twelve moment operators have none, and read exactly 0).  Centring is a
+linear map on those tables, :func:`~entwitness.witnesses.form_from_moments`
+assembles every 2x2 matrix at once, and :func:`~entwitness.witnesses.eig2`
+gives lambda_max in closed form.  No propagator, density matrix or centred
+operator is built per time point, and no D x D spectrum at all; the
+leakage rule sees one state, evolved by the same block spectrum to the
+grid time with the largest top-two population.  H, its block spectrum and
+the 14 observables depend only on the truncation and the couplings, so the
+last such system is kept (``_system``) and every nbar of a run reads it,
+together with the cos/sin phase table of the run's time grid, which the
+block spectrum keeps; the ``jc-thermal`` runner drops the system, phase
+table included, when the run ends.
 
 Truncation: ``fock_dim`` is where escalation starts.  The thermal start is
 built first and checked by the one leakage rule of
@@ -59,10 +67,12 @@ from ..spaces import (
     signature,
 )
 
-# peak bytes of one trace per D^2: about 19 complex D x D arrays (H, its
-# eigenvectors, the observables and their rotated stacks), measured as the
-# peak RSS of jc-thermal --points 50 at D = 320 and D = 640
-SYSTEM_BYTES_PER_D2 = 19 * 16
+# peak bytes of one trace per D^2: about 17 complex D x D arrays (H, the
+# local matrices of the field-atom observables, the thermal start and the
+# leakage probe's propagator and evolved state), an upper bound on the growth
+# of the peak RSS of jc-thermal --points 50 from D = 320 to D = 640
+# (259-263 bytes per D^2 on the sector path)
+SYSTEM_BYTES_PER_D2 = 17 * 16
 
 # where _available_memory reads the kernel's and the cgroup's figures
 MEMINFO = "/proc/meminfo"

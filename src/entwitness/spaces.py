@@ -10,8 +10,8 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: Hermitian eigensolves of Hamiltonians (and so every propagator) and
-sector projections.  Other D x D arrays are density matrices themselves,
+it: dense Hermitian eigensolves of Hamiltonians (and so their propagators)
+and sector projections.  Other D x D arrays are density matrices themselves,
 the eigenvector matrix of a Hamiltonian, and the identity root of a density
 matrix in the witness moment tables, an explicit ``np.eye(D)`` to which
 the operator words are applied.
@@ -19,13 +19,25 @@ the operator words are applied.
 Evolution: :func:`evolve` and :func:`propagator_family` build U(t) for one
 time at a time.  :func:`evolved_expectations` serves a whole time grid from
 one eigendecomposition: it returns the T x K table of <O_k> along
-exp(-i H t).  Each operator is rotated once into the eigenbasis and written
-beside the others into a D x (k D) stack, and a block of times reads every
-operator of a stack with one product, so no propagator or state is formed
-per time.  :data:`_BLOCK_BYTES` bounds the stack and the per-block product
-(an operator larger than the bound is a stack by itself), so memory is
-O(T D + D^2).  A generator computes its eigendecomposition once and keeps
-it, so the tables, propagators and evolved states of one H share it.
+exp(-i H t), and no propagator or state is formed per time.
+
+Charge sectors: the charge of a basis state is its total level number
+(:attr:`SpaceSignature.charges`), so a generator that conserves the total
+excitation number, such as the Jaynes-Cummings H, has no entry between
+sectors.  Such a generator is eigensolved block by block
+(:class:`SectorSpectrum`, one batched :func:`linalg.herm_eig` per sector
+size), and U(t) is built from those blocks.  When the state has no
+coherence between sectors either, :func:`evolved_expectations` sums
+Tr(O_NN rho_N(t)) over the sectors: only the diagonal blocks of each
+observable are read, and a block of 2 x 2 sectors contributes one cos/sin
+phase per sector.  Any other generator or state takes the dense path: each
+operator is rotated once into the full eigenbasis and written beside the
+others into a D x (k D) stack, and a block of times reads every operator
+of a stack with one product.  :data:`_BLOCK_BYTES` bounds the stack and the
+per-block product (an operator larger than the bound is a stack by
+itself), so memory is O(T D + D^2).  A generator computes its block or
+dense eigendecomposition once and keeps it, so the tables, propagators and
+evolved states of one H share it.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -39,8 +51,10 @@ observable, so a time grid can locate its worst point in an
 :func:`evolved_expectations` table and hand that one state to the rule.
 
 All values here are immutable and safe to share across threads; the
-only state an operator changes is its cached full-space matrix and
-eigendecomposition, each the same array whichever thread builds it.
+only state an operator changes is its cached full-space matrix, diagonal
+sector blocks and eigendecompositions, each the same array whichever thread
+builds it, and the phase table its block spectrum keeps for the last time
+grid, replaced whole.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ QUBIT = "qubit"
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
 _BLOCK_BYTES = 512 * 2**10  # bound on each temporary of evolved_expectations
+_UNSET = object()  # a LabeledOperator's block spectrum before it is looked for
 
 
 class SignatureError(ValueError):
@@ -126,6 +141,43 @@ class SpaceSignature:
     @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """F x D array: the level index of each factor in each basis state."""
+        levels = np.indices(self.dims).reshape(len(self.dims), -1)
+        levels.setflags(write=False)
+        return levels
+
+    @cached_property
+    def charges(self) -> np.ndarray:
+        """The charge of each basis state: the sum of its factors' level indices.
+
+        A level index is the Fock number of a boson and 0/1 for a qubit's
+        ground/excited state, so an operator that conserves the total
+        excitation number (a^dag a + sigma^+ sigma^-) has no entry between
+        basis states of different charge.
+        """
+        charges = self.levels.sum(axis=0)
+        charges.setflags(write=False)
+        return charges
+
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Basis indices of the charge sectors, grouped by sector size.
+
+        One (n, s) array per size s, in ascending s; each row lists the
+        basis states of one sector, in ascending index, and the sectors of
+        one size come in ascending charge.
+        """
+        order = np.argsort(self.charges, kind="stable")
+        by_size: dict[int, list[np.ndarray]] = {}
+        for sector in np.split(order, np.cumsum(np.bincount(self.charges))[:-1]):
+            by_size.setdefault(sector.size, []).append(sector)
+        groups = tuple(np.array(by_size[s]) for s in sorted(by_size))
+        for idx in groups:
+            idx.setflags(write=False)
+        return groups
 
     def axis(self, label: str) -> int:
         for i, f in enumerate(self.factors):
@@ -213,7 +265,9 @@ class LabeledOperator:
     signature order (Hamiltonians, propagators) it is the stored array.
     """
 
-    __slots__ = ("signature", "local", "axes", "support", "name", "_matrix", "_eig")
+    __slots__ = (
+        "signature", "local", "axes", "support", "name", "_matrix", "_eig", "_sectors", "_diagonal"
+    )
 
     def __init__(
         self,
@@ -238,6 +292,8 @@ class LabeledOperator:
         self.name = name
         self._matrix = None
         self._eig = None
+        self._sectors = _UNSET
+        self._diagonal = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -251,6 +307,27 @@ class LabeledOperator:
         if self._eig is None:
             self._eig = linalg.herm_eig(self.matrix)
         return self._eig
+
+    def _block_spectrum(self) -> "SectorSpectrum | None":
+        """The checked per-sector eigendecomposition, built on first use.
+
+        None if the operator has an entry between charge sectors; callers
+        then take :meth:`_spectrum`.
+        """
+        if self._sectors is _UNSET:
+            self._sectors = SectorSpectrum.of(self)
+        return self._sectors
+
+    def _sector_blocks(self) -> tuple[np.ndarray, ...]:
+        """Diagonal charge-sector blocks of the full-space matrix, read from ``local``.
+
+        One (n, s, s) stack per index array of ``signature.sectors``, built
+        on first use and kept.
+        """
+        if self._diagonal is None:
+            sig = self.signature
+            self._diagonal = tuple(_blocks(self.local, self.axes, sig, idx) for idx in sig.sectors)
+        return self._diagonal
 
     def _lifted(self, axes: tuple[int, ...]) -> np.ndarray:
         """The local matrix on ``axes`` (a superset of ``self.axes``), identity elsewhere."""
@@ -318,6 +395,101 @@ class LabeledOperator:
 
     def __neg__(self) -> "LabeledOperator":
         return self * (-1.0)
+
+
+def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: np.ndarray) -> np.ndarray:
+    """Entries M[i, j] for i, j in one row of ``index``, as an (n, s, s) stack.
+
+    M is ``local`` on the factors at ``axes`` (in that order) and the
+    identity on the others; its entries are read from ``local``, so no
+    full-space matrix is formed.
+    """
+    levels, dims = sig.levels[:, index], sig.dims
+    row = np.zeros(index.shape, dtype=np.intp)
+    rest = np.zeros(index.shape, dtype=np.intp)
+    for ax in axes:
+        row = row * dims[ax] + levels[ax]
+    for ax in range(len(dims)):
+        if ax not in axes:
+            rest = rest * dims[ax] + levels[ax]
+    same_rest = rest[..., :, None] == rest[..., None, :]
+    return np.where(same_rest, local[row[..., :, None], row[..., None, :]], 0)
+
+
+def _nonzeros_in(blocks: Sequence[np.ndarray]) -> int:
+    return sum(np.count_nonzero(b) for b in blocks)
+
+
+class SectorSpectrum:
+    """Eigendecomposition of an operator without entries between charge sectors.
+
+    ``spectra[g]`` holds the n eigendecompositions of the sectors in
+    ``sectors[g]`` (an (n, s) index array of :attr:`SpaceSignature.sectors`):
+    eigenvalues (n, s) and eigenvectors (n, s, s), from one batched
+    :func:`linalg.herm_eig` per sector size.  A sector of size 1 is its own
+    eigenbasis and needs no eigensolve; its entry passes the same
+    Hermiticity check.  The phase table of the last time grid is kept
+    (:meth:`phases`), so every state evolved under one generator on one
+    grid reads the same table.
+    """
+
+    __slots__ = ("dim", "sectors", "spectra", "pairs", "_phases")
+
+    def __init__(self, dim: int, sectors, spectra):
+        self.dim = dim
+        self.sectors = tuple(sectors)
+        self.spectra = tuple(spectra)
+        # (m, n) with m < n within a sector of each size: the order of the phase columns
+        self.pairs = tuple(np.triu_indices(idx.shape[1], 1) for idx in self.sectors)
+        self._phases = None
+
+    @classmethod
+    def of(cls, op: LabeledOperator) -> "SectorSpectrum | None":
+        """The block spectrum of ``op``, or None if it has an entry between sectors.
+
+        The test is exact: every nonzero entry of the full-space matrix,
+        nnz(local) times the dimension of the other factors, must lie in a
+        diagonal block.
+        """
+        sig = op.signature
+        blocks = op._sector_blocks()
+        if np.count_nonzero(op.local) * (sig.total_dim // op.local.shape[0]) != _nonzeros_in(blocks):
+            return None
+        spectra = []
+        for b in blocks:
+            if b.shape[-1] == 1:
+                b = linalg.require_hermitian(b)
+                spectra.append(linalg.EigenDecomposition(b[..., 0].real, np.ones_like(b)))
+            else:
+                spectra.append(linalg.herm_eig(b))
+        return cls(sig.total_dim, sig.sectors, spectra)
+
+    def function_of(self, f) -> np.ndarray:
+        """The full-space D x D matrix V f(Lambda) V^dag, block by block."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, ed in zip(self.sectors, self.spectra):
+            out[idx[:, :, None], idx[:, None, :]] = ed.function_of(f)
+        return out
+
+    def phases(self, times: np.ndarray) -> tuple[np.ndarray, ...]:
+        """[cos | sin] of the in-block frequencies at every time, one table per sector size.
+
+        The frequencies of a size-s group are E_m - E_n for m < n in each
+        sector, n * s (s - 1) / 2 of them in (sector, pair) order, so the
+        table is T x n s (s - 1), C-contiguous (T x 0 for s = 1).  The
+        tables of the last grid are kept.
+        """
+        key = times.tobytes()
+        cached = self._phases
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        tables = []
+        for (m, n), ed in zip(self.pairs, self.spectra):
+            angle = np.multiply.outer(times, (ed.eigenvalues[:, m] - ed.eigenvalues[:, n]).ravel())
+            tables.append(np.concatenate([np.cos(angle), np.sin(angle)], axis=1))
+        tables = tuple(tables)
+        self._phases = (key, tables)
+        return tables
 
 
 def identity_operator(sig: SpaceSignature) -> LabeledOperator:
@@ -413,10 +585,26 @@ def evolved_expectations(
 ) -> np.ndarray:
     """T x K table of <O_k> in the state evolved by exp(-i H t), at every time.
 
-    One eigendecomposition H = V diag(E) V^dag serves the whole grid.  With
-    the phases u = exp(-i E t) and tilde X = V^dag X V,
-    Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n, and
-    <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
+    Sector path: when H has no entry between charge sectors
+    (:attr:`SpaceSignature.sectors`) and neither has the state (rho, or
+    psi psi^dag), Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t)) over the diagonal
+    blocks, evolved by H's block spectrum (:class:`SectorSpectrum`).  In a
+    sector with H_N = V diag(E) V^dag, tilde X = V^dag X V and
+    W[m, n] = tilde O[n, m] tilde rho[m, n], the term is sum_m W[m, m] plus,
+    for each pair m < n with w = E_m - E_n,
+    (W[m, n] + W[n, m]) cos(w t) - i (W[m, n] - W[n, m]) sin(w t).  The
+    constants add up directly, and the cos/sin table of each sector size
+    (:meth:`SectorSpectrum.phases`, kept with H) meets the coefficients of
+    every observable in one real C-contiguous product.  Only the diagonal
+    blocks of an observable are read, from its local matrix; an observable
+    whose diagonal blocks are all 0 reads exactly 0 and is never
+    contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
+    held at once.
+
+    Dense path, for any other H or state: one eigendecomposition
+    H = V diag(E) V^dag serves the whole grid.  With the phases
+    u = exp(-i E t), Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n,
+    and <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
     phi = u * tilde psi.  Each operator is rotated once and written beside
     the others into one D x (k D) stack, k operators at a time, so that a
     block of times is one (t x D)(D x k D) product followed by one batched
@@ -428,12 +616,18 @@ def evolved_expectations(
     _same_signature(state.signature, h.signature)
     for op in ops:
         _same_signature(state.signature, op.signature)
+    times = np.asarray(times, dtype=float).ravel()
+    spectrum = h._block_spectrum()
+    if spectrum is not None:
+        state_blocks = _state_blocks(state)
+        if state_blocks is not None:
+            return _sector_expectations(spectrum, times, state_blocks, ops)
     ed = h._spectrum()
     v, vh = ed.eigenvectors, ed.eigenvectors.conj().T
     d = v.shape[0]
     pure = isinstance(state, StateVector)
     tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
-    phases = np.outer(np.asarray(times, dtype=float), -1j * ed.eigenvalues)
+    phases = np.outer(times, -1j * ed.eigenvalues)
     np.exp(phases, out=phases)
     n_t = phases.shape[0]
     table = np.empty((n_t, len(ops)), dtype=complex)
@@ -458,9 +652,67 @@ def evolved_expectations(
     return table
 
 
+def _state_blocks(state: State) -> list[np.ndarray] | None:
+    """Diagonal sector blocks of rho (or psi psi^dag), or None if it couples sectors."""
+    sig = state.signature
+    if isinstance(state, StateVector):
+        psi = state.amplitudes
+        if np.unique(sig.charges[psi != 0]).size > 1:
+            return None
+        return [psi[idx][:, :, None] * psi[idx].conj()[:, None, :] for idx in sig.sectors]
+    everywhere = tuple(range(len(sig.factors)))
+    blocks = [_blocks(state.matrix, everywhere, sig, idx) for idx in sig.sectors]
+    if np.count_nonzero(state.matrix) != _nonzeros_in(blocks):
+        return None
+    return blocks
+
+
+def _sector_expectations(
+    spectrum: SectorSpectrum,
+    times: np.ndarray,
+    state_blocks: list[np.ndarray],
+    ops: Sequence[LabeledOperator],
+) -> np.ndarray:
+    """The sector path of :func:`evolved_expectations`."""
+    vs = [ed.eigenvectors for ed in spectrum.spectra]
+    tilde_rho = [v.conj().swapaxes(-1, -2) @ r @ v for v, r in zip(vs, state_blocks)]
+    phases = spectrum.phases(times)
+    table = np.zeros((times.size, len(ops)), dtype=complex)
+    op_bytes = 16 * sum(idx.size * idx.shape[1] for idx in spectrum.sectors)
+    per_stack = max(1, _BLOCK_BYTES // op_bytes)
+    for k0 in range(0, len(ops), per_stack):
+        cols, stacks = [], []
+        for k in range(k0, min(k0 + per_stack, len(ops))):
+            blocks = ops[k]._sector_blocks()
+            if any(b.any() for b in blocks):
+                cols.append(k)
+                stacks.append(blocks)
+        if not cols:
+            continue
+        values = np.zeros((times.size, len(cols)), dtype=complex)
+        for g, (v, rho, (m, n), phase) in enumerate(zip(vs, tilde_rho, spectrum.pairs, phases)):
+            tilde_o = v.conj().swapaxes(-1, -2) @ np.stack([b[g] for b in stacks]) @ v
+            w = tilde_o.swapaxes(-1, -2) * rho  # W[k, sector, m, n]
+            values += w.diagonal(axis1=-2, axis2=-1).sum(axis=(-2, -1))
+            if m.size:
+                upper, lower = w[..., m, n], w[..., n, m]
+                coef = np.empty((2, upper[0].size, len(cols)), dtype=complex)
+                coef[0] = (upper + lower).reshape(len(cols), -1).T
+                coef[1] = (-1j * (upper - lower)).reshape(len(cols), -1).T
+                # real (T x 2P)(2P x 2K) product on the complex coefficients' float view
+                values += (phase @ coef.reshape(-1, len(cols)).view(float)).view(complex)
+        table[:, cols] = values
+    return table
+
+
 def propagator_family(h: LabeledOperator):
-    """One eigendecomposition, many times: returns U(t) as a callable."""
-    ed = h._spectrum()
+    """One eigendecomposition, many times: returns U(t) as a callable.
+
+    U(t) comes from H's block spectrum where H has no entry between charge
+    sectors (:meth:`LabeledOperator._block_spectrum`), else from its dense
+    spectrum.
+    """
+    ed = h._block_spectrum() or h._spectrum()
 
     def u_of_t(t: float) -> LabeledOperator:
         u = ed.function_of(lambda w: np.exp(-1j * w * t))

@@ -1,0 +1,228 @@
+"""Evolution by charge sector: the block spectrum of a generator that conserves excitations.
+
+The charge of a basis state is its total level number.  A generator with
+no entry between charge sectors is eigensolved block by block, one batched
+``linalg.herm_eig`` per sector size, and ``evolved_expectations``,
+``evolve`` and ``propagator_family`` read that block spectrum.  Here the
+sector path is checked against the dense path on random charge-conserving
+generators, block-diagonal density matrices and pure states in one
+sector; a generator or a state that couples sectors must take the dense
+path and still match ``evolve``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entwitness import linalg
+from entwitness import operators as ops
+from entwitness.models import jaynes_cummings as jc
+from entwitness.spaces import (
+    DensityMatrix,
+    LabeledOperator,
+    StateVector,
+    basis_state,
+    boson,
+    embed,
+    embed_many,
+    evolve,
+    evolved_expectations,
+    expectation,
+    identity_operator,
+    product_state,
+    propagator_family,
+    qubit,
+    signature,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+TIMES = np.concatenate([[0.0, -1.3], np.linspace(0.1, 6.0, 23)])
+
+FACTORS = {"b2": lambda lab: boson(lab, 2), "b3": lambda lab: boson(lab, 3),
+           "b4": lambda lab: boson(lab, 4), "q": qubit}
+
+
+def _signature(kinds):
+    return signature(*(FACTORS[k](f"f{i}") for i, k in enumerate(kinds)))
+
+
+def _rand(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _same_sector(sig):
+    q = sig.charges
+    return q[:, None] == q[None, :]
+
+
+def _conserving_h(rng, sig):
+    g = _rand(rng, sig.total_dim)
+    return LabeledOperator(sig, np.where(_same_sector(sig), g + g.conj().T, 0) / sig.total_dim)
+
+
+def _observables(rng, sig):
+    labels = sig.labels
+    return [
+        identity_operator(sig),
+        embed(_rand(rng, sig.dims[0]), labels[0], sig),
+        embed_many(_rand(rng, sig.dims[-1] * sig.dims[0]), [labels[-1], labels[0]], sig),
+        LabeledOperator(sig, _rand(rng, sig.total_dim)),
+        embed(ops.annihilator(sig.dims[1]) if sig.factors[1].kind == "boson" else ops.qubit_ops()["minus"],
+              labels[1], sig),
+    ]
+
+
+def _dense(h):
+    """A copy of ``h`` whose block spectrum is known to be absent: the dense path."""
+    copy = LabeledOperator(h.signature, h.matrix)
+    copy._sectors = None
+    return copy
+
+
+def _block_diagonal_density(rng, sig):
+    vecs = [rng.normal(size=sig.total_dim) + 1j * rng.normal(size=sig.total_dim) for _ in range(3)]
+    rho = sum(np.outer(v, v.conj()) for v in vecs)
+    rho = np.where(_same_sector(sig), rho, 0)  # the pinching keeps rho positive
+    return DensityMatrix(sig, rho / np.trace(rho).real)
+
+
+def _one_sector_state(rng, sig):
+    q = sig.charges
+    inside = q == rng.integers(q.max() + 1)
+    psi = np.where(inside, rng.normal(size=q.size) + 1j * rng.normal(size=q.size), 0)
+    return StateVector(sig, psi / np.linalg.norm(psi))
+
+
+def _per_time(h, state, observables):
+    return np.array([[expectation(evolve(h, t, state), op) for op in observables] for t in TIMES])
+
+
+kinds = st.lists(st.sampled_from(sorted(FACTORS)), min_size=2, max_size=3)
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_sector_and_dense_paths_agree(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    h = _conserving_h(rng, sig)
+    assert h._block_spectrum() is not None
+    observables = _observables(rng, sig)
+    for state in (_block_diagonal_density(rng, sig), _one_sector_state(rng, sig)):
+        got = evolved_expectations(h, TIMES, state, observables)
+        want = evolved_expectations(_dense(h), TIMES, state, observables)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        propagator_family(h)(0.7).matrix, propagator_family(_dense(h))(0.7).matrix, rtol=0, atol=1e-12
+    )
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_an_observable_without_diagonal_blocks_reads_exactly_zero(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    q = sig.charges
+    off = LabeledOperator(sig, np.where(q[:, None] == q[None, :] + 1, _rand(rng, q.size), 0))
+    table = evolved_expectations(_conserving_h(rng, sig), TIMES, _block_diagonal_density(rng, sig), [off])
+    assert not table.any()
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_a_generator_with_one_cross_sector_entry_takes_the_dense_path(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    m = _conserving_h(rng, sig).matrix.copy()
+    i, j = 0, int(np.flatnonzero(sig.charges == 1)[0])
+    m[i, j] = m[j, i] = 1e-3
+    h = LabeledOperator(sig, m)
+    assert h._block_spectrum() is None
+    observables = _observables(rng, sig)
+    state = _block_diagonal_density(rng, sig)
+    np.testing.assert_allclose(
+        evolved_expectations(h, TIMES, state, observables),
+        _per_time(h, state, observables),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def test_a_coherent_field_takes_the_dense_path_and_matches_evolve():
+    sig = jc.jc_signature(12)
+    h = jc.jc_hamiltonian(sig, 1.0, 0.1)
+    psi = product_state(sig, {"field": ops.coherent(0.8, 12), "atom": ops.EXCITED})
+    observables = list(jc._system(12, 1.0, 0.1)[2])
+    for state in (psi, psi.to_density()):
+        table = evolved_expectations(h, TIMES, state, observables)
+        np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
+        assert table[:, 1].any()  # <a> of a coherent field is no structural zero
+    jc._system.cache_clear()
+
+
+def test_a_stacked_herm_eig_raises_for_its_worst_non_hermitian_block():
+    rng = np.random.default_rng(7)
+    g = _rand(rng, 3)
+    stack = np.stack([g + g.conj().T] * 5)
+    stack[1, 0, 2] += 1e-6
+    stack[3, 2, 1] += 1e-3
+    with pytest.raises(linalg.NonHermitianError) as err:
+        linalg.herm_eig(stack)
+    assert err.value.max_asymmetry == pytest.approx(1e-3)
+    ed = linalg.herm_eig(stack[[0, 2, 4]])
+    assert ed.eigenvalues.shape == (3, 3) and ed.eigenvectors.shape == (3, 3, 3)
+    np.testing.assert_allclose(ed.function_of(lambda w: w), stack[[0, 2, 4]], rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    shapes = []
+    real = linalg.herm_eig
+
+    def recording(h, *args, **kwargs):
+        shapes.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "herm_eig", recording)
+    return shapes
+
+
+def test_size_one_sectors_need_no_eigensolve(eig_shapes):
+    # a single mode: every charge sector is one Fock state
+    sig = signature(boson("a", 5))
+    h = 0.7 * embed(ops.number_op(5), "a", sig)
+    start = basis_state(sig, {"a": 3})
+    table = evolved_expectations(h, TIMES, start, [embed(ops.number_op(5), "a", sig)])
+    np.testing.assert_array_equal(table[:, 0], 3.0)
+    u = propagator_family(h)(2.0).matrix
+    np.testing.assert_allclose(u, np.diag(np.exp(-1.4j * np.arange(5))), rtol=0, atol=1e-15)
+    assert eig_shapes == []
+
+
+def test_a_size_one_sector_still_passes_the_hermiticity_check(eig_shapes):
+    sig = signature(boson("a", 3))
+    h = LabeledOperator(sig, np.diag([0.0, 1.0 + 1e-3j, 2.0]))
+    for _ in range(2):
+        with pytest.raises(linalg.NonHermitianError):
+            propagator_family(h)
+    assert eig_shapes == []
+
+
+def test_a_jc_trace_makes_one_batched_eigensolve_and_no_dense_one(eig_shapes):
+    jc._system.cache_clear()
+    cfg = jc.JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 30)), fock_dim=20)
+    jc.jc_witness_trace(cfg)
+    assert eig_shapes == [(19, 2, 2)]
+    jc._system.cache_clear()
+
+
+def test_the_nbar_of_a_run_read_one_phase_table():
+    jc._system.cache_clear()
+    kt = tuple(np.linspace(0.0, 6.0, 30))
+    jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=kt))
+    spectrum = jc._system(20, 1.0, 0.1)[1]._block_spectrum()
+    tables = spectrum._phases[1]
+    jc.jc_witness_trace(jc.JCConfig(nbar=0.03, kt_grid=kt))
+    assert spectrum._phases[1] is tables
+    assert [t.shape for t in tables] == [(30, 0), (30, 2 * 19)]
+    jc._system.cache_clear()

@@ -153,8 +153,9 @@ def test_each_jc_thermal_run_builds_its_own_system(monkeypatch, tmp_path):
     for _ in range(2):
         assert cli.main(argv) == 0
         assert jc._system.cache_info().currsize == 0
-    # one spectrum of H per run, shared by its two nbar
-    assert sizes == [40, 40]
+    # one spectrum of H per run, shared by its two nbar: the batched
+    # eigensolve of the 19 two-state sectors of the D = 40 space
+    assert sizes == [19, 19]
 
 
 def _peak_mib(fn) -> float:
