@@ -30,6 +30,7 @@ import numpy as np
 from .. import operators as ops
 from .. import witnesses
 from ..spaces import (
+    DensityMatrix,
     SpaceSignature,
     StateVector,
     boson,
@@ -72,8 +73,10 @@ def epsilon_state(eps: float, dim: int = 12) -> np.ndarray:
     """sqrt(1 - (1/sqrt(2) + eps)^2)|0> + (1/sqrt(2) + eps)|2>.
 
     Slightly super-Poissonian for eps < 0, yet still caught by the matrix
-    test for small |eps|.
+    test for small |eps|.  The |2> component needs ``dim`` >= 3.
     """
+    if dim < 3:
+        raise ValueError(f"epsilon_state needs dim >= 3 to hold |2>, got dim={dim}")
     c2 = 1 / math.sqrt(2) + eps
     if not abs(c2) < 1.0:
         raise ValueError(f"eps={eps} leaves no weight for the vacuum component")
@@ -161,8 +164,6 @@ def bs_output_marginal(cfg: BSConfig):
     The splitters act by tensor contraction on their own pair axes, so the
     full three-mode unitary is never materialized.
     """
-    from ..spaces import DensityMatrix
-
     dim = cfg.fock_dim
     psi = np.zeros((dim, dim, dim), dtype=complex)
     psi[: len(cfg.input_amplitudes), 0, 0] = cfg.input_amplitudes
@@ -170,8 +171,7 @@ def bs_output_marginal(cfg: BSConfig):
     u2 = ops.beamsplitter_pair_matrix(cfg.t2, cfg.r2, (dim, dim)).reshape(dim, dim, dim, dim)
     psi = np.einsum("ABab,abc->ABc", u1, psi)
     psi = np.einsum("ACac,abc->AbC", u2, psi)
-    out = StateVector(bs_signature(dim), psi.ravel())
-    require_low_leakage(out)
+    require_low_leakage(StateVector(bs_signature(dim), psi.ravel()))
     m_out = psi.reshape(dim, dim * dim)
     return DensityMatrix(
         signature(boson("b", dim), boson("c", dim)),

@@ -16,12 +16,12 @@ in vacuum both margins collapse onto properties of the input field alone:
 * pairing margin:  |<a^2>|^2 - <n>^2 positive (any squeezing does it)
 * correlation margin:  <n> - variance(n) positive (sub-Poissonian field)
 
-The oracle here is an honest three-mode truncated simulation; sparse
-storage plus a Krylov-type propagator keeps comfortable truncations cheap.
-``scipy.sparse`` and ``scipy.sparse.linalg`` are reached as attributes of
-``scipy``, whose lazy loader imports them on the oracle's first call, so
-importing this module (and every CLI run, none of which calls the oracle)
-leaves them unloaded.
+The oracle here is an honest three-mode truncated simulation.  H conserves
+the total excitation number a^dag a + x1^dag x1 + x2^dag x2, so it is given
+as its five local terms and eigensolved only in the charge sectors the
+start vector occupies (:class:`~entwitness.spaces.SectorSpectrum`), which
+evolves the vector sector by sector; no full-space matrix is formed, so
+comfortable truncations stay cheap.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .. import operators as ops
-from ..spaces import StateVector, boson, escalate_fock_dim, require_low_leakage, signature
+from ..spaces import SectorSpectrum, StateVector, boson, embed, embed_many, signature
+from ..spaces import escalate_fock_dim, require_low_leakage
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,8 @@ def hp_mode_transform(n_atoms: int, k: int) -> np.ndarray:
 
 
 def hp_inverse_transform(n_atoms: int, k: int) -> np.ndarray:
-    """Rows give (a, x1, x2) back in terms of the normal modes."""
-    _check_split(n_atoms, k)
-    sk = math.sqrt(k / (2.0 * n_atoms))
-    snk = math.sqrt((n_atoms - k) / (2.0 * n_atoms))
-    return np.array(
-        [
-            [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)],
-            [-sk, math.sqrt((n_atoms - k) / n_atoms), sk],
-            [-snk, -math.sqrt(k / n_atoms), snk],
-        ]
-    )
+    """Rows give (a, x1, x2) back in terms of the normal modes: the mix is orthogonal."""
+    return hp_mode_transform(n_atoms, k).T
 
 
 def _check_split(n_atoms: int, k: int):
@@ -166,16 +157,6 @@ class DickeConfig:
         return (da, dxi, dxi)
 
 
-def _sparse_mode_ops(dims: tuple[int, int, int]):
-    eyes = [scipy.sparse.identity(d, dtype=complex, format="csr") for d in dims]
-    lowered = []
-    for i, d in enumerate(dims):
-        mats = list(eyes)
-        mats[i] = scipy.sparse.csr_matrix(ops.annihilator(d))
-        lowered.append(scipy.sparse.kron(scipy.sparse.kron(mats[0], mats[1]), mats[2], format="csr"))
-    return lowered
-
-
 @dataclass(frozen=True)
 class DickeOracleResult:
     moments: dict[str, complex]
@@ -191,33 +172,29 @@ def evolve_three_mode(cfg: DickeConfig, dims: tuple[int, int, int]) -> np.ndarra
 
 
 def _evolve(cfg: DickeConfig, dims: tuple[int, int, int]):
-    """Evolved vector, its worst leakage and the two group lowering operators."""
+    """Evolved vector, its worst leakage and its signature (modes a, x1, x2)."""
     if len(cfg.field_amplitudes) > dims[0]:
         raise ValueError("field amplitudes longer than the mode-a truncation")
-    a, x1, x2 = _sparse_mode_ops(dims)
-    number = a.conj().T @ a + x1.conj().T @ x1 + x2.conj().T @ x2
-    hop1 = a @ x1.conj().T
-    hop2 = a @ x2.conj().T
-    h = (
-        cfg.omega * number
-        + cfg.kappa * math.sqrt(cfg.k) * (hop1 + hop1.conj().T)
-        + cfg.kappa * math.sqrt(cfg.n_atoms - cfg.k) * (hop2 + hop2.conj().T)
-    )
-    field = np.zeros(dims[0], dtype=complex)
-    field[: len(cfg.field_amplitudes)] = cfg.field_amplitudes
-    psi0 = np.zeros(int(np.prod(dims)), dtype=complex)
-    psi0.reshape(dims)[:, 0, 0] = field
-    psi = scipy.sparse.linalg.expm_multiply(-1j * cfg.t * h.tocsc(), psi0)
-    modes = (boson(f"dicke-oracle {m}", d) for m, d in zip(("a", "x1", "x2"), dims))
-    worst = require_low_leakage(StateVector(signature(*modes), psi))
-    return psi, worst, x1, x2
+    sig = signature(*(boson(f"dicke-oracle {m}", d) for m, d in zip(("a", "x1", "x2"), dims)))
+    la = sig.labels[0]
+    # H as five local terms: omega n on each mode, then the hops
+    # kappa sqrt(k) (a x1^dag + h.c.) and kappa sqrt(N - k) (a x2^dag + h.c.)
+    terms = [embed(cfg.omega * ops.number_op(d), lab, sig, f"n({lab})") for lab, d in zip(sig.labels, dims)]
+    for lab, d, size in zip(sig.labels[1:], dims[1:], (cfg.k, cfg.n_atoms - cfg.k)):
+        hop = cfg.kappa * math.sqrt(size) * np.kron(ops.annihilator(dims[0]), ops.creator(d))
+        terms.append(embed_many(hop + hop.conj().T, [la, lab], sig, f"hop({la}, {lab})"))
+    psi0 = np.zeros(sig.total_dim, dtype=complex)
+    psi0.reshape(dims)[: len(cfg.field_amplitudes), 0, 0] = cfg.field_amplitudes
+    spectrum = SectorSpectrum.of(terms, sig.charges[np.flatnonzero(psi0)])
+    psi = spectrum.apply(lambda w: np.exp(-1j * w * cfg.t), psi0)
+    return psi, require_low_leakage(StateVector(sig, psi)), sig
 
 
 def _oracle_at_dims(cfg: DickeConfig, dims: tuple[int, int, int]) -> DickeOracleResult:
-    psi, worst, x1, x2 = _evolve(cfg, dims)
-    v1 = x1 @ psi
-    v2 = x2 @ psi
-    v12 = x1 @ v2
+    psi, worst, sig = _evolve(cfg, dims)
+    x1, x2 = (embed(ops.annihilator(d), lab, sig) for lab, d in zip(sig.labels[1:], dims[1:]))
+    v1, v2 = x1.apply(psi), x2.apply(psi)
+    v12 = x1.apply(v2)
     moments = {
         "x1x2": complex(np.vdot(psi, v12)),
         "n1": complex(np.vdot(v1, v1)),

@@ -53,6 +53,7 @@ import numpy as np
 from . import linalg
 from .spaces import (
     LabeledOperator,
+    SectorSpectrum,
     SpaceSignature,
     State,
     StateVector,
@@ -317,18 +318,16 @@ def beamsplitter_pair_matrix(t: float, r: float, dims: tuple[int, int]) -> np.nd
     """Two-mode beam-splitter unitary on its own pair space.
 
     Heisenberg action: a -> t a + r b and b -> -r a + t b for the ordered
-    pair.  Total photon number across the pair is conserved exactly; the
-    unitary is masked sector by sector to keep it that way.
+    pair.  It is exp(-i G), G = i atan2(r, t) (a^dag b - a b^dag), from G's
+    block spectrum, so entries between photon-number sectors are exact zeros.
     """
     if t < 0 or r < 0 or abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not a unitary beam-splitter pair")
     da, db = dims
-    a = np.kron(annihilator(da), np.eye(db, dtype=complex))
-    b = np.kron(np.eye(da, dtype=complex), annihilator(db))
-    theta = math.atan2(r, t)
-    u = linalg.mat_exp(theta * (a.conj().T @ b - a @ b.conj().T))
-    occ = (np.arange(da)[:, None] + np.arange(db)[None, :]).ravel()
-    return np.where(occ[:, None] == occ[None, :], u, 0.0)
+    hop = np.kron(creator(da), annihilator(db))  # a^dag b
+    g = 1j * math.atan2(r, t) * (hop - hop.conj().T)
+    spectrum = SectorSpectrum.of(LabeledOperator(signature(boson("a", da), boson("b", db)), g))
+    return spectrum.function_of(lambda w: np.exp(-1j * w))
 
 
 def beamsplitter_unitary(

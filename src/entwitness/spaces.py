@@ -10,8 +10,8 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: dense Hermitian eigensolves of Hamiltonians (and so their propagators)
-and sector projections.  Other D x D arrays are density matrices themselves,
+it: dense Hermitian eigensolves of Hamiltonians that couple charge sectors
+(and so their propagators).  Other D x D arrays are density matrices,
 the eigenvector matrix of a Hamiltonian, and the identity root of a density
 matrix in the witness moment tables, an explicit ``np.eye(D)`` to which
 the operator words are applied.
@@ -26,8 +26,10 @@ Charge sectors: the charge of a basis state is its total level number
 excitation number, such as the Jaynes-Cummings H, has no entry between
 sectors.  Such a generator is eigensolved block by block
 (:class:`SectorSpectrum`, one batched :func:`linalg.herm_eig` per sector
-size), and U(t) is built from those blocks.  When the state has no
-coherence between sectors either, :func:`evolved_expectations` sums
+size), and U(t) is built from those blocks.  A sum of local terms can be
+eigensolved in just the sectors a start vector occupies, which
+:meth:`SectorSpectrum.apply` evolves with no D x D array.  When the state
+has no coherence between sectors either, :func:`evolved_expectations` sums
 Tr(O_NN rho_N(t)) over the sectors: only the diagonal blocks of each
 observable are read, and a block of 2 x 2 sectors contributes one cos/sin
 phase per sector.  Any other generator or state takes the dense path: each
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -416,15 +418,11 @@ def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: 
     return np.where(same_rest, local[row[..., :, None], row[..., None, :]], 0)
 
 
-def _nonzeros_in(blocks: Sequence[np.ndarray]) -> int:
-    return sum(np.count_nonzero(b) for b in blocks)
-
-
 class SectorSpectrum:
     """Eigendecomposition of an operator without entries between charge sectors.
 
     ``spectra[g]`` holds the n eigendecompositions of the sectors in
-    ``sectors[g]`` (an (n, s) index array of :attr:`SpaceSignature.sectors`):
+    ``sectors[g]`` (n rows of an index array of :attr:`SpaceSignature.sectors`):
     eigenvalues (n, s) and eigenvectors (n, s, s), from one batched
     :func:`linalg.herm_eig` per sector size.  A sector of size 1 is its own
     eigenbasis and needs no eigensolve; its entry passes the same
@@ -444,31 +442,57 @@ class SectorSpectrum:
         self._phases = None
 
     @classmethod
-    def of(cls, op: LabeledOperator) -> "SectorSpectrum | None":
-        """The block spectrum of ``op``, or None if it has an entry between sectors.
+    def of(cls, terms, charges: Sequence[int] | None = None) -> "SectorSpectrum | None":
+        """The block spectrum of one operator, or of a sum of local terms.
 
-        The test is exact: every nonzero entry of the full-space matrix,
-        nnz(local) times the dimension of the other factors, must lie in a
-        diagonal block.
+        Only the sectors of ``charges`` are built (all if None); each term's
+        blocks are read from its local matrix (:func:`_blocks`).  A term
+        couples sectors iff a nonzero local entry changes the level sum over
+        its own axes: one such operator gives None, and a sum that holds one
+        raises a ValueError that names it.
         """
-        sig = op.signature
-        blocks = op._sector_blocks()
-        if np.count_nonzero(op.local) * (sig.total_dim // op.local.shape[0]) != _nonzeros_in(blocks):
-            return None
+        single = isinstance(terms, LabeledOperator)
+        terms = [terms] if single else list(terms)
+        sig = terms[0].signature
+        for i, term in enumerate(terms):
+            _same_signature(sig, term.signature)
+            charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
+            for ax in term.axes:
+                charge = (charge[:, None] + np.arange(sig.dims[ax])).ravel()
+            if np.any((term.local != 0) & (charge[:, None] != charge[None, :])):
+                if single:
+                    return None
+                raise ValueError(f"term {i} ('{term.name}') has an entry between charge sectors")
+        sectors = sig.sectors
+        if charges is not None:
+            sectors = [idx[np.isin(sig.charges[idx[:, 0]], charges)] for idx in sectors]
+            sectors = [idx for idx in sectors if len(idx)]
         spectra = []
-        for b in blocks:
+        for idx in sectors:
+            b = reduce(np.add, (_blocks(term.local, term.axes, sig, idx) for term in terms))
             if b.shape[-1] == 1:
                 b = linalg.require_hermitian(b)
                 spectra.append(linalg.EigenDecomposition(b[..., 0].real, np.ones_like(b)))
             else:
                 spectra.append(linalg.herm_eig(b))
-        return cls(sig.total_dim, sig.sectors, spectra)
+        return cls(sig.total_dim, sectors, spectra)
 
     def function_of(self, f) -> np.ndarray:
-        """The full-space D x D matrix V f(Lambda) V^dag, block by block."""
+        """The full-space D x D matrix V f(Lambda) V^dag, block by block (0 off the built sectors)."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for idx, ed in zip(self.sectors, self.spectra):
             out[idx[:, :, None], idx[:, None, :]] = ed.function_of(f)
+        return out
+
+    def apply(self, f, vector: np.ndarray) -> np.ndarray:
+        """V f(Lambda) V^dag times a full-space vector, sector by sector; it must lie in the built sectors."""
+        out = np.zeros(self.dim, dtype=complex)
+        rest = np.array(vector, dtype=complex)
+        for idx, ed in zip(self.sectors, self.spectra):
+            out[idx] = (ed.function_of(f) @ rest[idx][..., None])[..., 0]
+            rest[idx] = 0
+        if rest.any():
+            raise ValueError(f"the vector has weight {np.linalg.norm(rest):.3e} outside the sectors built")
         return out
 
     def phases(self, times: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -662,7 +686,7 @@ def _state_blocks(state: State) -> list[np.ndarray] | None:
         return [psi[idx][:, :, None] * psi[idx].conj()[:, None, :] for idx in sig.sectors]
     everywhere = tuple(range(len(sig.factors)))
     blocks = [_blocks(state.matrix, everywhere, sig, idx) for idx in sig.sectors]
-    if np.count_nonzero(state.matrix) != _nonzeros_in(blocks):
+    if np.count_nonzero(state.matrix) != sum(np.count_nonzero(b) for b in blocks):
         return None
     return blocks
 

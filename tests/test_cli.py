@@ -266,6 +266,14 @@ def test_zero_truncation_or_tolerance_exits_2(tmp_path, capsys):
     assert run(["lur", "--config", str(cfg)]) == 2
 
 
+def test_a_beamsplitter_truncation_too_small_for_its_input_exits_2(tmp_path, capsys):
+    # the |0>/|2> input needs three levels; with three, it leaks (exit 3)
+    assert run(["beamsplitters", "--fock-dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "dim >= 3" in err and "dim=2" in err and "Traceback" not in err
+    assert run(["beamsplitters", "--fock-dim", "3", "--output", str(tmp_path / "bs.csv")]) == 3
+
+
 def test_numerical_failures_name_the_truncated_factor(capsys):
     assert run(["lur", "--r-values", "2.5", "--fock-dim", "16"]) == 3
     assert "factor 'two_mode_squeezed(r=2.5) mode 0'" in capsys.readouterr().err

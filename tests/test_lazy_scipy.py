@@ -1,10 +1,11 @@
 """scipy's heavy submodules load on first use, not at package import.
 
-``linalg.mat_exp`` reaches ``scipy.linalg`` only in its non-normal fallback
-and the Dicke oracle reaches ``scipy.sparse`` only when called, so neither
-the package import nor a default run of any experiment loads them.  The
-checks run in a fresh interpreter: in this one, other tests have long since
-imported both.
+``linalg.mat_exp`` reaches ``scipy.linalg`` only in its non-normal fallback,
+so neither the package import nor a default run of any experiment loads it.
+Nothing in the package reaches ``scipy.sparse``: the Dicke oracle evolves by
+charge sector, and even a call to it leaves the sparse submodules unloaded.
+The checks run in a fresh interpreter: in this one, other tests have long
+since imported them.
 """
 
 import json
@@ -58,8 +59,10 @@ def test_import_and_default_runs_leave_scipy_submodules_unloaded(tmp_path):
     assert report["codes"] == {name: 0 for name in sorted(EXPERIMENTS)}
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(f"{n}.csv" for n in EXPERIMENTS)
     assert report["runs"] == unloaded
-    # the fallbacks still reach the submodules in a fresh process
-    assert report["after_fallbacks"] == {m: True for m in ("scipy", *HEAVY)}
+    # the mat_exp fallback still reaches scipy.linalg in a fresh process; the oracle needs no scipy.sparse
+    assert report["after_fallbacks"] == {
+        "scipy": True, "scipy.linalg": True, "scipy.sparse": False, "scipy.sparse.linalg": False
+    }
 
 
 def test_mat_exp_fallback_matches_scipy_expm_on_non_normal_input():

@@ -8,7 +8,15 @@ sector path is checked against the dense path on random charge-conserving
 generators, block-diagonal density matrices and pure states in one
 sector; a generator or a state that couples sectors must take the dense
 path and still match ``evolve``.
+
+A generator may also be a sum of local terms, eigensolved only in chosen
+sectors (``SectorSpectrum.of(terms, charges)``), and
+``SectorSpectrum.apply`` evolves a vector confined to those sectors; this
+is checked against the dense eigensolve of the summed matrix.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from entwitness import linalg
 from entwitness import operators as ops
+from entwitness.models import dicke as dk
 from entwitness.models import jaynes_cummings as jc
 from entwitness.spaces import (
     DensityMatrix,
     LabeledOperator,
+    SectorSpectrum,
     StateVector,
     basis_state,
     boson,
@@ -226,3 +236,110 @@ def test_the_nbar_of_a_run_read_one_phase_table():
     assert spectrum._phases[1] is tables
     assert [t.shape for t in tables] == [(30, 0), (30, 2 * 19)]
     jc._system.cache_clear()
+
+
+def _local_charges(sig, axes):
+    charge = np.zeros(1, dtype=int)
+    for ax in axes:
+        charge = (charge[:, None] + np.arange(sig.dims[ax])).ravel()
+    return charge
+
+
+def _conserving_terms(rng, sig):
+    """Three to five random Hermitian terms, each on one or two factors (in random order).
+
+    Each term conserves the level sum over its own factors.
+    """
+    terms = []
+    for i in range(rng.integers(3, 6)):
+        axes = [int(ax) for ax in rng.permutation(len(sig.factors))[: rng.integers(1, 3)]]
+        q = _local_charges(sig, axes)
+        g = _rand(rng, q.size)
+        local = np.where(q[:, None] == q[None, :], g + g.conj().T, 0)
+        terms.append(LabeledOperator(sig, local, name=f"term{i}", axes=axes))
+    return terms
+
+
+def _confined_vector(rng, sig, charges):
+    inside = np.isin(sig.charges, charges)
+    psi = np.where(inside, rng.normal(size=sig.total_dim) + 1j * rng.normal(size=sig.total_dim), 0)
+    return psi / np.linalg.norm(psi)
+
+
+def _some_charges(rng, sig):
+    top = int(sig.charges.max())
+    return rng.choice(top + 1, size=rng.integers(1, min(3, top) + 1), replace=False)
+
+
+def _propagate(w):
+    return np.exp(-1.7j * w)
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_a_sum_of_local_terms_evolves_a_vector_as_the_dense_sum_does(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    terms = _conserving_terms(rng, sig)
+    charges = _some_charges(rng, sig)
+    psi = _confined_vector(rng, sig, charges)
+    want = linalg.herm_eig(sum(t.matrix for t in terms)).function_of(_propagate) @ psi
+    got = SectorSpectrum.of(terms, charges).apply(_propagate, psi)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # every sector, and one term alone, read the same way
+    np.testing.assert_allclose(SectorSpectrum.of(terms).apply(_propagate, psi), want, rtol=0, atol=1e-12)
+    one = SectorSpectrum.of(terms[0], charges).apply(_propagate, psi)
+    np.testing.assert_allclose(one, linalg.herm_eig(terms[0].matrix).function_of(_propagate) @ psi, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_a_term_with_one_cross_sector_entry_is_refused(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    terms = _conserving_terms(rng, sig)
+    bad = terms[-1]
+    q = _local_charges(sig, bad.axes)
+    local = bad.local.copy()
+    j = int(np.flatnonzero(q == 1)[rng.integers(np.count_nonzero(q == 1))])
+    local[0, j] = local[j, 0] = 1e-9
+    terms[-1] = LabeledOperator(sig, local, name="leaky", axes=bad.axes)
+    assert SectorSpectrum.of(terms[-1]) is None
+    assert terms[-1]._block_spectrum() is None
+    with pytest.raises(ValueError, match=f"term {len(terms) - 1} \\('leaky'\\)"):
+        SectorSpectrum.of(terms)
+    with pytest.raises(ValueError, match="'leaky'"):
+        SectorSpectrum.of(terms, [0])
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_a_vector_with_weight_outside_the_built_sectors_is_refused(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    charges = _some_charges(rng, sig)
+    spectrum = SectorSpectrum.of(_conserving_terms(rng, sig), charges)
+    psi = _confined_vector(rng, sig, charges)
+    stray = int(rng.choice(np.flatnonzero(~np.isin(sig.charges, charges))))
+    psi[stray] = 1e-12
+    with pytest.raises(ValueError, match="outside"):
+        spectrum.apply(_propagate, psi)
+
+
+def test_the_dicke_oracle_eigensolves_only_the_sectors_its_start_vector_occupies(eig_shapes):
+    field = (ops.fock(0, 5) + ops.fock(2, 5)) / math.sqrt(2)
+    dk.evolve_three_mode(dk.DickeConfig(4, 2, field, 1.5, dims=(5, 5, 5)), (5, 5, 5))
+    # charge 0 is one basis state; charge 2 is the six states with n_a + n_x1 + n_x2 = 2
+    assert eig_shapes == [(1, 6, 6)]
+
+
+def test_a_dicke_oracle_evolution_forms_no_full_space_matrix():
+    cfg = dk.DickeConfig(4, 2, ops.squeezed_vacuum(0.3, 16), (math.pi / 3) / 0.2, dims=(20, 20, 20))
+    dk.evolve_three_mode(cfg, (20, 20, 20))
+    tracemalloc.start()
+    try:
+        dk.evolve_three_mode(cfg, (20, 20, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one 8000 x 8000 complex array alone is 977 MiB
