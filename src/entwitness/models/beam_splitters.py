@@ -161,22 +161,20 @@ class BSSimulation:
 def bs_output_marginal(cfg: BSConfig):
     """(b, c) marginal of the cascade output as a density matrix.
 
-    The splitters act by tensor contraction on their own pair axes, so the
-    full three-mode unitary is never materialized.
+    Each splitter's pair spectrum evolves the three-mode state reshaped to
+    (pair, rest), sector by sector, so no unitary is formed.
     """
     dim = cfg.fock_dim
     psi = np.zeros((dim, dim, dim), dtype=complex)
     psi[: len(cfg.input_amplitudes), 0, 0] = cfg.input_amplitudes
-    u1 = ops.beamsplitter_pair_matrix(cfg.t1, cfg.r1, (dim, dim)).reshape(dim, dim, dim, dim)
-    u2 = ops.beamsplitter_pair_matrix(cfg.t2, cfg.r2, (dim, dim)).reshape(dim, dim, dim, dim)
-    psi = np.einsum("ABab,abc->ABc", u1, psi)
-    psi = np.einsum("ACac,abc->AbC", u2, psi)
+    # splitter 1 on (a, b), then splitter 2 on (a, c); the third mode is the rest
+    for t, r, order in ((cfg.t1, cfg.r1, (0, 1, 2)), (cfg.t2, cfg.r2, (0, 2, 1))):
+        pair = psi.transpose(order).reshape(dim * dim, dim)
+        out = ops.beamsplitter_spectrum(t, r, (dim, dim)).apply(lambda w: np.exp(-1j * w), pair)
+        psi = out.reshape(dim, dim, dim).transpose(order)
     require_low_leakage(StateVector(bs_signature(dim), psi.ravel()))
     m_out = psi.reshape(dim, dim * dim)
-    return DensityMatrix(
-        signature(boson("b", dim), boson("c", dim)),
-        np.einsum("ax,ay->xy", m_out, m_out.conj()),
-    )
+    return DensityMatrix(signature(boson("b", dim), boson("c", dim)), m_out.T @ m_out.conj())
 
 
 def bs_simulate(cfg: BSConfig) -> BSSimulation:

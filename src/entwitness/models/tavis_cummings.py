@@ -124,7 +124,7 @@ def tc_full_state(
     omega: float = 1.0,
     kappa: float = 0.1,
 ) -> StateVector:
-    """Second oracle: evolution on the whole tensor space through H's block spectrum."""
+    """Second oracle: :func:`evolve` on the whole tensor space, by H's block spectrum."""
     sig = sig or tc_signature(n)
     h = tc_hamiltonian(sig, omega, kappa)
     start = basis_state(sig, {"field": n, "atom1": 0, "atom2": 0})

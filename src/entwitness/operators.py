@@ -233,8 +233,8 @@ def delta(op: LabeledOperator, state: State) -> LabeledOperator:
     The subtraction is recomputed for each state under test, so witness
     matrices built from centered operators follow the state they probe.
     """
-    mean = expectation(state, op)
-    centered = op.local - np.eye(op.local.shape[0], dtype=complex) * mean
+    centered = op.local.copy()
+    centered.flat[:: centered.shape[0] + 1] -= expectation(state, op)
     name = f"delta({op.name})" if op.name else ""
     return LabeledOperator(op.signature, centered, op.support, name, op.axes)
 
@@ -314,20 +314,22 @@ def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:
     return psi
 
 
-def beamsplitter_pair_matrix(t: float, r: float, dims: tuple[int, int]) -> np.ndarray:
-    """Two-mode beam-splitter unitary on its own pair space.
+def beamsplitter_spectrum(t: float, r: float, dims: tuple[int, int]) -> SectorSpectrum:
+    """Block spectrum of G = i atan2(r, t) (a^dag b - a b^dag) on the pair space of (a, b).
 
-    Heisenberg action: a -> t a + r b and b -> -r a + t b for the ordered
-    pair.  It is exp(-i G), G = i atan2(r, t) (a^dag b - a b^dag), from G's
-    block spectrum, so entries between photon-number sectors are exact zeros.
+    exp(-i G) is the beam splitter a -> t a + r b, b -> -r a + t b.
     """
     if t < 0 or r < 0 or abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not a unitary beam-splitter pair")
     da, db = dims
     hop = np.kron(creator(da), annihilator(db))  # a^dag b
     g = 1j * math.atan2(r, t) * (hop - hop.conj().T)
-    spectrum = SectorSpectrum.of(LabeledOperator(signature(boson("a", da), boson("b", db)), g))
-    return spectrum.function_of(lambda w: np.exp(-1j * w))
+    return SectorSpectrum.of(LabeledOperator(signature(boson("a", da), boson("b", db)), g))
+
+
+def beamsplitter_pair_matrix(t: float, r: float, dims: tuple[int, int]) -> np.ndarray:
+    """The unitary exp(-i G) of :func:`beamsplitter_spectrum`; 0 between photon-number sectors."""
+    return beamsplitter_spectrum(t, r, dims).function_of(lambda w: np.exp(-1j * w))
 
 
 def beamsplitter_unitary(

@@ -10,36 +10,30 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: dense Hermitian eigensolves of Hamiltonians that couple charge sectors
-(and so their propagators).  Other D x D arrays are density matrices,
-the eigenvector matrix of a Hamiltonian, and the identity root of a density
-matrix in the witness moment tables, an explicit ``np.eye(D)`` to which
-the operator words are applied.
+it: the eigensolve of a Hamiltonian that couples charge sectors.  Other
+D x D arrays are density matrices, their propagators, the eigenvector
+matrix of a Hamiltonian, and the identity root of a density matrix in the
+witness moment tables, an explicit ``np.eye(D)`` to which the operator
+words are applied.
 
-Evolution: :func:`evolve` and :func:`propagator_family` build U(t) for one
-time at a time.  :func:`evolved_expectations` serves a whole time grid from
-one eigendecomposition: it returns the T x K table of <O_k> along
-exp(-i H t), and no propagator or state is formed per time.
-
-Charge sectors: the charge of a basis state is its total level number
-(:attr:`SpaceSignature.charges`), so a generator that conserves the total
-excitation number, such as the Jaynes-Cummings H, has no entry between
-sectors.  Such a generator is eigensolved block by block
-(:class:`SectorSpectrum`, one batched :func:`linalg.herm_eig` per sector
-size), and U(t) is built from those blocks.  A sum of local terms can be
-eigensolved in just the sectors a start vector occupies, which
-:meth:`SectorSpectrum.apply` evolves with no D x D array.  When the state
-has no coherence between sectors either, :func:`evolved_expectations` sums
-Tr(O_NN rho_N(t)) over the sectors: only the diagonal blocks of each
-observable are read, and a block of 2 x 2 sectors contributes one cos/sin
-phase per sector.  Any other generator or state takes the dense path: each
-operator is rotated once into the full eigenbasis and written beside the
-others into a D x (k D) stack, and a block of times reads every operator
-of a stack with one product.  :data:`_BLOCK_BYTES` bounds the stack and the
-per-block product (an operator larger than the bound is a stack by
-itself), so memory is O(T D + D^2).  A generator computes its block or
-dense eigendecomposition once and keeps it, so the tables, propagators and
-evolved states of one H share it.
+Evolution: a generator has one spectrum, its :class:`SectorSpectrum`,
+built once and kept.  The charge of a basis state is its total level
+number (:attr:`SpaceSignature.charges`); a generator that conserves it,
+such as the Jaynes-Cummings H, is eigensolved by charge sector (one batched
+:func:`linalg.herm_eig` per sector size), any other as one sector, the
+whole space.  A sum of local terms can be eigensolved in just the sectors
+a start vector occupies.  :func:`evolve` applies exp(-i H t) to a vector
+sector by sector and to a density matrix as the D x D propagator.
+:func:`evolved_expectations` returns the T x K table of <O_k> along a time
+grid, with no propagator or state per time.  When neither H nor the state
+couples sectors, it sums Tr(O_NN rho_N(t)) over the sectors: only the
+diagonal blocks of each observable are read, and a block of 2 x 2 sectors
+contributes one cos/sin phase per sector.  Otherwise each operator is
+rotated once into the whole-space eigenbasis of the same spectrum and
+written beside the others into a D x (k D) stack, and a block of times
+reads every operator of a stack with one product.  :data:`_BLOCK_BYTES`
+bounds the stack and the per-block product (an operator larger than the
+bound is a stack by itself), so memory is O(T D + D^2).
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -54,9 +48,9 @@ observable, so a time grid can locate its worst point in an
 
 All values here are immutable and safe to share across threads; the
 only state an operator changes is its cached full-space matrix, diagonal
-sector blocks and eigendecompositions, each the same array whichever thread
-builds it, and the phase table its block spectrum keeps for the last time
-grid, replaced whole.
+sector blocks and spectrum, each the same array whichever thread builds
+it, and the phase table its spectrum keeps for the last time grid,
+replaced whole.
 """
 
 from __future__ import annotations
@@ -76,7 +70,6 @@ QUBIT = "qubit"
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
 _BLOCK_BYTES = 512 * 2**10  # bound on each temporary of evolved_expectations
-_UNSET = object()  # a LabeledOperator's block spectrum before it is looked for
 
 
 class SignatureError(ValueError):
@@ -268,7 +261,7 @@ class LabeledOperator:
     """
 
     __slots__ = (
-        "signature", "local", "axes", "support", "name", "_matrix", "_eig", "_sectors", "_diagonal"
+        "signature", "local", "axes", "support", "name", "_matrix", "_sectors", "_diagonal"
     )
 
     def __init__(
@@ -293,8 +286,7 @@ class LabeledOperator:
         self.support = frozenset(support)
         self.name = name
         self._matrix = None
-        self._eig = None
-        self._sectors = _UNSET
+        self._sectors = None
         self._diagonal = None
 
     @property
@@ -304,19 +296,9 @@ class LabeledOperator:
             self._matrix = self._lifted(tuple(range(len(self.signature.factors))))
         return self._matrix
 
-    def _spectrum(self) -> linalg.EigenDecomposition:
-        """The checked eigendecomposition of the full-space matrix, built on first use."""
-        if self._eig is None:
-            self._eig = linalg.herm_eig(self.matrix)
-        return self._eig
-
-    def _block_spectrum(self) -> "SectorSpectrum | None":
-        """The checked per-sector eigendecomposition, built on first use.
-
-        None if the operator has an entry between charge sectors; callers
-        then take :meth:`_spectrum`.
-        """
-        if self._sectors is _UNSET:
+    def _block_spectrum(self) -> "SectorSpectrum":
+        """The checked :class:`SectorSpectrum`, built on first use and kept."""
+        if self._sectors is None:
             self._sectors = SectorSpectrum.of(self)
         return self._sectors
 
@@ -419,16 +401,18 @@ def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: 
 
 
 class SectorSpectrum:
-    """Eigendecomposition of an operator without entries between charge sectors.
+    """Eigendecomposition of an operator, one charge sector at a time.
 
     ``spectra[g]`` holds the n eigendecompositions of the sectors in
     ``sectors[g]`` (n rows of an index array of :attr:`SpaceSignature.sectors`):
     eigenvalues (n, s) and eigenvectors (n, s, s), from one batched
     :func:`linalg.herm_eig` per sector size.  A sector of size 1 is its own
     eigenbasis and needs no eigensolve; its entry passes the same
-    Hermiticity check.  The phase table of the last time grid is kept
-    (:meth:`phases`), so every state evolved under one generator on one
-    grid reads the same table.
+    Hermiticity check.  An operator with an entry between charge sectors is
+    one sector, the whole space in basis order (:attr:`whole`): a (1, D, D)
+    eigensolve of its full matrix.  The phase table of the last time grid
+    is kept (:meth:`phases`), so every state evolved under one generator on
+    one grid reads the same table.
     """
 
     __slots__ = ("dim", "sectors", "spectra", "pairs", "_phases")
@@ -442,14 +426,15 @@ class SectorSpectrum:
         self._phases = None
 
     @classmethod
-    def of(cls, terms, charges: Sequence[int] | None = None) -> "SectorSpectrum | None":
+    def of(cls, terms, charges: Sequence[int] | None = None) -> "SectorSpectrum":
         """The block spectrum of one operator, or of a sum of local terms.
 
         Only the sectors of ``charges`` are built (all if None); each term's
         blocks are read from its local matrix (:func:`_blocks`).  A term
         couples sectors iff a nonzero local entry changes the level sum over
-        its own axes: one such operator gives None, and a sum that holds one
-        raises a ValueError that names it.
+        its own axes: one such operator is eigensolved whole, whatever
+        ``charges`` says, and a sum that holds one raises a ValueError that
+        names it.
         """
         single = isinstance(terms, LabeledOperator)
         terms = [terms] if single else list(terms)
@@ -461,7 +446,8 @@ class SectorSpectrum:
                 charge = (charge[:, None] + np.arange(sig.dims[ax])).ravel()
             if np.any((term.local != 0) & (charge[:, None] != charge[None, :])):
                 if single:
-                    return None
+                    whole = np.arange(sig.total_dim)[None, :]
+                    return cls(sig.total_dim, [whole], [linalg.herm_eig(term.matrix[None])])
                 raise ValueError(f"term {i} ('{term.name}') has an entry between charge sectors")
         sectors = sig.sectors
         if charges is not None:
@@ -477,6 +463,23 @@ class SectorSpectrum:
                 spectra.append(linalg.herm_eig(b))
         return cls(sig.total_dim, sectors, spectra)
 
+    @property
+    def whole(self) -> bool:
+        """True for the one-sector spectrum of an operator that couples charge sectors."""
+        return [idx.shape for idx in self.sectors] == [(1, self.dim)]
+
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (D,) and eigenvectors (D, D): stored if whole, else scattered from every sector."""
+        if self.whole:
+            ed = self.spectra[0]
+            return ed.eigenvalues[0], ed.eigenvectors[0]
+        w = np.empty(self.dim)
+        v = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, ed in zip(self.sectors, self.spectra):
+            w[idx] = ed.eigenvalues
+            v[idx[:, :, None], idx[:, None, :]] = ed.eigenvectors
+        return w, v
+
     def function_of(self, f) -> np.ndarray:
         """The full-space D x D matrix V f(Lambda) V^dag, block by block (0 off the built sectors)."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -484,16 +487,16 @@ class SectorSpectrum:
             out[idx[:, :, None], idx[:, None, :]] = ed.function_of(f)
         return out
 
-    def apply(self, f, vector: np.ndarray) -> np.ndarray:
-        """V f(Lambda) V^dag times a full-space vector, sector by sector; it must lie in the built sectors."""
-        out = np.zeros(self.dim, dtype=complex)
-        rest = np.array(vector, dtype=complex)
+    def apply(self, f, x: np.ndarray) -> np.ndarray:
+        """V f(Lambda) V^dag times a vector or D x m stack in the built sectors, sector by sector."""
+        rest = np.array(x, dtype=complex).reshape(self.dim, -1)
+        out = np.zeros_like(rest)
         for idx, ed in zip(self.sectors, self.spectra):
-            out[idx] = (ed.function_of(f) @ rest[idx][..., None])[..., 0]
+            out[idx] = ed.function_of(f) @ rest[idx]
             rest[idx] = 0
         if rest.any():
             raise ValueError(f"the vector has weight {np.linalg.norm(rest):.3e} outside the sectors built")
-        return out
+        return out.reshape(np.shape(x))
 
     def phases(self, times: np.ndarray) -> tuple[np.ndarray, ...]:
         """[cos | sin] of the in-block frequencies at every time, one table per sector size.
@@ -597,8 +600,13 @@ def apply_local(state: State, label: str, u_local: np.ndarray) -> State:
 
 
 def evolve(h: LabeledOperator, t: float, state: State) -> State:
-    """Propagate a state under exp(-i H t) for a Hermitian generator."""
-    return apply_operator(state, propagator_family(h)(t))
+    """exp(-i H t) on a state, from H's spectrum: a vector sector by sector, rho by the D x D propagator."""
+    spectrum = h._block_spectrum()
+    _same_signature(state.signature, h.signature)
+    if isinstance(state, StateVector):
+        return StateVector(state.signature, spectrum.apply(lambda w: np.exp(-1j * w * t), state.amplitudes))
+    u = spectrum.function_of(lambda w: np.exp(-1j * w * t))
+    return apply_operator(state, LabeledOperator(h.signature, u, h.support))
 
 
 def evolved_expectations(
@@ -625,8 +633,9 @@ def evolved_expectations(
     contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
     held at once.
 
-    Dense path, for any other H or state: one eigendecomposition
-    H = V diag(E) V^dag serves the whole grid.  With the phases
+    Dense path, for any other H or state: the whole-space eigenbasis
+    H = V diag(E) V^dag of the same spectrum (:meth:`SectorSpectrum.eigenbasis`,
+    no second eigensolve) serves the whole grid.  With the phases
     u = exp(-i E t), Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n,
     and <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
     phi = u * tilde psi.  Each operator is rotated once and written beside
@@ -642,16 +651,16 @@ def evolved_expectations(
         _same_signature(state.signature, op.signature)
     times = np.asarray(times, dtype=float).ravel()
     spectrum = h._block_spectrum()
-    if spectrum is not None:
+    if not spectrum.whole:
         state_blocks = _state_blocks(state)
         if state_blocks is not None:
             return _sector_expectations(spectrum, times, state_blocks, ops)
-    ed = h._spectrum()
-    v, vh = ed.eigenvectors, ed.eigenvectors.conj().T
+    energies, v = spectrum.eigenbasis()
+    vh = v.conj().T
     d = v.shape[0]
     pure = isinstance(state, StateVector)
     tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
-    phases = np.outer(times, -1j * ed.eigenvalues)
+    phases = np.outer(times, -1j * energies)
     np.exp(phases, out=phases)
     n_t = phases.shape[0]
     table = np.empty((n_t, len(ops)), dtype=complex)
@@ -727,22 +736,6 @@ def _sector_expectations(
                 values += (phase @ coef.reshape(-1, len(cols)).view(float)).view(complex)
         table[:, cols] = values
     return table
-
-
-def propagator_family(h: LabeledOperator):
-    """One eigendecomposition, many times: returns U(t) as a callable.
-
-    U(t) comes from H's block spectrum where H has no entry between charge
-    sectors (:meth:`LabeledOperator._block_spectrum`), else from its dense
-    spectrum.
-    """
-    ed = h._block_spectrum() or h._spectrum()
-
-    def u_of_t(t: float) -> LabeledOperator:
-        u = ed.function_of(lambda w: np.exp(-1j * w * t))
-        return LabeledOperator(h.signature, u, h.support)
-
-    return u_of_t
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from entwitness.models import beam_splitters as bs
 from entwitness.models import dicke as dk
 from entwitness.models import jaynes_cummings as jc
 from entwitness.models import tavis_cummings as tc
-from entwitness.spaces import DensityMatrix, boson, signature
+from entwitness.spaces import DensityMatrix, boson, evolve, signature
 
 PPT_TOL = 1e-10
 
@@ -31,15 +31,13 @@ def test_jc_thermal_flagged_times_are_npt():
     trace = jc.jc_witness_trace(cfg)
     sig = jc.jc_signature(trace.fock_dim)
     h = jc.jc_hamiltonian(sig, cfg.omega, cfg.kappa)
-    from entwitness.spaces import propagator_family
-
-    u_of_t = propagator_family(h)
-    rho0 = np.kron(ops.thermal(cfg.nbar, trace.fock_dim), np.outer(ops.EXCITED, ops.EXCITED.conj()))
+    rho0 = DensityMatrix(
+        sig, np.kron(ops.thermal(cfg.nbar, trace.fock_dim), np.outer(ops.EXCITED, ops.EXCITED.conj()))
+    )
     flagged = [i for i in range(len(kt)) if trace.m11[i] > 1e-6]
     assert flagged
     for i in flagged:
-        u = u_of_t(kt[i] / cfg.kappa)
-        rho_t = DensityMatrix(sig, u.matrix @ rho0 @ u.matrix.conj().T)
+        rho_t = evolve(h, kt[i] / cfg.kappa, rho0)
         assert witnesses.ppt_min_eig(rho_t, ["atom"]) < -PPT_TOL
 
 

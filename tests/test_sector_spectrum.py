@@ -2,12 +2,13 @@
 
 The charge of a basis state is its total level number.  A generator with
 no entry between charge sectors is eigensolved block by block, one batched
-``linalg.herm_eig`` per sector size, and ``evolved_expectations``,
-``evolve`` and ``propagator_family`` read that block spectrum.  Here the
-sector path is checked against the dense path on random charge-conserving
-generators, block-diagonal density matrices and pure states in one
-sector; a generator or a state that couples sectors must take the dense
-path and still match ``evolve``.
+``linalg.herm_eig`` per sector size, and ``evolved_expectations`` and
+``evolve`` read that block spectrum; a generator that couples sectors is
+one sector, the whole space.  Here the sector path is checked against the
+dense path on random charge-conserving generators, block-diagonal density
+matrices and pure states in one sector; a generator or a state that
+couples sectors must take the dense path and still match ``evolve``, and
+``evolve`` matches a dense matrix exponential either way.
 
 A generator may also be a sum of local terms, eigensolved only in chosen
 sectors (``SectorSpectrum.of(terms, charges)``), and
@@ -40,7 +41,6 @@ from entwitness.spaces import (
     expectation,
     identity_operator,
     product_state,
-    propagator_family,
     qubit,
     signature,
 )
@@ -83,9 +83,11 @@ def _observables(rng, sig):
 
 
 def _dense(h):
-    """A copy of ``h`` whose block spectrum is known to be absent: the dense path."""
+    """A copy of ``h`` preset with the one-sector spectrum of its full matrix: the dense path."""
+    d = h.signature.total_dim
     copy = LabeledOperator(h.signature, h.matrix)
-    copy._sectors = None
+    copy._sectors = SectorSpectrum(d, [np.arange(d)[None, :]], [linalg.herm_eig(h.matrix[None])])
+    assert copy._block_spectrum().whole
     return copy
 
 
@@ -116,14 +118,15 @@ def test_sector_and_dense_paths_agree(kinds, seed):
     rng = np.random.default_rng(seed)
     sig = _signature(kinds)
     h = _conserving_h(rng, sig)
-    assert h._block_spectrum() is not None
+    assert not h._block_spectrum().whole
     observables = _observables(rng, sig)
     for state in (_block_diagonal_density(rng, sig), _one_sector_state(rng, sig)):
         got = evolved_expectations(h, TIMES, state, observables)
         want = evolved_expectations(_dense(h), TIMES, state, observables)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    u = _propagator(0.7)
     np.testing.assert_allclose(
-        propagator_family(h)(0.7).matrix, propagator_family(_dense(h))(0.7).matrix, rtol=0, atol=1e-12
+        h._block_spectrum().function_of(u), _dense(h)._block_spectrum().function_of(u), rtol=0, atol=1e-12
     )
 
 
@@ -147,7 +150,7 @@ def test_a_generator_with_one_cross_sector_entry_takes_the_dense_path(kinds, see
     i, j = 0, int(np.flatnonzero(sig.charges == 1)[0])
     m[i, j] = m[j, i] = 1e-3
     h = LabeledOperator(sig, m)
-    assert h._block_spectrum() is None
+    assert h._block_spectrum().whole
     observables = _observables(rng, sig)
     state = _block_diagonal_density(rng, sig)
     np.testing.assert_allclose(
@@ -204,7 +207,7 @@ def test_size_one_sectors_need_no_eigensolve(eig_shapes):
     start = basis_state(sig, {"a": 3})
     table = evolved_expectations(h, TIMES, start, [embed(ops.number_op(5), "a", sig)])
     np.testing.assert_array_equal(table[:, 0], 3.0)
-    u = propagator_family(h)(2.0).matrix
+    u = np.stack([evolve(h, 2.0, basis_state(sig, {"a": n})).amplitudes for n in range(5)], axis=1)
     np.testing.assert_allclose(u, np.diag(np.exp(-1.4j * np.arange(5))), rtol=0, atol=1e-15)
     assert eig_shapes == []
 
@@ -214,7 +217,7 @@ def test_a_size_one_sector_still_passes_the_hermiticity_check(eig_shapes):
     h = LabeledOperator(sig, np.diag([0.0, 1.0 + 1e-3j, 2.0]))
     for _ in range(2):
         with pytest.raises(linalg.NonHermitianError):
-            propagator_family(h)
+            evolve(h, 0.3, basis_state(sig, {"a": 0}))
     assert eig_shapes == []
 
 
@@ -275,6 +278,10 @@ def _propagate(w):
     return np.exp(-1.7j * w)
 
 
+def _propagator(t):
+    return lambda w: np.exp(-1j * w * t)
+
+
 @SETTINGS
 @given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
 def test_a_sum_of_local_terms_evolves_a_vector_as_the_dense_sum_does(kinds, seed):
@@ -304,8 +311,10 @@ def test_a_term_with_one_cross_sector_entry_is_refused(kinds, seed):
     j = int(np.flatnonzero(q == 1)[rng.integers(np.count_nonzero(q == 1))])
     local[0, j] = local[j, 0] = 1e-9
     terms[-1] = LabeledOperator(sig, local, name="leaky", axes=bad.axes)
-    assert SectorSpectrum.of(terms[-1]) is None
-    assert terms[-1]._block_spectrum() is None
+    # one leaky operator alone is eigensolved whole, even when asked for one charge
+    d = sig.total_dim
+    assert [idx.shape for idx in SectorSpectrum.of(terms[-1], [0]).sectors] == [(1, d)]
+    assert terms[-1]._block_spectrum().whole
     with pytest.raises(ValueError, match=f"term {len(terms) - 1} \\('leaky'\\)"):
         SectorSpectrum.of(terms)
     with pytest.raises(ValueError, match="'leaky'"):
@@ -343,3 +352,82 @@ def test_a_dicke_oracle_evolution_forms_no_full_space_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # one 8000 x 8000 complex array alone is 977 MiB
+
+
+def _coupling_h(rng, sig):
+    g = _rand(rng, sig.total_dim)
+    return LabeledOperator(sig, (g + g.conj().T) / sig.total_dim)
+
+
+@SETTINGS
+@given(
+    kinds=kinds,
+    seed=st.integers(0, 2**32 - 1),
+    coupling=st.booleans(),
+    t=st.floats(-5.0, 5.0, allow_nan=False),
+)
+def test_evolution_matches_a_dense_matrix_exponential(kinds, seed, coupling, t):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    h = (_coupling_h if coupling else _conserving_h)(rng, sig)
+    assert h._block_spectrum().whole == coupling
+    u = linalg.mat_exp(-1j * t * h.matrix)
+    psi = rng.normal(size=sig.total_dim) + 1j * rng.normal(size=sig.total_dim)
+    psi = StateVector(sig, psi / np.linalg.norm(psi))
+    np.testing.assert_allclose(evolve(h, t, psi).amplitudes, u @ psi.amplitudes, rtol=0, atol=1e-12)
+    rho = DensityMatrix(sig, (_block_diagonal_density(rng, sig).matrix + psi.to_density().matrix) / 2)
+    np.testing.assert_allclose(evolve(h, t, rho).matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+    # both states couple sectors: the dense path, on the eigenbasis scattered from the blocks
+    observables = _observables(rng, sig)
+    for state, rho_t in ((psi, u @ psi.to_density().matrix @ u.conj().T), (rho, u @ rho.matrix @ u.conj().T)):
+        want = [np.trace(op.matrix @ rho_t) for op in observables]
+        np.testing.assert_allclose(evolved_expectations(h, [t], state, observables)[0], want, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
+def test_apply_to_a_stack_is_apply_column_by_column(kinds, seed, m):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    charges = _some_charges(rng, sig)
+    stack = np.stack([_confined_vector(rng, sig, charges) for _ in range(m)], axis=1)
+    for spectrum in (
+        SectorSpectrum.of(_conserving_terms(rng, sig), charges),
+        _conserving_h(rng, sig)._block_spectrum(),
+        _coupling_h(rng, sig)._block_spectrum(),
+    ):
+        got = spectrum.apply(_propagate, stack)
+        assert got.shape == stack.shape
+        want = np.stack([spectrum.apply(_propagate, col) for col in stack.T], axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_evolving_a_vector_forms_no_full_space_matrix():
+    sig = jc.jc_signature(1000)
+    h = jc.jc_hamiltonian(sig, 1.0, 0.1)
+    start = basis_state(sig, {"field": 3, "atom": 1})
+    evolve(h, 2.3, start)  # H's spectrum is built and kept from here on
+    tracemalloc.start()
+    try:
+        psi = evolve(h, 2.3, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one 2000 x 2000 complex array alone is 61 MiB
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+
+
+def test_a_coherent_field_needs_no_dense_eigensolve(eig_shapes):
+    dim, alpha = 20, 0.8
+    n = np.arange(dim)
+    field = alpha**n / np.sqrt([math.factorial(k) for k in n])  # no displacement eigensolve
+    sig = jc.jc_signature(dim)
+    h = jc.jc_hamiltonian(sig, 1.0, 0.1)
+    psi = product_state(sig, {"field": field / np.linalg.norm(field), "atom": ops.EXCITED})
+    a = embed(ops.annihilator(dim), "field", sig, "a")
+    observables = [a, embed(ops.qubit_ops()["minus"], "atom", sig), a.dag() @ a]
+    for state in (psi, psi.to_density()):
+        table = evolved_expectations(h, TIMES, state, observables)
+        np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
+        assert table[:, 0].any()
+    assert eig_shapes == [(19, 2, 2)]

@@ -7,11 +7,11 @@ from entwitness import linalg
 from entwitness import operators as ops
 from entwitness.models.jaynes_cummings import JCConfig, jc_witness_trace
 from entwitness.spaces import (
+    DensityMatrix,
     LabeledOperator,
     basis_state,
     boson,
     evolve,
-    propagator_family,
     signature,
 )
 
@@ -40,12 +40,14 @@ def test_propagators_and_evolve_share_the_spectrum(eig_calls):
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = LabeledOperator(sig, m + m.conj().T)
-    u = propagator_family(h)(0.4)
-    again = propagator_family(h)(0.4)
+    u = h._block_spectrum().function_of(lambda w: np.exp(-0.4j * w))
+    again = h._block_spectrum().function_of(lambda w: np.exp(-0.4j * w))
     state = evolve(h, 0.4, basis_state(sig, {"a": 1}))
+    rho = evolve(h, 0.4, DensityMatrix(sig, np.diag([0.5, 0.5, 0.0])))
     assert len(eig_calls) == 1
-    assert np.array_equal(u.matrix, again.matrix)
-    np.testing.assert_allclose(state.amplitudes, u.matrix[:, 1], rtol=0, atol=1e-15)
+    assert np.array_equal(u, again)
+    np.testing.assert_allclose(state.amplitudes, u[:, 1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho.matrix, u[:, :2] @ u[:, :2].conj().T / 2, rtol=0, atol=1e-15)
 
 
 def test_non_hermitian_generator_still_raises_every_time():
@@ -53,7 +55,7 @@ def test_non_hermitian_generator_still_raises_every_time():
     h = LabeledOperator(sig, np.array([[0.0, 1.0], [0.0, 0.0]]))
     for _ in range(2):
         with pytest.raises(linalg.NonHermitianError):
-            propagator_family(h)
+            evolve(h, 0.4, basis_state(sig, {"a": 0}))
 
 
 @pytest.fixture

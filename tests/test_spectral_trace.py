@@ -1,7 +1,7 @@
 """The Jaynes-Cummings witness trace from one spectral table.
 
-The batched trace is checked against a per-point reference kept here: U(t)
-from ``propagator_family``, the evolved ``DensityMatrix``, ``ops.delta``,
+The batched trace is checked against a per-point reference kept here: the
+``DensityMatrix`` from ``evolve`` at each time, ``ops.delta``,
 ``witness_matrix_expand_b`` and a dense ``eigvalsh`` at every grid time,
 with the leakage rule applied at every point and the same escalation.
 """
@@ -32,7 +32,6 @@ from entwitness.spaces import (
     evolved_expectations,
     expectation,
     identity_operator,
-    propagator_family,
     qubit,
     require_low_leakage,
     signature,
@@ -47,12 +46,10 @@ def _reference_at_dim(cfg: JCConfig, dim: int) -> dict:
     sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
     a = embed(ops.annihilator(dim), "field", sig, "a")
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
-    rho0 = np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj()))
-    u_of_t = propagator_family(h)
+    rho0 = DensityMatrix(sig, np.kron(ops.thermal(cfg.nbar, dim), np.outer(atom, atom.conj())))
     out = {"m11": [], "m22": [], "abs_m12": [], "lambda_max": [], "leak": 0.0}
     for kt in cfg.kt_grid:
-        u = u_of_t(kt / cfg.kappa).matrix
-        rho_t = DensityMatrix(sig, u @ rho0 @ u.conj().T)
+        rho_t = evolve(h, kt / cfg.kappa, rho0)
         out["leak"] = max(out["leak"], require_low_leakage(rho_t, ["field"]))
         da = ops.delta(a, rho_t)
         m = witnesses.witness_matrix_expand_b(rho_t, sm, [da, da.dag()]).matrix
