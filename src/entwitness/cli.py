@@ -1,9 +1,14 @@
 """Experiment runner: one subcommand per scenario, machine-readable output.
 
-Every experiment writes CSV (or JSON) rows carrying full-precision margins,
-so verdicts can be recomputed downstream, plus a JSON sidecar with the
-resolved configuration, library version and truncation diagnostics.
-Re-running with the same configuration and seed is byte-identical.
+Every runner returns ``(columns, diagnostics)``.  ``columns`` maps each
+column name, in header order, to a 1-D numpy array of one dtype, all of one
+length; the rows are the entries at one index.  The CSV writer takes each
+column's format from its dtype: ``%.17e`` floats, ``%d`` integers, and
+``true``/``false`` or quoted text for the rest.  The JSON writer lists the
+same rows as objects.  Margins keep full precision, so verdicts can be
+recomputed downstream; a JSON sidecar holds the resolved configuration,
+library version and truncation diagnostics.  Re-running with the same
+configuration and seed is byte-identical.
 
 Every option is one ``Param``: an experiment's own in its ``params``, the
 five shared ones in ``COMMON_PARAMS``.  That table gives the flags of the
@@ -123,60 +128,60 @@ class Experiment:
     summary: str
     description: str
     params: tuple[Param, ...]
-    runner: Callable[[dict, int, argparse.Namespace], tuple[list[dict], dict]]
+    # (params, seed, common) -> (columns, diagnostics); see the module docstring
+    runner: Callable[[dict, int, argparse.Namespace], tuple[dict[str, np.ndarray], dict]]
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (rows, diagnostics)
+# experiment runners: each returns (columns, diagnostics)
 # ---------------------------------------------------------------------------
 
 
-def _run_jc_thermal(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _sorted_by(columns: dict[str, np.ndarray], *keys: str) -> dict[str, np.ndarray]:
+    """The columns with their rows reordered by ``keys``, the first key major; stable."""
+    order = np.lexsort([columns[k] for k in reversed(keys)])
+    return {name: col[order] for name, col in columns.items()}
+
+
+def _run_jc_thermal(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     kt = np.linspace(0.0, p["kt_max"], int(p["points"]))
     fock_dim = 20 if common.fock_dim is None else common.fock_dim
-    rows = []
-    worst_leak = 0.0
-    dims_used = []
     try:
-        for nbar in p["nbar"]:
-            cfg = jc.JCConfig(
-                nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"]
+        traces = [
+            jc.jc_witness_trace(
+                jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"])
             )
-            trace = jc.jc_witness_trace(cfg)
-            worst_leak = max(worst_leak, trace.max_leakage)
-            dims_used.append(trace.fock_dim)
-            for i, t in enumerate(trace.kt):
-                rows.append(
-                    {
-                        "kt": float(t),
-                        "nbar": nbar,
-                        "M11": trace.m11[i],
-                        "M22": trace.m22[i],
-                        "absM12": trace.abs_m12[i],
-                        "lambda_max": trace.lambda_max[i],
-                    }
-                )
+            for nbar in p["nbar"]
+        ]
     finally:
         jc._system.cache_clear()  # the nbar of one run share a system; runs do not
-    rows.sort(key=lambda r: (r["nbar"], r["kt"]))
-    return rows, {"fock_dims": dims_used, "max_leakage": worst_leak}
+    columns = {
+        "kt": np.tile(kt, len(traces)),
+        "nbar": np.repeat(p["nbar"], kt.size),
+        "M11": np.concatenate([t.m11 for t in traces]),
+        "M22": np.concatenate([t.m22 for t in traces]),
+        "absM12": np.concatenate([t.abs_m12 for t in traces]),
+        "lambda_max": np.concatenate([t.lambda_max for t in traces]),
+    }
+    diag = {
+        "fock_dims": [t.fock_dim for t in traces],
+        "max_leakage": max(0.0, *(t.max_leakage for t in traces)),
+    }
+    return _sorted_by(columns, "nbar", "kt"), diag
 
 
-def _run_tavis(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_tavis(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     n = int(p["n"])
     grid = np.linspace(0.0, p["omega_t_max"], int(p["grid"]))
-    rows = [
-        {
-            "omega_t": float(w),
-            "atom_field_margin": tc.tc_atom_field_condition(n, w),
-            "field_both_margin": tc.tc_field_both_condition(n, w),
-        }
-        for w in grid
-    ]
-    return rows, {"n": n, "rabi_frequency_scale": math.sqrt(2.0 * (2 * n - 1))}
+    columns = {
+        "omega_t": grid,
+        "atom_field_margin": np.array([tc.tc_atom_field_condition(n, w) for w in grid]),
+        "field_both_margin": np.array([tc.tc_field_both_condition(n, w) for w in grid]),
+    }
+    return columns, {"n": n, "rabi_frequency_scale": math.sqrt(2.0 * (2 * n - 1))}
 
 
-def _run_dicke(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_dicke(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     fock_dim = 24 if common.fock_dim is None else common.fock_dim
     field = parse_field_spec(p["input"], fock_dim)
     margins = dk.dicke_conditions(field)
@@ -186,35 +191,30 @@ def _run_dicke(p: dict, seed: int, common) -> tuple[list[dict], dict]:
         raise ConfigError("group size must satisfy 1 <= k < N")
     omega, kappa = 1.0, 0.1
     big = kappa * math.sqrt(n_atoms)
-    rows = []
-    for w in np.linspace(0.0, p["omega_t_max"], int(p["points"])):
-        t = w / big
-        mom = dk.heisenberg_moments(n_atoms, k, omega, kappa, t, moments)
-        rows.append(
-            {
-                "omega_t": float(w),
-                "abs_x1x2": abs(mom["x1x2"]),
-                "n1": mom["n1"].real,
-                "n2": mom["n2"].real,
-                "abs_x1dag_x2": abs(mom["x1dag_x2"]),
-                "n1n2": mom["n1n2"].real,
-                "cond1_margin": margins.cond1_margin,
-                "cond2_margin": margins.cond2_margin,
-            }
-        )
+    grid = np.linspace(0.0, p["omega_t_max"], int(p["points"]))
+    moms = [dk.heisenberg_moments(n_atoms, k, omega, kappa, w / big, moments) for w in grid]
+    columns = {
+        "omega_t": grid,
+        "abs_x1x2": np.array([abs(m["x1x2"]) for m in moms]),
+        "n1": np.array([m["n1"].real for m in moms]),
+        "n2": np.array([m["n2"].real for m in moms]),
+        "abs_x1dag_x2": np.array([abs(m["x1dag_x2"]) for m in moms]),
+        "n1n2": np.array([m["n1n2"].real for m in moms]),
+        "cond1_margin": np.full(grid.size, margins.cond1_margin),
+        "cond2_margin": np.full(grid.size, margins.cond2_margin),
+    }
     diag = {
         "mean_n": moments.mean_n,
         "variance_n": moments.variance,
         "hp_ratio_mean_excitation_over_atoms": moments.mean_n / n_atoms,
     }
-    return rows, diag
+    return columns, diag
 
 
-def _run_beamsplitters(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_beamsplitters(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     fock_dim = 12 if common.fock_dim is None else common.fock_dim
-    rows = []
-    for eps in p["epsilon"]:
-        cfg = bs.BSConfig(
+    cfgs = [
+        bs.BSConfig(
             bs.epsilon_state(eps, fock_dim),
             t1=p["t1"],
             r1=math.sqrt(max(0.0, 1 - p["t1"] ** 2)),
@@ -222,27 +222,27 @@ def _run_beamsplitters(p: dict, seed: int, common) -> tuple[list[dict], dict]:
             r2=math.sqrt(max(0.0, 1 - p["t2"] ** 2)),
             fock_dim=fock_dim,
         )
-        rep = bs.bs_conditions(cfg)
-        row = {
-            "epsilon": eps,
-            "simple_margin": rep.simple_margin,
-            "M11": rep.matrix[0, 0].real,
-            "absM12": abs(rep.matrix[0, 1]),
-            "M22": rep.matrix[1, 1].real,
-            "matrix_entangled": rep.matrix_entangled,
-        }
-        if p["simulate"]:
-            sim = bs.bs_simulate(cfg)
-            row["sim_simple_margin"] = sim.simple_margin
-            row["sim_matrix_entangled"] = sim.matrix_entangled
-            row["sim_M11"] = sim.matrix[0, 0].real
-            row["sim_M22"] = sim.matrix[1, 1].real
-        rows.append(row)
-    rows.sort(key=lambda r: r["epsilon"])
-    return rows, {"fock_dim": fock_dim}
+        for eps in p["epsilon"]
+    ]
+    reps = [bs.bs_conditions(cfg) for cfg in cfgs]
+    columns = {
+        "epsilon": np.array(p["epsilon"]),
+        "simple_margin": np.array([rep.simple_margin for rep in reps]),
+        "M11": np.array([rep.matrix[0, 0].real for rep in reps]),
+        "absM12": np.array([abs(rep.matrix[0, 1]) for rep in reps]),
+        "M22": np.array([rep.matrix[1, 1].real for rep in reps]),
+        "matrix_entangled": np.array([rep.matrix_entangled for rep in reps]),
+    }
+    if p["simulate"]:
+        sims = [bs.bs_simulate(cfg) for cfg in cfgs]
+        columns["sim_simple_margin"] = np.array([sim.simple_margin for sim in sims])
+        columns["sim_matrix_entangled"] = np.array([sim.matrix_entangled for sim in sims])
+        columns["sim_M11"] = np.array([sim.matrix[0, 0].real for sim in sims])
+        columns["sim_M22"] = np.array([sim.matrix[1, 1].real for sim in sims])
+    return _sorted_by(columns, "epsilon"), {"fock_dim": fock_dim}
 
 
-def _run_noise_threshold(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_noise_threshold(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     family = p["family"]
     # pair-bilinear keeps its coarser default so that its recorded s_star stays the same
     default_tol = 1e-3 if family == "pair-bilinear" else 1e-4
@@ -251,90 +251,77 @@ def _run_noise_threshold(p: dict, seed: int, common) -> tuple[list[dict], dict]:
         c1 = p["c1"]
         if not 0 < c1 < 1:
             raise ConfigError("c1 must lie strictly between 0 and 1")
-        c1c2 = c1 * math.sqrt(1 - c1**2)
         s_star = families.bell_threshold_scan(c1, tol=tol)
-        rows = [
-            {
-                "family": "bell",
-                "c1": c1,
-                "s_star": s_star,
-                "closed_form": families.bell_threshold_closed_form(c1c2),
-            }
-        ]
+        closed_form = families.bell_threshold_closed_form(c1 * math.sqrt(1 - c1**2))
     elif family == "subspace":
-        rng = np.random.default_rng(seed)
-        s_star = families.subspace_threshold_scan(rng, tol=tol)
-        rows = [{"family": "subspace", "c1": float("nan"), "s_star": s_star, "closed_form": 0.5}]
+        c1, closed_form = math.nan, 0.5
+        s_star = families.subspace_threshold_scan(np.random.default_rng(seed), tol=tol)
     elif family == "pair-bilinear":
         comparison = families.psi01_x_threshold(tol=tol)
-        rows = [
-            {
-                "family": "pair-bilinear",
-                "s_star": comparison.scanned,
-                "printed_candidate": comparison.printed_candidate,
-                "analytic_candidate": comparison.analytic_candidate,
-            }
-        ]
-        return rows, {"comparison": comparison.summary()}
+        columns = {
+            "family": np.array([family]),
+            "s_star": np.array([comparison.scanned]),
+            "printed_candidate": np.array([comparison.printed_candidate]),
+            "analytic_candidate": np.array([comparison.analytic_candidate]),
+        }
+        return columns, {"comparison": comparison.summary()}
     else:
         raise ConfigError(f"unknown family '{family}' (bell, subspace, pair-bilinear)")
-    return rows, {}
+    columns = {
+        "family": np.array([family]),
+        "c1": np.array([c1]),
+        "s_star": np.array([s_star]),
+        "closed_form": np.array([closed_form]),
+    }
+    return columns, {}
 
 
-def _run_two_mode_invariant(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_two_mode_invariant(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     dim_a = 128 if common.fock_dim is None else common.fock_dim
-    rows = []
-    for r in p["r_values"]:
-        if r < 0:
-            raise ConfigError("squeeze magnitudes must be nonnegative")
-        m, rep = families.squeezed_pair_witnesses(r, dim_a)
-        rows.append(
-            {
-                "r": r,
-                "tanh_r": math.tanh(r),
-                "lambda_max": m.max_eigenvalue(),
-                "matrix_entangled": m.has_positive_eigenvalue(),
-                "cond1_margin": rep.margin,
-                "cond1_entangled": rep.entangled,
-            }
-        )
-    rows.sort(key=lambda row: row["r"])
-    return rows, {"dim_a": dim_a, "plain_flip_at_tanh": 1 / math.sqrt(2)}
+    r = np.array(p["r_values"])
+    if (r < 0).any():
+        raise ConfigError("squeeze magnitudes must be nonnegative")
+    pairs = [families.squeezed_pair_witnesses(x, dim_a) for x in p["r_values"]]
+    columns = {
+        "r": r,
+        "tanh_r": np.array([math.tanh(x) for x in p["r_values"]]),
+        "lambda_max": np.array([m.max_eigenvalue() for m, _ in pairs]),
+        "matrix_entangled": np.array([m.has_positive_eigenvalue() for m, _ in pairs]),
+        "cond1_margin": np.array([rep.margin for _, rep in pairs]),
+        "cond1_entangled": np.array([rep.entangled for _, rep in pairs]),
+    }
+    return _sorted_by(columns, "r"), {"dim_a": dim_a, "plain_flip_at_tanh": 1 / math.sqrt(2)}
 
 
-def _run_lur(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_lur(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     mode = p["mode"]
     if mode == "tmsv":
         dim = 48 if common.fock_dim is None else common.fock_dim
-        rows = [
-            {
-                "r": r,
-                "value_plus_phase": plus.rhs,
-                "value_pi_phase": minus.rhs,
-                "exp_minus_2r": math.exp(-2 * r),
-                "bound": 1.0,
-                "violated_pi_phase": minus.entangled,
-            }
-            for r, plus, minus in families.tmsv_lur(p["r_values"], dim)
-        ]
-        return rows, {"correlating_branch": "pi", "dim": dim}
+        r, plus, minus = zip(*families.tmsv_lur(p["r_values"], dim))
+        columns = {
+            "r": np.array(r),
+            "value_plus_phase": np.array([rep.rhs for rep in plus]),
+            "value_pi_phase": np.array([rep.rhs for rep in minus]),
+            "exp_minus_2r": np.array([math.exp(-2 * x) for x in r]),
+            "bound": np.ones(len(r)),
+            "violated_pi_phase": np.array([rep.entangled for rep in minus]),
+        }
+        return columns, {"correlating_branch": "pi", "dim": dim}
     if mode == "atom-field":
         thetas = np.linspace(-math.pi / 4, math.pi / 4, int(p["points"]))
-        rows = [
-            {
-                "theta": float(theta),
-                "phi": phi,
-                "value": rep.rhs,
-                "bound": 1.0,
-                "violated": rep.entangled,
-            }
-            for theta, phi, rep in families.atom_field_lur(thetas, (0.0, math.pi))
-        ]
-        return rows, {"note": "violated for theta in (-pi/4, 0) at phi = 0, in (0, pi/4) at phi = pi"}
+        theta, phi, reps = zip(*families.atom_field_lur(thetas, (0.0, math.pi)))
+        columns = {
+            "theta": np.array(theta),
+            "phi": np.array(phi),
+            "value": np.array([rep.rhs for rep in reps]),
+            "bound": np.ones(len(reps)),
+            "violated": np.array([rep.entangled for rep in reps]),
+        }
+        return columns, {"note": "violated for theta in (-pi/4, 0) at phi = 0, in (0, pi/4) at phi = pi"}
     raise ConfigError(f"unknown mode '{mode}' (tmsv, atom-field)")
 
 
-def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[list[dict], dict]:
+def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     trials = int(p["trials"])
     dim_pairs = []
     for ds in p["dims"]:
@@ -345,30 +332,37 @@ def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[list[dict], dict]:
         if da < 2 or db < 2:
             raise ConfigError("local dimensions must be at least 2")
         dim_pairs.append((da, db))
-    rows: list[dict | None] = [None] * trials
-    violations = flagged = 0
+    columns = {
+        "trial": np.arange(trials),
+        "kind": np.empty(trials, dtype=object),
+        "dim_a": np.empty(trials, dtype=int),
+        "dim_b": np.empty(trials, dtype=int),
+        "cond1_margin": np.empty(trials),
+        "cond2_margin": np.empty(trials),
+        "ppt_min_eig": np.empty(trials),
+        "flagged": np.empty(trials, dtype=bool),
+        "consistent": np.empty(trials, dtype=bool),
+    }
     closest = math.inf  # min |margin| / tol over both criteria and all trials
     for block in families.ppt_trials(seed, trials, dim_pairs, int(p["products"])):
         checks = witnesses.ppt_crosscheck_batch(block.states, block.ga, block.gb)
-        for trial, chk in zip(block.trials, checks):
-            violations += not chk.consistent or (block.kind == "separable" and chk.flagged)
-            flagged += chk.flagged
-            closest = min(closest, *(abs(r.margin) / r.tolerance for r in (chk.cond1, chk.cond2)))
-            rows[trial] = {
-                "trial": trial,
-                "kind": block.kind,
-                "dim_a": block.dims[0],
-                "dim_b": block.dims[1],
-                "cond1_margin": chk.cond1.margin,
-                "cond2_margin": chk.cond2.margin,
-                "ppt_min_eig": chk.min_eigenvalue,
-                "flagged": chk.flagged,
-                "consistent": chk.consistent,
-            }
-    return rows, {
-        "violations": violations,
+        at = block.trials
+        columns["kind"][at] = block.kind
+        columns["dim_a"][at], columns["dim_b"][at] = block.dims
+        columns["cond1_margin"][at] = [chk.cond1.margin for chk in checks]
+        columns["cond2_margin"][at] = [chk.cond2.margin for chk in checks]
+        columns["ppt_min_eig"][at] = [chk.min_eigenvalue for chk in checks]
+        columns["flagged"][at] = [chk.flagged for chk in checks]
+        columns["consistent"][at] = [chk.consistent for chk in checks]
+        closest = min(
+            closest, *(abs(r.margin) / r.tolerance for chk in checks for r in (chk.cond1, chk.cond2))
+        )
+    flagged = columns["flagged"]
+    separable = columns["kind"] == "separable"
+    return columns, {
+        "violations": int(np.count_nonzero(~columns["consistent"] | (separable & flagged))),
         "trials": trials,
-        "flagged": flagged,
+        "flagged": int(np.count_nonzero(flagged)),
         "min_abs_margin_over_tol": closest,
     }
 
@@ -618,36 +612,30 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _column_code(values: list) -> str:
-    """One printf code for a column: ``%.17e`` floats, ``%d`` ints, else ``%s``."""
-    types = set(map(type, values))
-    if all(issubclass(t, (float, np.floating)) for t in types):
-        return "%.17e"
-    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
-        return "%d"
-    return "%s"
+def _columns_to_csv(columns: dict[str, np.ndarray]) -> str:
+    """The columns as CSV under a header of their names, one ``%`` per row.
 
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    """The rows as CSV under a header of the first row's keys, one ``%`` per row.
-
-    Each column gets one printf code from the types of its values; a ``%s``
-    column holds its :func:`_format_cell` texts, quoted as ``csv.writer``
-    quotes them.  ``%.17e`` and ``%d`` print what :func:`_format_cell` does.
-    As with ``csv.writer``, a row of one empty field is written ``""``.
+    A column's dtype gives its printf code: ``%.17e`` for floats, ``%d`` for
+    integers, else ``%s`` over its :func:`_format_cell` texts, quoted as
+    ``csv.writer`` quotes them.  ``%.17e`` and ``%d`` print what
+    :func:`_format_cell` does.  As with ``csv.writer``, a row of one empty
+    field is written ``""``.
     """
-    header = list(rows[0].keys()) if rows else []
-    if not header:
-        return "\n" * (len(rows) + 1)
-    columns = [[row[k] for row in rows] for k in header]
-    codes = [_column_code(col) for col in columns]
-    for i, code in enumerate(codes):
+    if not columns:
+        return "\n"
+    codes, cells = [], []
+    for col in columns.values():
+        code = {"f": "%.17e", "i": "%d"}.get(col.dtype.kind, "%s")
+        values = col.tolist()
         if code == "%s":
-            texts = [_csv_quote(_format_cell(v)) for v in columns[i]]
-            columns[i] = [t or '""' for t in texts] if len(header) == 1 else texts
+            values = [_csv_quote(_format_cell(v)) for v in values]
+            if len(columns) == 1:
+                values = [t or '""' for t in values]
+        codes.append(code)
+        cells.append(values)
     fmt = ",".join(codes) + "\n"
-    head = ",".join(_csv_quote(str(k)) for k in header) or '""'
-    return head + "\n" + "".join([fmt % cells for cells in zip(*columns)])
+    head = ",".join(_csv_quote(str(k)) for k in columns) or '""'
+    return head + "\n" + "".join([fmt % row for row in zip(*cells)])
 
 
 def _numpy_scalar(value):
@@ -665,11 +653,12 @@ def _dumps(blob) -> str:
     return json.dumps(blob, indent=2, sort_keys=True, default=_numpy_scalar)
 
 
-def _write_output(config: dict, rows, diagnostics, common: argparse.Namespace) -> None:
+def _write_output(config: dict, columns, diagnostics, common: argparse.Namespace) -> None:
     meta = {"config": config, "version": __version__, "diagnostics": diagnostics}
     if common.format == "csv":
-        payload = _rows_to_csv(rows)
+        payload = _columns_to_csv(columns)
     else:
+        rows = [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
         payload = _dumps({**meta, "rows": rows}) + "\n"
     if common.output:
         with open(common.output, "w", encoding="utf-8", newline="") as fh:
@@ -733,7 +722,7 @@ def main(argv=None) -> int:
         print(_dumps(config))
         return EXIT_OK
     try:
-        rows, diagnostics = exp.runner(params, common.seed, common)
+        columns, diagnostics = exp.runner(params, common.seed, common)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -748,7 +737,7 @@ def main(argv=None) -> int:
         # range problems surface during the run for a handful of parameters
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_output(config, rows, diagnostics, common)
+    _write_output(config, columns, diagnostics, common)
     return EXIT_OK
 
 

@@ -269,8 +269,8 @@ def squeezed_pair_witnesses(
     sig = st.signature
     a = embed(ops.annihilator(dim_a), "a", sig, "a")
     b = embed(ops.annihilator(dim_b), "b", sig, "b")
-    basis = centered_quadrature_basis(st, "a")
-    m = witnesses.witness_matrix_expand_a(st, [basis[1], basis[0]], b)
+    da = ops.delta(a, st)
+    m = witnesses.witness_matrix_expand_a(st, [da.dag(), da], b)
     return m, witnesses.cond1(st, a, b)
 
 

@@ -11,3 +11,8 @@ def aligned(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 def max_phase_free_error(vec: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(aligned(vec, reference) - reference).max())
+
+
+def columns_of(rows: list[dict]) -> dict[str, np.ndarray]:
+    """Row dicts of a reference runner as the columns a CLI runner returns."""
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from entwitness.cli import EXPERIMENTS, main, parse_field_spec
+from entwitness.cli import EXPERIMENTS, _format_cell, main, parse_field_spec
 
 
 def run(argv):
@@ -167,6 +168,34 @@ def test_two_mode_invariant_builds_no_unitary(monkeypatch, tmp_path):
         assert row["cond1_entangled"] == str(math.tanh(float(row["r"])) < 1 / math.sqrt(2)).lower()
 
 
+def test_negative_squeeze_is_refused_before_any_state_is_built(monkeypatch, capsys):
+    def no_states(*args):
+        raise AssertionError("squeezed_pair_witnesses ran before the r values were checked")
+
+    monkeypatch.setattr("entwitness.families.squeezed_pair_witnesses", no_states)
+    assert run(["two-mode-invariant", "--fock-dim", "16", "--r-values", "0.2,-0.1"]) == 2
+    assert capsys.readouterr().err == "error: squeeze magnitudes must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, values",
+    [
+        (["jc-thermal", "--points", "9"], "--nbar", ["0.03", "0.01", "0.02"]),
+        (["beamsplitters", "--simulate", "0", "--fock-dim", "8"], "--epsilon", ["0.1", "-0.02", "0.05"]),
+        (["two-mode-invariant", "--fock-dim", "32"], "--r-values", ["0.6", "0.2", "0.4"]),
+    ],
+    ids=["jc-thermal", "beamsplitters", "two-mode-invariant"],
+)
+def test_a_run_of_many_values_is_their_single_runs_in_ascending_order(argv, flag, values, capsys):
+    def csv_lines(*args):
+        assert run([*argv, *args]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    many = csv_lines(flag, ",".join(values))
+    singles = [csv_lines(flag, v) for v in sorted(values, key=float)]
+    assert many == singles[0][:1] + [line for lines in singles for line in lines[1:]]
+
+
 def test_lur_tmsv_values(tmp_path):
     out = tmp_path / "lur.csv"
     assert run(["lur", "--mode", "tmsv", "--r-values", "0.3", "--output", str(out)]) == 0
@@ -197,8 +226,6 @@ def test_parse_field_spec_errors():
 
 
 def test_non_hermitian_runner_exits_3(monkeypatch, capsys):
-    import dataclasses
-
     from entwitness import linalg
 
     def runner(params, seed, args):
@@ -212,8 +239,6 @@ def test_non_hermitian_runner_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 5.00 GiB")])
 def test_out_of_memory_in_a_runner_exits_3(monkeypatch, capsys, tmp_path, error):
-    import dataclasses
-
     def runner(params, seed, args):
         raise error
 
@@ -363,3 +388,49 @@ def test_bad_amplitude_list_names_itself(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err == f"error: bad amplitude list in '{argv[2]}'\n"
     assert not out.exists()
+
+
+# one small run of every experiment, and of every mode with columns of its own
+CONTRACT_RUNS = [
+    ["jc-thermal", "--nbar", "0.02,0.01", "--points", "7"],
+    ["tavis", "--grid", "9"],
+    ["dicke", "--points", "5"],
+    ["beamsplitters", "--epsilon", "0.05,-0.02", "--fock-dim", "8"],
+    ["noise-threshold", "--tolerance", "1e-2"],
+    ["noise-threshold", "--family", "subspace", "--tolerance", "1e-2"],
+    ["noise-threshold", "--family", "pair-bilinear"],
+    ["two-mode-invariant", "--r-values", "0.6,0.2", "--fock-dim", "32"],
+    ["lur", "--r-values", "0.1,0.2", "--fock-dim", "16"],
+    ["lur", "--mode", "atom-field", "--points", "5"],
+    ["ppt-crosscheck", "--trials", "9", "--dims", "2x2,2x3"],
+]
+
+
+def test_contract_runs_cover_every_experiment():
+    assert {argv[0] for argv in CONTRACT_RUNS} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", CONTRACT_RUNS, ids=" ".join)
+def test_runner_columns_are_typed_arrays_and_json_rows_match_csv(argv, monkeypatch, tmp_path):
+    exp = EXPERIMENTS[argv[0]]
+    returned = []
+
+    def runner(*args):
+        returned.append(exp.runner(*args))
+        return returned[-1]
+
+    monkeypatch.setitem(EXPERIMENTS, exp.name, dataclasses.replace(exp, runner=runner))
+    assert run([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+    assert run([*argv, "--format", "json", "--output", str(tmp_path / "out.json")]) == 0
+    columns, _ = returned[0]
+    assert type(columns) is dict and columns
+    for col in columns.values():
+        assert isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.kind in "fibUO"
+    (n_rows,) = {col.size for col in columns.values()}
+    with open(tmp_path / "out.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert len(csv_rows) == len(json_rows) == n_rows
+    assert list(csv_rows[0]) == list(columns)
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert csv_row == {key: _format_cell(value) for key, value in json_row.items()}

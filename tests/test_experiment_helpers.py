@@ -4,8 +4,9 @@
 `families.squeezed_pair_witnesses`, `families.tmsv_lur` and
 `families.atom_field_lur`.  The runner bodies that built them inline are
 kept here verbatim as `reference_two_mode_invariant` and `reference_lur`:
-the CSV of the runners must stay byte-identical to theirs, and a run that
-fails must fail the same way.  The three noisy-state builders share one
+the CSV of the runners' columns must stay byte-identical to that of their
+rows (read as columns by `conftest.columns_of`), and a run that fails must
+fail the same way.  The three noisy-state builders share one
 flat-noise helper; the parent formulas are kept as references and the
 density matrices must match exactly.
 """
@@ -26,6 +27,8 @@ from entwitness.spaces import (
     embed,
     signature,
 )
+
+from conftest import columns_of
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -111,10 +114,12 @@ def _common(fock_dim=None) -> argparse.Namespace:
 def _outcome(runner, p: dict, common):
     """CSV and diagnostics of a run, or the type and text of its failure."""
     try:
-        rows, diag = runner(p, 0, common)
+        table, diag = runner(p, 0, common)
     except (cli.ConfigError, LeakageError) as err:
         return type(err), str(err)
-    return cli._rows_to_csv(rows), diag
+    if isinstance(table, list):  # the rows of a reference runner
+        table = columns_of(table)
+    return cli._columns_to_csv(table), diag
 
 
 r_sets = st.lists(
@@ -161,15 +166,15 @@ def test_negative_squeeze_still_rejected():
 @pytest.mark.parametrize("points", [1, 2, 9, 40, 41, 200])
 def test_lur_atom_field_matches_inline_runner(points):
     p = {"mode": "atom-field", "r_values": (0.1,), "points": points}
-    rows, diag = cli._run_lur(p, 0, _common())
+    columns, diag = cli._run_lur(p, 0, _common())
     ref_rows, _ = reference_lur(p, 0, _common())
-    assert cli._rows_to_csv(rows) == cli._rows_to_csv(ref_rows)
+    assert cli._columns_to_csv(columns) == cli._columns_to_csv(columns_of(ref_rows))
     # the note names the mirrored intervals the rows show
     assert "(-pi/4, 0) at phi = 0" in diag["note"] and "(0, pi/4) at phi = pi" in diag["note"]
-    for row in rows:
-        interior = abs(row["theta"]) < math.pi / 4 - 1e-9 and row["theta"] != 0.0
-        mirrored = (row["theta"] < 0) == (row["phi"] == 0.0)
-        assert row["violated"] == (interior and mirrored)
+    for theta, phi, violated in zip(columns["theta"], columns["phi"], columns["violated"]):
+        interior = abs(theta) < math.pi / 4 - 1e-9 and theta != 0.0
+        mirrored = (theta < 0) == (phi == 0.0)
+        assert violated == (interior and mirrored)
 
 
 def test_unknown_lur_mode_rejected():

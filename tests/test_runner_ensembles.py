@@ -3,7 +3,8 @@
 `ppt-crosscheck` draws its trials from `families.ppt_trials` and evaluates
 them in stacks with `witnesses.ppt_crosscheck_batch`.  The per-trial loop
 the runner used before is kept here verbatim as `reference_rows`: the
-batched runner must give byte-identical CSV, each batch entry must equal
+batched runner's columns must give the CSV of its rows (read as columns by
+`conftest.columns_of`) byte for byte, each batch entry must equal
 `witnesses.ppt_crosscheck` on its own state bit for bit, and the blocks
 must keep the peak memory of a bench-size run near that of the loop.  The
 blocks normalise their kets all at once, which keeps the loop's bits only
@@ -14,6 +15,8 @@ too.
 construction it replaced.
 """
 
+import csv
+import dataclasses
 import json
 import math
 import struct
@@ -32,6 +35,8 @@ from entwitness.spaces import (
     embed,
     signature,
 )
+
+from conftest import columns_of
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 BENCH_DIMS = ("2x4", "3x3", "4x4", "3x5")
@@ -96,11 +101,11 @@ def _params(trials, dims=("2x4", "3x3"), products=16):
 
 
 def _assert_same_csv(p, seed):
-    rows, diag = cli._run_ppt_crosscheck(p, seed, None)
+    columns, diag = cli._run_ppt_crosscheck(p, seed, None)
     ref_rows, ref_diag = reference_rows(p, seed)
-    assert cli._rows_to_csv(rows) == cli._rows_to_csv(ref_rows)
+    assert cli._columns_to_csv(columns) == cli._columns_to_csv(columns_of(ref_rows))
     assert {k: diag[k] for k in ref_diag} == ref_diag
-    return rows, diag
+    return columns, diag
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 11])
@@ -111,8 +116,8 @@ def test_batched_runner_matches_the_per_trial_loop(seed, dims):
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
 def test_fewer_trials_than_dims(trials):
-    rows, _ = _assert_same_csv(_params(trials, ("2x4", "4x2", "3x5", "2x2")), 4)
-    assert [r["trial"] for r in rows] == list(range(trials))
+    columns, _ = _assert_same_csv(_params(trials, ("2x4", "4x2", "3x5", "2x2")), 4)
+    assert columns["trial"].tolist() == list(range(trials))
 
 
 def test_trials_not_a_multiple_of_the_block():
@@ -254,11 +259,11 @@ def test_bench_size_run_stays_near_the_per_trial_peak():
 
 @pytest.mark.parametrize("seed", [0, 2, 9])
 def test_separable_trials_are_never_flagged(seed):
-    rows, diag = cli._run_ppt_crosscheck(_params(400, BENCH_DIMS + ("2x2", "5x3")), seed, None)
-    separable = [r for r in rows if r["kind"] == "separable"]
-    assert len(separable) == 200
-    assert not any(r["flagged"] for r in separable)
-    assert all(r["ppt_min_eig"] > -1e-8 for r in separable)
+    columns, diag = cli._run_ppt_crosscheck(_params(400, BENCH_DIMS + ("2x2", "5x3")), seed, None)
+    separable = columns["kind"] == "separable"
+    assert np.count_nonzero(separable) == 200
+    assert not columns["flagged"][separable].any()
+    assert (columns["ppt_min_eig"][separable] > -1e-8).all()
     assert diag["violations"] == 0
 
 
@@ -280,6 +285,31 @@ def test_meta_diagnostics_count_flags_and_the_closest_margin(tmp_path):
             for rep in (chk.cond1, chk.cond2):
                 closest = min(closest, abs(rep.margin) / rep.tolerance)
     assert diag["min_abs_margin_over_tol"] == closest
+
+
+def test_violations_count_inconsistent_and_flagged_separable_trials(monkeypatch, tmp_path):
+    real = witnesses.ppt_crosscheck_batch
+
+    def forced(states, ga, gb):
+        # in each block: flagged with a positive partial transpose (inconsistent),
+        # flagged with a negative one (consistent), then left as drawn
+        checks = real(states, ga, gb)
+        for i, chk in enumerate(checks[: 2 * (len(checks) // 3)]):
+            cond1 = dataclasses.replace(chk.cond1, entangled=True)
+            checks[i] = dataclasses.replace(chk, cond1=cond1, min_eigenvalue=(-1.0) ** i)
+        return checks
+
+    monkeypatch.setattr(witnesses, "ppt_crosscheck_batch", forced)
+    out = tmp_path / "ppt.csv"
+    assert cli.main(["ppt-crosscheck", "--trials", "60", "--dims", "2x2,3x3", "--output", str(out)]) == 0
+    diag = json.loads((tmp_path / "ppt.csv.meta.json").read_text())["diagnostics"]
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    kinds = {(r["kind"], r["flagged"], r["consistent"]) for r in rows}
+    assert {("pure", "true", "true"), ("pure", "true", "false"), ("separable", "true", "true")} <= kinds
+    bad = [r["consistent"] == "false" or (r["kind"] == "separable" and r["flagged"] == "true") for r in rows]
+    assert diag["violations"] == sum(bad)
+    assert diag["flagged"] == sum(r["flagged"] == "true" for r in rows)
 
 
 def test_rerun_is_byte_identical(tmp_path):
