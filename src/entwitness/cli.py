@@ -281,7 +281,7 @@ def _run_two_mode_invariant(p: dict, seed: int, common) -> tuple[dict[str, np.nd
     r = np.array(p["r_values"])
     if (r < 0).any():
         raise ConfigError("squeeze magnitudes must be nonnegative")
-    pairs = [families.squeezed_pair_witnesses(x, dim_a) for x in p["r_values"]]
+    pairs = families.squeezed_pair_sweep(p["r_values"], dim_a)
     columns = {
         "r": r,
         "tanh_r": np.array([math.tanh(x) for x in p["r_values"]]),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,9 +70,10 @@ def _with_flat_noise(s: float, psi: StateVector, levels_a: int, levels_b: int) -
     p_a[:levels_a] = 1.0
     p_b = np.zeros(sig.dims[1])
     p_b[:levels_b] = 1.0
-    noise = np.kron(np.diag(p_a), np.diag(p_b)).astype(complex)
     rho = s * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(sig, rho + (1 - s) / (levels_a * levels_b) * noise)
+    rho += 0.0  # the noise is +0.0 off the diagonal: adding it turns a -0.0 entry into +0.0
+    rho.flat[:: sig.total_dim + 1] += (1 - s) / (levels_a * levels_b) * np.outer(p_a, p_b).ravel()
+    return DensityMatrix(sig, rho)
 
 
 def noisy_bell(s: float, c1: float, sig: SpaceSignature | None = None) -> DensityMatrix:
@@ -194,13 +195,28 @@ def centered_quadrature_basis(state, label: str) -> list[LabeledOperator]:
     return [da, da.dag()]
 
 
+def _psi01_bilinear_forms(dim: int) -> Callable[[float], witnesses.WitnessMatrix]:
+    """The map s -> ``psi01_bilinear_x(s, dim)``.
+
+    The signature, |psi01> and the annihilators of both modes are built
+    here, once; each call mixes in the noise and centres the annihilators on
+    the noisy state.
+    """
+    sig = psi01_signature(dim)
+    psi = psi01_state(sig)
+    a = embed(ops.annihilator(dim), "a", sig, "a")
+    b = embed(ops.annihilator(dim), "b", sig, "b")
+
+    def form(s: float) -> witnesses.WitnessMatrix:
+        rho = _with_flat_noise(s, psi, 2, 2)
+        da, db = ops.delta(a, rho), ops.delta(b, rho)
+        return witnesses.bilinear_form(rho, [da, da.dag()], [db, db.dag()])
+
+    return form
+
+
 def psi01_bilinear_x(s: float, dim: int = 4) -> witnesses.WitnessMatrix:
-    rho = noisy_psi01(s, dim)
-    return witnesses.bilinear_form(
-        rho,
-        centered_quadrature_basis(rho, "a"),
-        centered_quadrature_basis(rho, "b"),
-    )
+    return _psi01_bilinear_forms(dim)(s)
 
 
 # the two candidate thresholds this family is compared against: the printed
@@ -227,15 +243,29 @@ class XThresholdComparison:
 
 
 def psi01_x_threshold(tol: float = 2e-3, dim: int = 4) -> XThresholdComparison:
-    """Noise threshold of the bilinear-form criterion, by see-saw product-vector scan."""
+    """Noise threshold of the bilinear-form criterion, by see-saw product-vector scan.
+
+    The signature, |psi01> and the two annihilators are built once per scan;
+    each bisection point only mixes in its noise, centres the annihilators and
+    scans the form.
+    """
+    form = _psi01_bilinear_forms(dim)
 
     def entangled(s: float) -> bool:
-        x = psi01_bilinear_x(s, dim)
-        res = witnesses.product_vector_scan(x)
-        return res.value > witnesses.POSITIVITY_EPS
+        return witnesses.product_vector_scan(form(s)).value > witnesses.POSITIVITY_EPS
 
     s_star = threshold_scan(entangled, 0.2, 0.9, tol)
     return XThresholdComparison(s_star, PRINTED_X_THRESHOLD, ANALYTIC_X_THRESHOLD)
+
+
+def _squeezed_psi01_on(z: complex, sig: SpaceSignature) -> StateVector:
+    """:func:`squeezed_psi01` on a given signature of modes a and b."""
+    dim_a, dim_b = sig.dims
+    amps = (
+        np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
+        + np.kron(ops.squeezed_single_photon(z, dim_a), ops.fock(0, dim_b))
+    ) / np.sqrt(2)
+    return StateVector(sig, amps)
 
 
 def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
@@ -248,12 +278,26 @@ def squeezed_psi01(z: complex, dim_a: int = 64, dim_b: int = 4) -> StateVector:
     the top two levels at a somewhat smaller r, so it is the one that
     raises first (labelled ``squeeze(z=...) |1>``).
     """
+    return _squeezed_psi01_on(z, signature(boson("a", dim_a), boson("b", dim_b)))
+
+
+def squeezed_pair_sweep(
+    r_values: Sequence[float], dim_a: int, dim_b: int = 4
+) -> list[tuple[witnesses.WitnessMatrix, witnesses.WitnessReport]]:
+    """:func:`squeezed_pair_witnesses` for each r, in order.
+
+    The signature and the annihilators a and b are built once per sweep.
+    """
     sig = signature(boson("a", dim_a), boson("b", dim_b))
-    amps = (
-        np.kron(ops.squeezed_vacuum(z, dim_a), ops.fock(1, dim_b))
-        + np.kron(ops.squeezed_single_photon(z, dim_a), ops.fock(0, dim_b))
-    ) / np.sqrt(2)
-    return StateVector(sig, amps)
+    a = embed(ops.annihilator(dim_a), "a", sig, "a")
+    b = embed(ops.annihilator(dim_b), "b", sig, "b")
+    out = []
+    for r in r_values:
+        st = _squeezed_psi01_on(r, sig)
+        da = ops.delta(a, st)
+        m = witnesses.witness_matrix_expand_a(st, [da.dag(), da], b)
+        out.append((m, witnesses.cond1(st, a, b)))
+    return out
 
 
 def squeezed_pair_witnesses(
@@ -264,14 +308,10 @@ def squeezed_pair_witnesses(
     Returns the witness matrix of [delta a^dag, delta a] (centered on the
     state) against b, whose positive eigenvalue survives every squeeze, and
     the plain ``cond1(a, b)`` report, which flips at tanh r = 1/sqrt(2).
+    It is the one-r case of :func:`squeezed_pair_sweep`, which builds the
+    signature and the annihilators once for all of its r values.
     """
-    st = squeezed_psi01(r, dim_a=dim_a, dim_b=dim_b)
-    sig = st.signature
-    a = embed(ops.annihilator(dim_a), "a", sig, "a")
-    b = embed(ops.annihilator(dim_b), "b", sig, "b")
-    da = ops.delta(a, st)
-    m = witnesses.witness_matrix_expand_a(st, [da.dag(), da], b)
-    return m, witnesses.cond1(st, a, b)
+    return squeezed_pair_sweep([r], dim_a, dim_b)[0]
 
 
 def tmsv_lur(

@@ -547,16 +547,19 @@ def embed(local: np.ndarray, label: str, sig: SpaceSignature, name: str = "") ->
 
 
 def basis_state(sig: SpaceSignature, occupations: Mapping[str, int]) -> StateVector:
-    """Product basis vector |n_1, n_2, ...> given one level index per factor."""
-    parts = []
+    """Product basis vector |n_1, n_2, ...> given one level index per factor.
+
+    Its one nonzero amplitude sits at the row-major flat index of the levels.
+    """
+    index = 0
     for f in sig.factors:
         n = int(occupations.get(f.label, 0))
         if not 0 <= n < f.dim:
             raise SignatureError(f"level {n} out of range for factor '{f.label}'")
-        v = np.zeros(f.dim, dtype=complex)
-        v[n] = 1.0
-        parts.append(v)
-    return StateVector(sig, linalg.kron_all(parts))
+        index = index * f.dim + n
+    amps = np.zeros(sig.total_dim, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(sig, amps)
 
 
 def product_state(sig: SpaceSignature, parts: Mapping[str, np.ndarray]) -> StateVector:

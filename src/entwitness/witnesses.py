@@ -42,6 +42,7 @@ numerical noise, not entanglement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -357,6 +358,21 @@ class ProductScanResult:
     v: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_mesh(grid: int) -> np.ndarray:
+    """Read-only side-b seed vectors of a grid x grid mesh: the two poles, then the ring rows.
+
+    Row t of the ring (t strictly between the poles) holds v = (cos t, e^{i phi} sin t)
+    for ``grid`` phases phi.
+    """
+    ts = np.linspace(0.0, np.pi / 2, grid)[1:-1, None]
+    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, grid, endpoint=False))
+    ring = np.stack(np.broadcast_arrays(np.cos(ts), phases * np.sin(ts)), axis=-1)
+    vs = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], ring.reshape(-1, 2)])
+    vs.flags.writeable = False
+    return vs
+
+
 def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
     """Maximize (u (x) v)^dag X (u (x) v) over unit product vectors by see-saw.
 
@@ -365,37 +381,52 @@ def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
     the :data:`SEESAW_SEEDS` best, and as many best that no neighbour beats.
     From each, the see-saw (Werner & Wolf, QIC 1, 1 (2001)) alternates
     u <- top eigenvector of X_v and v <- top eigenvector of X_u, neither of
-    which lowers the value, until it rises by at most :data:`SEESAW_RTOL`
-    relative or :data:`SEESAW_MAX_STEPS` steps.  Requires a 2-dim side b.
+    which lowers the value.  The seeds step together: each half-step is one
+    ``eigh`` over the stack of the seeds still live.  Each seed keeps its own
+    stop rule and leaves the stack once its value rises by at most
+    :data:`SEESAW_RTOL` relative, or after :data:`SEESAW_MAX_STEPS` steps; the
+    first seed with the best value wins.  Requires a 2-dim side b.
     """
     na, nb = x.dims
     if nb != 2:
         raise ValueError("the product scan is implemented for a 2-dim side-b space")
     t4 = x.matrix.reshape(na, nb, na, nb)
-    ts = np.linspace(0.0, np.pi / 2, grid)[1:-1, None]
-    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, grid, endpoint=False))
-    ring = np.stack(np.broadcast_arrays(np.cos(ts), phases * np.sin(ts)), axis=-1)
-    vs = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], ring.reshape(-1, 2)])
+    vs = _seed_mesh(grid)
     lams = np.linalg.eigvalsh(np.einsum("jkml,pk,pl->pjm", t4, vs.conj(), vs))[:, -1]
     # neighbours: around phi, and along t, where each pole neighbours its whole end row
     rows = lams[2:].reshape(-1, grid)
     padded = np.vstack([np.full(grid, lams[0]), rows, np.full(grid, lams[1])])
-    top_near = np.max([padded[:-2], padded[2:], np.roll(rows, 1, 1), np.roll(rows, -1, 1)], axis=0)
+    wrapped = np.concatenate([rows[:, -1:], rows, rows[:, :1]], axis=1)
+    top_near = np.maximum(
+        np.maximum(padded[:-2], padded[2:]), np.maximum(wrapped[:, :-2], wrapped[:, 2:])
+    )
     poles = [lams[0] >= rows[:1].max(initial=-np.inf), lams[1] >= rows[-1:].max(initial=-np.inf)]
     peaks = np.concatenate([poles, (rows >= top_near).ravel()])
     order = np.argsort(-lams, kind="stable")
-    seeds = dict.fromkeys([*order[:SEESAW_SEEDS], *order[peaks[order]][:SEESAW_SEEDS]])
-    results = []
-    for v in vs[list(seeds)]:
-        res = None
-        for _ in range(SEESAW_MAX_STEPS):
-            w, vecs = np.linalg.eigh(np.einsum("jkml,k,l->jm", t4, v.conj(), v))
-            if res is not None and w[-1] <= res.value + SEESAW_RTOL * abs(res.value):
+    seeds = list(dict.fromkeys([*order[:SEESAW_SEEDS], *order[peaks[order]][:SEESAW_SEEDS]]))
+    # per seed: the value, u and v of its last accepted step
+    n = len(seeds)
+    values = np.empty(n)
+    us = np.empty((n, na), dtype=complex)
+    v_best = np.empty((n, nb), dtype=complex)
+    live, v = np.arange(n), vs[seeds]
+    for step in range(SEESAW_MAX_STEPS):
+        w, vecs = np.linalg.eigh(np.einsum("jkml,pk,pl->pjm", t4, v.conj(), v))
+        top = w[:, -1]
+        if step:
+            old = values[live]
+            rising = ~(top <= old + SEESAW_RTOL * abs(old))  # a NaN keeps stepping
+            live, top, vecs, v = live[rising], top[rising], vecs[rising], v[rising]
+            if not live.size:
                 break
-            res = ProductScanResult(float(w[-1]), vecs[:, -1], v)
-            v = np.linalg.eigh(np.einsum("jkml,j,m->kl", t4, res.u.conj(), res.u))[1][:, -1]
-        results.append(res)
-    return max(results, key=lambda res: res.value)
+        values[live] = top
+        us[live] = vecs[:, :, -1]
+        v_best[live] = v
+        u = us[live]
+        v = np.linalg.eigh(np.einsum("jkml,pj,pm->pkl", t4, u.conj(), u))[1][:, :, -1]
+    scores = values.tolist()
+    best = max(range(n), key=scores.__getitem__)  # the first best, as max over a list picks
+    return ProductScanResult(scores[best], us[best], v_best[best])
 
 
 def product_from_two_positive(x: WitnessMatrix) -> ProductScanResult:

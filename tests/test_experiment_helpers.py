@@ -267,6 +267,21 @@ def test_noisy_psi01_bit_identical():
             assert _same(families.noisy_psi01(s, dim), reference_noisy_psi01(s, dim))
 
 
+def test_noisy_builders_keep_the_sign_of_every_zero():
+    # array_equal counts -0.0 == +0.0; the bytes tell them apart
+    rng = np.random.default_rng(7)
+    blocks = [families.random_block_vectors(rng) for _ in range(3)]
+    for s in S_GRID:
+        pairs = [(families.noisy_psi01(s, dim), reference_noisy_psi01(s, dim)) for dim in (2, 4, 7)]
+        pairs += [(families.noisy_bell(s, 0.3), reference_noisy_bell(s, 0.3))]
+        pairs += [
+            (families.noisy_correlated_subspace(s, v1, v2), reference_noisy_correlated_subspace(s, v1, v2))
+            for v1, v2 in blocks
+        ]
+        for new, ref in pairs:
+            assert new.matrix.tobytes() == ref.matrix.tobytes()
+
+
 @pytest.mark.parametrize("s", [-1e-12, -0.5, 1 + 1e-12, 2.0, math.nan, -math.inf])
 def test_mixing_weight_outside_unit_interval_raises(s):
     v1, v2 = families.random_block_vectors(np.random.default_rng(0))
@@ -292,3 +307,20 @@ def test_random_separable_matches_product_loop():
             v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
             rho += w * np.outer(v, v.conj())
         assert np.array_equal(families.random_separable(np.random.default_rng(seed), 3, 3, 16), rho)
+
+
+def test_two_mode_invariant_builds_its_annihilator_once(monkeypatch, tmp_path):
+    dims = []
+    real = ops.annihilator
+
+    def counted(dim):
+        dims.append(dim)
+        return real(dim)
+
+    argv = ["two-mode-invariant", "--fock-dim", "64", "--r-values", "0.1,0.2,0.3,0.4,0.5"]
+    argv += ["--output", str(tmp_path / "inv.csv")]
+    # a first run fills the cached squeeze spectrum, whose generator reads the annihilator too
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(ops, "annihilator", counted)
+    assert cli.main(argv) == 0
+    assert dims.count(64) == 1

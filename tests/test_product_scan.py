@@ -124,3 +124,101 @@ def test_package_import_leaves_scipy_optimize_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def seesaw_one_seed_at_a_time(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
+    """The see-saw as one loop per seed: the oracle of the batched scan.
+
+    Same mesh, same seeds and same stop rule as ``product_vector_scan``, but
+    every half-step is an ``eigh`` of one seed's 2-D X_v or X_u.
+    """
+    na, nb = x.dims
+    t4 = x.matrix.reshape(na, nb, na, nb)
+    ts = np.linspace(0.0, np.pi / 2, grid)[1:-1, None]
+    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, grid, endpoint=False))
+    ring = np.stack(np.broadcast_arrays(np.cos(ts), phases * np.sin(ts)), axis=-1)
+    vs = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], ring.reshape(-1, 2)])
+    lams = np.linalg.eigvalsh(np.einsum("jkml,pk,pl->pjm", t4, vs.conj(), vs))[:, -1]
+    rows = lams[2:].reshape(-1, grid)
+    padded = np.vstack([np.full(grid, lams[0]), rows, np.full(grid, lams[1])])
+    top_near = np.max([padded[:-2], padded[2:], np.roll(rows, 1, 1), np.roll(rows, -1, 1)], axis=0)
+    poles = [lams[0] >= rows[:1].max(initial=-np.inf), lams[1] >= rows[-1:].max(initial=-np.inf)]
+    peaks = np.concatenate([poles, (rows >= top_near).ravel()])
+    order = np.argsort(-lams, kind="stable")
+    n_seeds = witnesses.SEESAW_SEEDS
+    seeds = dict.fromkeys([*order[:n_seeds], *order[peaks[order]][:n_seeds]])
+    results = []
+    for v in vs[list(seeds)]:
+        res = None
+        for _ in range(witnesses.SEESAW_MAX_STEPS):
+            w, vecs = np.linalg.eigh(np.einsum("jkml,k,l->jm", t4, v.conj(), v))
+            if res is not None and w[-1] <= res.value + witnesses.SEESAW_RTOL * abs(res.value):
+                break
+            res = ProductScanResult(float(w[-1]), vecs[:, -1], v)
+            v = np.linalg.eigh(np.einsum("jkml,j,m->kl", t4, res.u.conj(), res.u))[1][:, -1]
+        results.append(res)
+    return max(results, key=lambda res: res.value)
+
+
+def _assert_bit_identical(got: ProductScanResult, want: ProductScanResult):
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for name in ("u", "v"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes(), name
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(["complex", "real", "low-rank"]),
+)
+def test_batched_seesaw_equals_the_per_seed_loop(seed, na, kind):
+    x = _form(seed, na, kind)
+    _assert_bit_identical(product_vector_scan(x), seesaw_one_seed_at_a_time(x))
+
+
+@pytest.mark.parametrize(
+    "seed, na, kind", [(538, 4, "complex"), (696, 2, "complex"), (72, 2, "real"), (163, 4, "real")]
+)
+def test_batched_seesaw_equals_the_per_seed_loop_on_the_basin_cases(seed, na, kind):
+    x = _form(seed, na, kind)
+    _assert_bit_identical(product_vector_scan(x), seesaw_one_seed_at_a_time(x))
+
+
+def test_batched_seesaw_equals_the_per_seed_loop_on_the_pair_family():
+    for s in np.linspace(0.2, 0.9, 36):
+        x = families.psi01_bilinear_x(s)
+        _assert_bit_identical(product_vector_scan(x), seesaw_one_seed_at_a_time(x))
+
+
+def test_writing_into_a_result_leaves_the_next_scan_unchanged():
+    # the top of this form sits on the pole v = (1, 0), a cell of the seed mesh,
+    # so the best seed stops at its first check and returns its seed vector
+    x = WitnessMatrix(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex), ("F1", "F2"), ("G1", "G2"))
+    first = product_vector_scan(x)
+    assert first.v.tolist() == [1.0, 0.0]
+    want = ProductScanResult(first.value, first.u.copy(), first.v.copy())
+    first.u[:] = 7.0
+    first.v[:] = 7.0
+    _assert_bit_identical(product_vector_scan(x), want)
+    _assert_bit_identical(product_vector_scan(x), seesaw_one_seed_at_a_time(x))
+
+
+def test_the_pair_threshold_builds_its_state_and_annihilators_once(monkeypatch):
+    calls = {"annihilator": 0, "basis_state": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        families.ops, "annihilator", counted("annihilator", families.ops.annihilator)
+    )
+    monkeypatch.setattr(families, "basis_state", counted("basis_state", families.basis_state))
+    assert families.psi01_x_threshold(tol=1e-3).scanned == 6.18017578125000022e-01
+    assert calls == {"annihilator": 2, "basis_state": 2}

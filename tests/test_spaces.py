@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwitness import linalg, operators, spaces
 from entwitness.spaces import (
@@ -277,3 +278,28 @@ def test_require_low_leakage_returns_worst_and_raises_at_threshold():
     assert err.value.label == "b"
     vacuum = product_state(sig, {"a": operators.fock(0, 4), "b": operators.fock(0, 4), "q": [1, 0]})
     assert require_low_leakage(vacuum) == 0.0
+
+
+_factors = st.lists(
+    st.one_of(st.integers(2, 5).map(lambda d: ("boson", d)), st.just(("qubit", 2))),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_factors, st.data())
+def test_basis_state_is_the_kron_of_one_hot_factors(kinds, data):
+    sig = signature(
+        *(boson(f"m{i}", d) if kind == "boson" else qubit(f"m{i}") for i, (kind, d) in enumerate(kinds))
+    )
+    levels = {f.label: data.draw(st.integers(0, f.dim - 1)) for f in sig.factors}
+    want = linalg.kron_all([np.eye(f.dim, dtype=complex)[levels[f.label]] for f in sig.factors])
+    got = basis_state(sig, levels).amplitudes
+    assert got.dtype == want.dtype and got.shape == (want.size,)
+    assert got.tobytes() == want.ravel().tobytes()
+    # one factor pushed out of range: the first such factor names the error
+    bad = data.draw(st.sampled_from(sig.factors))
+    level = data.draw(st.sampled_from([-1, bad.dim, bad.dim + 3]))
+    with pytest.raises(SignatureError, match=rf"^level {level} out of range for factor '{bad.label}'$"):
+        basis_state(sig, {**levels, bad.label: level})
