@@ -8,14 +8,12 @@ story of this scenario: compare the burst heights across nbar.
 
 import numpy as np
 
-from entwitness.models.jaynes_cummings import JCConfig, jc_witness_trace
+from entwitness.models.jaynes_cummings import JCConfig, jc_witness_traces
 
 kt = np.linspace(0.0, 6.0, 241)
 
-traces = {
-    nbar: jc_witness_trace(JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=20))
-    for nbar in (0.0, 0.01, 0.02, 0.03)
-}
+nbars = (0.0, 0.01, 0.02, 0.03)
+traces = dict(zip(nbars, jc_witness_traces(JCConfig(nbar=n, kt_grid=tuple(kt), fock_dim=20) for n in nbars)))
 
 print("peak M11 per thermal occupation:")
 for nbar, tr in traces.items():

@@ -146,15 +146,10 @@ def _sorted_by(columns: dict[str, np.ndarray], *keys: str) -> dict[str, np.ndarr
 def _run_jc_thermal(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     kt = np.linspace(0.0, p["kt_max"], int(p["points"]))
     fock_dim = 20 if common.fock_dim is None else common.fock_dim
-    try:
-        traces = [
-            jc.jc_witness_trace(
-                jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"])
-            )
-            for nbar in p["nbar"]
-        ]
-    finally:
-        jc._system.cache_clear()  # the nbar of one run share a system; runs do not
+    traces = jc.jc_witness_traces(
+        jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=fock_dim, atom_initial=p["atom"])
+        for nbar in p["nbar"]
+    )
     columns = {
         "kt": np.tile(kt, len(traces)),
         "nbar": np.repeat(p["nbar"], kt.size),

@@ -21,17 +21,16 @@ linear map on those tables, :func:`~entwitness.witnesses.form_from_moments`
 assembles every 2x2 matrix at once, and :func:`~entwitness.witnesses.eig2`
 gives lambda_max in closed form.  No propagator, density matrix or centred
 operator is built per time point, and no D x D spectrum at all; the
-leakage rule sees one state, evolved by the same block spectrum to the
-grid time with the largest top-two population.  H, its block spectrum and
-the 14 observables depend only on the truncation and the couplings, so the
-last such system is kept (``_system``) and every nbar of a run reads it,
-together with the cos/sin phase table of the run's time grid, which the
-block spectrum keeps; the ``jc-thermal`` runner drops the system, phase
-table included, when the run ends.
+leakage rule judges the largest top-two population of the table's own
+column.  H, its block spectrum and the 14 observables depend only on the
+truncation and the couplings, so :func:`jc_witness_traces` builds them once
+for consecutive configs that share these, and those configs also share
+the cos/sin phase table of their time grid, which the block spectrum
+keeps; nothing outlives the call.
 
 Truncation: ``fock_dim`` is where escalation starts.  The thermal start is
-built first and checked by the one leakage rule of
-:func:`~entwitness.spaces.require_low_leakage`, so a start too wide for the
+built first and checked by the one leakage rule,
+:func:`~entwitness.spaces.check_leakage`, so a start too wide for the
 truncation doubles it (:func:`~entwitness.spaces.escalate_fock_dim`) before
 any D x D work; so does a trace that reaches the top levels later.  A new
 system is refused with ``MemoryError`` when its estimated size,
@@ -45,6 +44,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -56,22 +56,20 @@ from ..spaces import (
     LabeledOperator,
     SpaceSignature,
     boson,
+    check_leakage,
     embed,
     escalate_fock_dim,
-    evolve,
     evolved_expectations,
     identity_operator,
     leakage_projector,
     qubit,
-    require_low_leakage,
     signature,
 )
 
-# peak bytes of one trace per D^2: about 17 complex D x D arrays (H, the
-# local matrices of the field-atom observables, the thermal start and the
-# leakage probe's propagator and evolved state), an upper bound on the growth
-# of the peak RSS of jc-thermal --points 50 from D = 320 to D = 640
-# (259-263 bytes per D^2 on the sector path)
+# peak bytes of one trace per D^2, an upper bound: the complex D x D arrays
+# are H, the local matrices of the field-atom observables and the thermal
+# start, and the peak RSS of jc-thermal --points 50 grows by about 230 bytes
+# per D^2 from D = 320 to D = 640
 SYSTEM_BYTES_PER_D2 = 17 * 16
 
 # where _available_memory reads the kernel's and the cgroup's figures
@@ -205,15 +203,12 @@ def _require_free_memory(dim: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=1)
 def _system(
     dim: int, omega: float, kappa: float
 ) -> tuple[SpaceSignature, LabeledOperator, tuple[LabeledOperator, ...]]:
     """Signature, H and the observables [top_two, a, *c_ops, *t_ops] at one truncation.
 
-    Every nbar of a run shares them, and with them H's cached spectrum; a
-    new truncation replaces the one kept.  A truncation too large for free
-    memory is refused before anything is built.
+    A truncation too large for free memory is refused before anything is built.
     """
     _require_free_memory(dim)
     sig = jc_signature(dim)
@@ -224,21 +219,18 @@ def _system(
     return sig, h, (leakage_projector(sig, "field"), a, *c_ops, *t_ops)
 
 
-def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
+def _trace_at_dim(cfg: JCConfig, dim: int, system) -> JCWitnessTrace:
     # first, so that a start too wide for dim raises before any system is built
     field = ops.thermal(cfg.nbar, dim)
-    sig, h, observables = _system(dim, cfg.omega, cfg.kappa)
+    sig, h, observables = system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
     rho0 = DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
     times = np.asarray(cfg.kt_grid) / cfg.kappa
     table = evolved_expectations(h, times, rho0, observables)
     n = times.size
-    top_pop, alpha = table[:, 0].real, table[:, 1]
+    worst_leak = check_leakage("field", float(table[:, 0].real.max(initial=0.0)))
+    alpha = table[:, 1]
     c_raw, t_raw = table[:, 2:5].reshape(n, 1, 3), table[:, 5:].reshape(n, 1, 3, 1, 3)
-
-    worst_leak = 0.0
-    if n:
-        worst_leak = require_low_leakage(evolve(h, times[np.argmax(top_pop)], rho0), ["field"])
     m = witnesses.form_from_moments(*_centred(c_raw, t_raw, alpha))
     return JCWitnessTrace(
         np.asarray(cfg.kt_grid),
@@ -251,13 +243,21 @@ def _trace_at_dim(cfg: JCConfig, dim: int) -> JCWitnessTrace:
     )
 
 
-def jc_witness_trace(cfg: JCConfig) -> JCWitnessTrace:
-    """Evolve the thermal-field start and record the witness matrix over time.
+def jc_witness_traces(cfgs: Iterable[JCConfig]) -> list[JCWitnessTrace]:
+    """Evolve each thermal-field start and record its witness matrix over time.
 
-    Starts at ``cfg.fock_dim`` and escalates the field truncation (doubling)
-    if the thermal start or its evolution populates the top Fock levels.
+    One trace per config, in order.  Each starts at ``cfg.fock_dim`` and
+    escalates the field truncation (doubling) if the thermal start or its
+    evolution populates the top Fock levels.  Consecutive configs with the
+    same truncation and couplings share one system, dropped on return.
     """
-    return escalate_fock_dim(lambda dim: _trace_at_dim(cfg, dim), cfg.fock_dim)
+    system = functools.lru_cache(maxsize=1)(_system)
+    return [escalate_fock_dim(lambda dim: _trace_at_dim(cfg, dim, system), cfg.fock_dim) for cfg in cfgs]
+
+
+def jc_witness_trace(cfg: JCConfig) -> JCWitnessTrace:
+    """:func:`jc_witness_traces` of one config."""
+    return jc_witness_traces([cfg])[0]
 
 
 def jc_vacuum_m11(kt: np.ndarray) -> np.ndarray:

@@ -37,14 +37,14 @@ bound is a stack by itself), so memory is O(T D + D^2).
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
-feeling the cutoff.  Only two functions hold the rule, and the package has
-no other.  :func:`require_low_leakage` raises :class:`LeakageError` once a
-factor's leakage reaches :data:`LEAKAGE_THRESHOLD`; raw vectors are checked
-by wrapping them in a state whose factor labels name what is checked.
+feeling the cutoff.  Only two functions hold the policy, and the package
+has no other.  :func:`check_leakage` raises :class:`LeakageError` once a
+measured leakage reaches :data:`LEAKAGE_THRESHOLD`.  It judges each bosonic
+factor of a state in :func:`require_low_leakage` (raw vectors are wrapped in
+a state whose factor labels name what is checked), and the largest entry of
+a :func:`leakage_projector` column of an :func:`evolved_expectations` table.
 :func:`escalate_fock_dim` is the only retry: it runs again with the
-truncation doubled, capped at :data:`MAX_FOCK_DIM`.  :func:`leakage_projector` is the leakage as an
-observable, so a time grid can locate its worst point in an
-:func:`evolved_expectations` table and hand that one state to the rule.
+truncation doubled, capped at :data:`MAX_FOCK_DIM`.
 
 All values here are immutable and safe to share across threads; the
 only state an operator changes is its cached full-space matrix, diagonal
@@ -790,6 +790,13 @@ def leakage_projector(sig: SpaceSignature, label: str) -> LabeledOperator:
     return embed(np.diag((np.arange(dim) >= dim - 2).astype(float)), label, sig)
 
 
+def check_leakage(label: str, population: float, threshold: float = LEAKAGE_THRESHOLD) -> float:
+    """Raise :class:`LeakageError` if a factor's top-two population reaches ``threshold``; else return it."""
+    if population >= threshold:
+        raise LeakageError(label, population, threshold)
+    return population
+
+
 def require_low_leakage(
     state: State,
     labels: Iterable[str] | None = None,
@@ -801,10 +808,7 @@ def require_low_leakage(
         labels = [f.label for f in sig.factors if f.kind == BOSON]
     worst = 0.0
     for lab in labels:
-        pop = leakage(state, lab)
-        if pop >= threshold:
-            raise LeakageError(lab, pop, threshold)
-        worst = max(worst, pop)
+        worst = max(worst, check_leakage(lab, leakage(state, lab), threshold))
     return worst
 
 

@@ -170,9 +170,9 @@ def test_two_mode_invariant_builds_no_unitary(monkeypatch, tmp_path):
 
 def test_negative_squeeze_is_refused_before_any_state_is_built(monkeypatch, capsys):
     def no_states(*args):
-        raise AssertionError("squeezed_pair_witnesses ran before the r values were checked")
+        raise AssertionError("squeezed_pair_sweep ran before the r values were checked")
 
-    monkeypatch.setattr("entwitness.families.squeezed_pair_witnesses", no_states)
+    monkeypatch.setattr("entwitness.families.squeezed_pair_sweep", no_states)
     assert run(["two-mode-invariant", "--fock-dim", "16", "--r-values", "0.2,-0.1"]) == 2
     assert capsys.readouterr().err == "error: squeeze magnitudes must be nonnegative\n"
 

@@ -170,7 +170,6 @@ def test_a_coherent_field_takes_the_dense_path_and_matches_evolve():
         table = evolved_expectations(h, TIMES, state, observables)
         np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
         assert table[:, 1].any()  # <a> of a coherent field is no structural zero
-    jc._system.cache_clear()
 
 
 def test_a_stacked_herm_eig_raises_for_its_worst_non_hermitian_block():
@@ -222,23 +221,33 @@ def test_a_size_one_sector_still_passes_the_hermiticity_check(eig_shapes):
 
 
 def test_a_jc_trace_makes_one_batched_eigensolve_and_no_dense_one(eig_shapes):
-    jc._system.cache_clear()
     cfg = jc.JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 30)), fock_dim=20)
     jc.jc_witness_trace(cfg)
     assert eig_shapes == [(19, 2, 2)]
-    jc._system.cache_clear()
 
 
-def test_the_nbar_of_a_run_read_one_phase_table():
-    jc._system.cache_clear()
+def test_the_nbar_of_a_run_read_one_phase_table(monkeypatch):
+    systems = []
+    system = jc._system
+
+    def recording_system(*args):
+        systems.append(system(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(jc, "_system", recording_system)
     kt = tuple(np.linspace(0.0, 6.0, 30))
-    jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=kt))
-    spectrum = jc._system(20, 1.0, 0.1)[1]._block_spectrum()
-    tables = spectrum._phases[1]
-    jc.jc_witness_trace(jc.JCConfig(nbar=0.03, kt_grid=kt))
-    assert spectrum._phases[1] is tables
+    first_tables = []
+
+    def configs():
+        yield jc.JCConfig(nbar=0.01, kt_grid=kt)
+        first_tables.append(systems[0][1]._block_spectrum()._phases[1])
+        yield jc.JCConfig(nbar=0.03, kt_grid=kt)
+
+    jc.jc_witness_traces(configs())
+    assert len(systems) == 1
+    tables = systems[0][1]._block_spectrum()._phases[1]
+    assert tables is first_tables[0]
     assert [t.shape for t in tables] == [(30, 0), (30, 2 * 19)]
-    jc._system.cache_clear()
 
 
 def _local_charges(sig, axes):

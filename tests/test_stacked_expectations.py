@@ -1,15 +1,15 @@
-"""Stacked evaluation in ``evolved_expectations``, the jc system cache, and memory.
+"""Stacked evaluation in ``evolved_expectations``, the call-scoped jc system, and memory.
 
 ``evolved_expectations`` writes the rotated observables side by side into
 byte-bounded stacks and reads a block of times with one product per stack;
 here it is checked against per-time ``evolve`` + ``expectation`` with the
 byte bound shrunk so that the observables span several stacks and the grid
-several uneven time blocks.  The jc trace keeps one system (H, its
-spectrum and the moment observables) per truncation; a sequence of
-configurations must give what a fresh process gives for each, and a
-``jc-thermal`` run must leave no system for the next run.  The memory
-bounds are the tracemalloc peaks of the per-operator evaluation this
-replaced.
+several uneven time blocks.  ``jc_witness_traces`` builds one system (H,
+its spectrum and the moment observables) for consecutive configurations
+at one truncation and couplings; a sequence of configurations must give
+what a fresh process gives for each, every ``jc-thermal`` run builds its
+own system, and nothing stays allocated once a call returns.  The peak bounds are the tracemalloc peaks of the per-operator
+evaluation this replaced.
 """
 
 import json
@@ -124,21 +124,34 @@ def _fresh_process_trace(config) -> dict:
     return {k: v if k == "fock_dim" else [float.fromhex(x) for x in v] for k, v in out.items()}
 
 
-def test_system_cache_gives_fresh_process_results():
+@pytest.fixture
+def systems_built(monkeypatch):
+    """The (dim, omega, kappa) of every jc system built."""
+    built = []
+    system = jc._system
+
+    def recording_system(*args):
+        built.append(args)
+        return system(*args)
+
+    monkeypatch.setattr(jc, "_system", recording_system)
+    return built
+
+
+def test_one_call_over_a_sequence_gives_fresh_process_results(systems_built):
     fresh = {config: _fresh_process_trace(config) for config in set(SEQUENCE)}
-    jc._system.cache_clear()
-    for nbar, dim, kappa in SEQUENCE:
-        got = jc.jc_witness_trace(JCConfig(nbar=nbar, kt_grid=KT, fock_dim=dim, kappa=kappa))
-        want = fresh[(nbar, dim, kappa)]
+    cfgs = [JCConfig(nbar=nbar, kt_grid=KT, fock_dim=dim, kappa=kappa) for nbar, dim, kappa in SEQUENCE]
+    for got, config in zip(jc.jc_witness_traces(cfgs), SEQUENCE):
+        want = fresh[config]
         assert got.fock_dim == want["fock_dim"]
         for field in FIELDS:
             np.testing.assert_array_equal(getattr(got, field), want[field])
-    # the second nbar at (20, 0.1) reused the first one's system
-    assert jc._system.cache_info().hits >= 1
-    assert jc._system.cache_info().currsize == 1
+    # the second nbar at (20, 0.1) reused the first one's system; the last
+    # config built one at 2, then escalated to 4
+    assert systems_built == [(20, 1.0, 0.1), (20, 1.0, 0.2), (20, 1.0, 0.1), (2, 1.0, 0.1), (4, 1.0, 0.1)]
 
 
-def test_each_jc_thermal_run_builds_its_own_system(monkeypatch, tmp_path):
+def test_each_jc_thermal_run_builds_its_own_system(monkeypatch, tmp_path, systems_built):
     from entwitness import cli, linalg
 
     sizes = []
@@ -152,9 +165,9 @@ def test_each_jc_thermal_run_builds_its_own_system(monkeypatch, tmp_path):
     argv = ["jc-thermal", "--nbar", "0.01,0.02", "--points", "5", "--output", out]
     for _ in range(2):
         assert cli.main(argv) == 0
-        assert jc._system.cache_info().currsize == 0
-    # one spectrum of H per run, shared by its two nbar: the batched
-    # eigensolve of the 19 two-state sectors of the D = 40 space
+    # one system and one spectrum of H per run, shared by its two nbar: the
+    # batched eigensolve of the 19 two-state sectors of the D = 40 space
+    assert systems_built == [(20, 1.0, 0.1)] * 2
     assert sizes == [19, 19]
 
 
@@ -169,13 +182,21 @@ def _peak_mib(fn) -> float:
 
 def test_first_jc_trace_at_fock_160_stays_at_per_operator_peak():
     jc.jc_witness_trace(JCConfig(nbar=0.02, kt_grid=KT))  # lazy imports outside the measurement
-    jc._system.cache_clear()
     cfg = JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 600)), fock_dim=160)
+    assert _peak_mib(lambda: jc.jc_witness_trace(cfg)) <= 32.0
+
+
+def test_a_jc_trace_at_fock_160_keeps_nothing_once_it_returns():
+    jc.jc_witness_trace(JCConfig(nbar=0.02, kt_grid=KT))  # lazy imports outside the measurement
+    cfg = JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 600)), fock_dim=160)
+    tracemalloc.start()
     try:
-        peak = _peak_mib(lambda: jc.jc_witness_trace(cfg))
+        trace = jc.jc_witness_trace(cfg)
+        retained = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
-        jc._system.cache_clear()  # do not hold the D = 320 system for later tests
-    assert peak <= 32.0
+        tracemalloc.stop()
+    assert trace.fock_dim == 160
+    assert retained < 1.0
 
 
 @pytest.mark.parametrize("pure, bound_mib", [(True, 6.5), (False, 7.4)])

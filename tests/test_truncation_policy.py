@@ -9,7 +9,10 @@ without building any system, and a truncation whose system would not fit
 in the free memory raises `MemoryError` before anything is built (exit 3
 from the CLI).  Free memory is `MemAvailable`, or the cgroup v2 headroom
 where that is smaller, read here from faked files.  S(z)|1> passes the
-same check as every factory state, under its own label.
+same check as every factory state, under its own label.  The trace judges
+the largest entry of its table's leakage column; the state evolved to that
+grid time and measured whole gives the same leakage and the same
+escalation.
 """
 
 import json
@@ -17,12 +20,19 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entwitness import cli
 from entwitness import operators as ops
 from entwitness.models import jaynes_cummings as jc
-from entwitness.spaces import LeakageError
+from entwitness.spaces import (
+    DensityMatrix,
+    LeakageError,
+    escalate_fock_dim,
+    evolve,
+    evolved_expectations,
+    require_low_leakage,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -41,12 +51,46 @@ def test_an_escalated_trace_equals_the_trace_started_where_it_ended(nbar, start,
     cfg = jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=start)
     escalated = jc.jc_witness_trace(cfg)
     assert escalated.fock_dim >= start
-    jc._system.cache_clear()  # the direct run builds its own system
     direct = jc.jc_witness_trace(jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), fock_dim=escalated.fock_dim))
     assert direct.fock_dim == escalated.fock_dim
     for got, want in zip(_fields(escalated), _fields(direct)):
         assert got.tobytes() == want.tobytes()
     assert escalated.max_leakage == direct.max_leakage
+
+
+def _evolved_state_leakage(cfg, dim):
+    """(dim, worst leakage) as the state evolved to the grid time of the largest top-two population gives it."""
+    field = ops.thermal(cfg.nbar, dim)
+    sig, h, observables = jc._system(dim, cfg.omega, cfg.kappa)
+    atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
+    rho0 = DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
+    times = np.asarray(cfg.kt_grid) / cfg.kappa
+    top_pop = evolved_expectations(h, times, rho0, observables[:1])[:, 0].real
+    return dim, require_low_leakage(evolve(h, times[np.argmax(top_pop)], rho0), ["field"])
+
+
+@SETTINGS
+@example(nbar=0.85, kappa=0.1, kt=[0.0, 2.0, 5.0], atom="excited")  # escalates from 20 to 40
+@given(
+    nbar=st.floats(0.0, 2.0),
+    kappa=st.floats(0.05, 0.5),
+    kt=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6),
+    atom=st.sampled_from(["excited", "ground"]),
+)
+def test_the_table_leakage_column_judges_as_the_evolved_worst_state(nbar, kappa, kt, atom):
+    cfg = jc.JCConfig(nbar=nbar, kt_grid=tuple(kt), kappa=kappa, atom_initial=atom)
+    trace = jc.jc_witness_trace(cfg)
+    dim, leak = escalate_fock_dim(lambda d: _evolved_state_leakage(cfg, d), cfg.fock_dim)
+    assert trace.fock_dim == dim
+    assert trace.max_leakage == pytest.approx(leak, rel=1e-12, abs=0)
+
+
+def test_a_start_that_holds_but_then_leaks_escalates_from_20_to_40():
+    ops.thermal(0.85, 20)  # the start alone passes at 20
+    cfg = jc.JCConfig(nbar=0.85, kt_grid=(0.0, 2.0, 5.0), kappa=0.1)
+    assert jc.jc_witness_trace(cfg).fock_dim == 40
+    with pytest.raises(LeakageError, match="factor 'field'"):
+        _evolved_state_leakage(cfg, 20)
 
 
 def test_a_wide_thermal_start_escalates_before_any_system_is_built(monkeypatch):
@@ -80,7 +124,6 @@ def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(mo
     def not_built(*args):
         raise AssertionError("the jc system was built")
 
-    jc._system.cache_clear()
     monkeypatch.setattr(jc, "_available_memory", _fake_available(400 * 1024))
     monkeypatch.setattr(jc, "jc_signature", not_built)
     monkeypatch.setattr(jc, "jc_hamiltonian", not_built)
@@ -90,17 +133,14 @@ def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(mo
 
 
 def test_free_memory_that_fits_or_is_not_reported_passes(monkeypatch):
-    jc._system.cache_clear()
     monkeypatch.setattr(jc, "_available_memory", _fake_available(2**30))
     assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
 
-    jc._system.cache_clear()
     monkeypatch.setattr(jc, "_available_memory", _fake_available(None))
     assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
 
 
 def test_the_cli_exits_3_when_the_truncation_does_not_fit_in_free_memory(monkeypatch, capsys):
-    jc._system.cache_clear()
     monkeypatch.setattr(jc, "_available_memory", _fake_available(40 * 1024))
     assert cli.main(["jc-thermal", "--nbar", "0.01", "--points", "5"]) == 3
     err = capsys.readouterr().err
@@ -128,7 +168,6 @@ def _fake_machine(monkeypatch, tmp_path, meminfo=None, cgroup=None):
     pages = {"SC_AVPHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
     real = os.sysconf
     monkeypatch.setattr(jc.os, "sysconf", lambda name: pages[name] if name in pages else real(name))
-    jc._system.cache_clear()
 
 
 def test_available_memory_counts_reclaimable_cache(monkeypatch, tmp_path):
