@@ -177,13 +177,13 @@ def _run_tavis(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]
 
 
 def _run_dicke(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
+    n_atoms, k = int(p["N"]), int(p["k"])
+    if not 1 <= k < n_atoms:
+        raise ConfigError("group size must satisfy 1 <= k < N")
     fock_dim = 24 if common.fock_dim is None else common.fock_dim
     field = parse_field_spec(p["input"], fock_dim)
     margins = dk.dicke_conditions(field)
     moments = margins.moments
-    n_atoms, k = int(p["N"]), int(p["k"])
-    if not 1 <= k < n_atoms:
-        raise ConfigError("group size must satisfy 1 <= k < N")
     omega, kappa = 1.0, 0.1
     big = kappa * math.sqrt(n_atoms)
     grid = np.linspace(0.0, p["omega_t_max"], int(p["points"]))

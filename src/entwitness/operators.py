@@ -27,14 +27,19 @@ unit generator K:
 * squeeze       K_s = (a^2 - a^dag^2) / 2, m = r, phase = phi / 2;
 * pair ladder   K_p[n+1, n] = n + 1 = -K_p[n, n+1], m = r, phase = theta.
 
-Only the eigendecomposition i K = V diag(lambda) V^dag is needed.  It is
-computed, and checked Hermitian, once per (kind, dim) and kept in a small
-cache of read-only arrays; a call then costs one D x D product
-V e^{-i m lambda} V^dag and two phase scalings.  Zero magnitude gives the
-identity exactly.  The states :func:`coherent`, :func:`squeezed_vacuum` and
-:func:`two_mode_squeezed` need only the image of the vacuum, column 0, and
+Only the spectrum of i K is needed: its
+:class:`~entwitness.spaces.SectorSpectrum`, the one spectrum type of the
+package, eigensolved on the classes of the Fock level modulo K's level
+step.  K_s moves the level by 2, so the squeeze is solved as its two
+photon-parity blocks in one batched eigensolve; K_d and K_p move it by 1
+and are solved whole.  The spectrum is computed, and checked Hermitian,
+once per (kind, dim) and kept in a small cache of read-only arrays; a call
+then costs one product V e^{-i m lambda} V^dag per block and two phase
+scalings.  Zero magnitude gives the identity exactly.  The states
+:func:`coherent`, :func:`squeezed_vacuum` and :func:`two_mode_squeezed`
+need only the image of the vacuum, column 0, and
 :func:`squeezed_single_photon` only column 1; a column costs one
-matrix-vector product.
+matrix-vector product in the block that holds its level.
 
 The Gaussian and thermal states are checked under the one truncation rule
 of :func:`~entwitness.spaces.require_low_leakage`: the four Gaussian states
@@ -84,25 +89,29 @@ def _unit_generator(kind: str, dim: int) -> np.ndarray:
     if kind == "pair":
         pairs = np.arange(1, dim, dtype=float)
         return np.diag(pairs, k=-1) - np.diag(pairs, k=1)
-    a = annihilator(dim)
-    adag = a.conj().T
     if kind == "displacement":
-        return adag - a
+        a = annihilator(dim)
+        return a.conj().T - a
     if kind == "squeeze":
-        return (a @ a - adag @ adag) / 2
+        # (a^2 - a^dag^2) / 2: a^2 has sqrt(n + 1) sqrt(n + 2) at [n, n + 2]
+        n = np.arange(dim - 2, dtype=float)
+        entries = np.sqrt(n + 1) * np.sqrt(n + 2) / 2
+        return (np.diag(entries, k=2) - np.diag(entries, k=-2)).astype(complex)
     raise ValueError(f"unknown Gaussian generator kind {kind!r}")
 
 
-_SPECTRUM_CACHE_SIZE = 8  # (kind, dim) factors kept; each holds one D x D array
+_SPECTRUM_CACHE_SIZE = 8  # (kind, dim) spectra kept; each holds at most one D x D of eigenvectors
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _unit_spectrum(kind: str, dim: int) -> linalg.EigenDecomposition:
-    """Read-only eigendecomposition of i K for one generator kind and dim."""
-    ed = linalg.herm_eig(1j * _unit_generator(kind, dim))
-    ed.eigenvalues.flags.writeable = False
-    ed.eigenvectors.flags.writeable = False
-    return ed
+def _unit_spectrum(kind: str, dim: int) -> SectorSpectrum:
+    """The read-only :class:`SectorSpectrum` of i K for one generator kind and dim."""
+    mode = signature(boson(kind, dim))
+    spectrum = SectorSpectrum.of(LabeledOperator(mode, 1j * _unit_generator(kind, dim)))
+    for ed in spectrum.spectra:
+        ed.eigenvalues.flags.writeable = False
+        ed.eigenvectors.flags.writeable = False
+    return spectrum
 
 
 def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str) -> np.ndarray:
@@ -111,11 +120,11 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
     Column 0 is the image of the vacuum, checked as one bosonic factor
     named ``label``.
     """
-    ed = _unit_spectrum(kind, dim)
+    spectrum = _unit_spectrum(kind, dim)
     if magnitude == 0:
         u = np.eye(dim, dtype=complex)
     else:
-        u = ed.function_of(lambda w: np.exp(-1j * magnitude * w))
+        u = spectrum.function_of(lambda w: np.exp(-1j * magnitude * w))
         ph = np.exp(1j * phase * np.arange(dim))
         u *= ph[:, None]
         u *= ph.conj()
@@ -126,18 +135,22 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
 def _unit_column(kind: str, magnitude: float, phase: float, dim: int, n: int) -> np.ndarray:
     """Column n of :func:`_checked_exp`, without the D x D unitary and unchecked.
 
-    With i K = V diag(lambda) V^dag, entry k of the column is
-    e^{i phase (k - n)} (V (e^{-i m lambda} * conj(V[n])))_k: one D x D
-    matrix-vector product.
+    The column lies in the sector of level n.  With i K = V diag(lambda)
+    V^dag there, its entry k is e^{i phase (k - n)}
+    (V (e^{-i m lambda} * conj(V[n])))_k: one matrix-vector product of the
+    sector's size, D for displacement and the pair ladder, D / 2 for squeeze.
     """
-    ed = _unit_spectrum(kind, dim)
+    spectrum = _unit_spectrum(kind, dim)
+    column = np.zeros(dim, dtype=complex)
     if magnitude == 0:
-        column = np.zeros(dim, dtype=complex)
         column[n] = 1.0
-    else:
-        v = ed.eigenvectors
-        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[n].conj())
-        column *= np.exp(1j * phase * (np.arange(dim) - n))
+        return column
+    for idx, ed in zip(spectrum.sectors, spectrum.spectra):
+        sector, at = np.nonzero(idx == n)
+        if sector.size:
+            v, w = ed.eigenvectors[sector[0]], ed.eigenvalues[sector[0]]
+            column[idx[sector[0]]] = v @ (np.exp(-1j * magnitude * w) * v[at[0]].conj())
+    column *= np.exp(1j * phase * (np.arange(dim) - n))
     return column
 
 

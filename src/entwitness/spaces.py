@@ -10,7 +10,8 @@ factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
 dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it: the eigensolve of a Hamiltonian that couples charge sectors.  Other
+it; no eigensolve does, since every sector block, the whole space
+included, is read from the local matrix.  Other
 D x D arrays are density matrices, their propagators, the eigenvector
 matrix of a Hamiltonian, and the identity root of a density matrix in the
 witness moment tables, an explicit ``np.eye(D)`` to which the operator
@@ -18,15 +19,19 @@ words are applied.
 
 Evolution: a generator has one spectrum, its :class:`SectorSpectrum`,
 built once and kept.  The charge of a basis state is its total level
-number (:attr:`SpaceSignature.charges`); a generator that conserves it,
-such as the Jaynes-Cummings H, is eigensolved by charge sector (one batched
-:func:`linalg.herm_eig` per sector size), any other as one sector, the
-whole space.  A sum of local terms can be eigensolved in just the sectors
-a start vector occupies.  :func:`evolve` applies exp(-i H t) to a vector
-sector by sector and to a density matrix as the D x D propagator.
-:func:`evolved_expectations` returns the T x K table of <O_k> along a time
-grid, with no propagator or state per time.  When neither H nor the state
-couples sectors, it sums Tr(O_NN rho_N(t)) over the sectors: only the
+number (:attr:`SpaceSignature.charges`).  A generator's charge step m is
+the gcd of the charge changes of its nonzero entries, and it is
+eigensolved on the classes of the charge modulo m, one batched
+:func:`linalg.herm_eig` per class size: by charge sector for m = 0 (a
+generator that conserves the charge, such as the Jaynes-Cummings H), by
+photon parity for m = 2 (a squeeze generator), and as one sector, the
+whole space, for m = 1.  A sum of local terms that each conserve the
+charge can be eigensolved in just the sectors a start vector occupies.
+:func:`evolve` applies exp(-i H t) to a vector sector by sector and to a
+density matrix as the D x D propagator.  :func:`evolved_expectations`
+returns the T x K table of <O_k> along a time grid, with no propagator or
+state per time.  When H's spectrum is by charge sector and the state
+couples none, it sums Tr(O_NN rho_N(t)) over the sectors: only the
 diagonal blocks of each observable are read, and a block of 2 x 2 sectors
 contributes one cos/sin phase per sector.  Otherwise each operator is
 rotated once into the whole-space eigenbasis of the same spectrum and
@@ -159,20 +164,8 @@ class SpaceSignature:
 
     @cached_property
     def sectors(self) -> tuple[np.ndarray, ...]:
-        """Basis indices of the charge sectors, grouped by sector size.
-
-        One (n, s) array per size s, in ascending s; each row lists the
-        basis states of one sector, in ascending index, and the sectors of
-        one size come in ascending charge.
-        """
-        order = np.argsort(self.charges, kind="stable")
-        by_size: dict[int, list[np.ndarray]] = {}
-        for sector in np.split(order, np.cumsum(np.bincount(self.charges))[:-1]):
-            by_size.setdefault(sector.size, []).append(sector)
-        groups = tuple(np.array(by_size[s]) for s in sorted(by_size))
-        for idx in groups:
-            idx.setflags(write=False)
-        return groups
+        """Basis indices of the charge sectors, grouped by sector size (:func:`_classes` of the charges)."""
+        return _classes(self.charges)
 
     def axis(self, label: str) -> int:
         for i, f in enumerate(self.factors):
@@ -182,6 +175,23 @@ class SpaceSignature:
 
     def factor(self, label: str) -> Factor:
         return self.factors[self.axis(label)]
+
+
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Basis indices of equal ``keys`` (integers 0, 1, ...), grouped by class size.
+
+    One read-only (n, s) array per size s, in ascending s; each row lists
+    the basis states of one class, in ascending index, and the classes of
+    one size come in ascending key.
+    """
+    order = np.argsort(keys, kind="stable")
+    by_size: dict[int, list[np.ndarray]] = {}
+    for cls in np.split(order, np.cumsum(np.bincount(keys))[:-1]):
+        by_size.setdefault(cls.size, []).append(cls)
+    groups = tuple(np.array(by_size[s]) for s in sorted(by_size))
+    for idx in groups:
+        idx.setflags(write=False)
+    return groups
 
 
 def signature(*factors: Factor) -> SpaceSignature:
@@ -400,19 +410,34 @@ def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: 
     return np.where(same_rest, local[row[..., :, None], row[..., None, :]], 0)
 
 
+def _charge_step(term: LabeledOperator) -> int:
+    """The gcd of the charge changes of ``term``'s nonzero local entries; 0 if none changes it.
+
+    The charge over the term's own axes is their level sum, so the step is
+    read from the nonzero entries of ``local`` alone.
+    """
+    charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
+    for ax in term.axes:
+        charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
+    rows, cols = np.nonzero(term.local)
+    return int(np.gcd.reduce(np.abs(charge[rows] - charge[cols])))
+
+
 class SectorSpectrum:
-    """Eigendecomposition of an operator, one charge sector at a time.
+    """Eigendecomposition of an operator, one sector at a time.
 
     ``spectra[g]`` holds the n eigendecompositions of the sectors in
-    ``sectors[g]`` (n rows of an index array of :attr:`SpaceSignature.sectors`):
-    eigenvalues (n, s) and eigenvectors (n, s, s), from one batched
-    :func:`linalg.herm_eig` per sector size.  A sector of size 1 is its own
-    eigenbasis and needs no eigensolve; its entry passes the same
-    Hermiticity check.  An operator with an entry between charge sectors is
-    one sector, the whole space in basis order (:attr:`whole`): a (1, D, D)
-    eigensolve of its full matrix.  The phase table of the last time grid
-    is kept (:meth:`phases`), so every state evolved under one generator on
-    one grid reads the same table.
+    ``sectors[g]`` (an (n, s) index array, one sector per row, as
+    :func:`_classes` groups them): eigenvalues (n, s) and eigenvectors
+    (n, s, s), from one batched :func:`linalg.herm_eig` per sector size.  A
+    sector of size 1 is its own eigenbasis and needs no eigensolve; its
+    entry passes the same Hermiticity check.  The sectors of an operator
+    are the classes of the charge modulo its charge step m
+    (:meth:`of`): the charge sectors (:attr:`SpaceSignature.sectors`) for
+    m = 0, the two photon-parity classes of a squeeze generator for m = 2,
+    and the whole space in basis order for m = 1 (:attr:`whole`).  The
+    phase table of the last time grid is kept (:meth:`phases`), so every
+    state evolved under one generator on one grid reads the same table.
     """
 
     __slots__ = ("dim", "sectors", "spectra", "pairs", "_phases")
@@ -423,36 +448,40 @@ class SectorSpectrum:
         self.spectra = tuple(spectra)
         # (m, n) with m < n within a sector of each size: the order of the phase columns
         self.pairs = tuple(np.triu_indices(idx.shape[1], 1) for idx in self.sectors)
+        for m, n in self.pairs:
+            m.setflags(write=False)
+            n.setflags(write=False)
         self._phases = None
 
     @classmethod
     def of(cls, terms, charges: Sequence[int] | None = None) -> "SectorSpectrum":
         """The block spectrum of one operator, or of a sum of local terms.
 
-        Only the sectors of ``charges`` are built (all if None); each term's
-        blocks are read from its local matrix (:func:`_blocks`).  A term
-        couples sectors iff a nonzero local entry changes the level sum over
-        its own axes: one such operator is eigensolved whole, whatever
-        ``charges`` says, and a sum that holds one raises a ValueError that
-        names it.
+        One operator's charge step m is the gcd of the charge changes of its
+        nonzero local entries (over its own axes), and its sectors are the
+        classes of :attr:`SpaceSignature.charges` modulo m: the charge
+        sectors for m = 0, and one sector, the whole space, for m = 1.  A sum
+        of terms must conserve the charge term by term; a term with a
+        nonzero step raises a ValueError that names it.  ``charges`` keeps
+        only the charge sectors of those charges (all if None), and is
+        ignored for m > 0.  Every block is read from the local matrices
+        (:func:`_blocks`).
         """
         single = isinstance(terms, LabeledOperator)
         terms = [terms] if single else list(terms)
         sig = terms[0].signature
         for i, term in enumerate(terms):
             _same_signature(sig, term.signature)
-            charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
-            for ax in term.axes:
-                charge = (charge[:, None] + np.arange(sig.dims[ax])).ravel()
-            if np.any((term.local != 0) & (charge[:, None] != charge[None, :])):
-                if single:
-                    whole = np.arange(sig.total_dim)[None, :]
-                    return cls(sig.total_dim, [whole], [linalg.herm_eig(term.matrix[None])])
+            step = _charge_step(term)
+            if step and not single:
                 raise ValueError(f"term {i} ('{term.name}') has an entry between charge sectors")
-        sectors = sig.sectors
-        if charges is not None:
-            sectors = [idx[np.isin(sig.charges[idx[:, 0]], charges)] for idx in sectors]
-            sectors = [idx for idx in sectors if len(idx)]
+        if step:  # one operator of nonzero step; a sum gets here with step 0
+            sectors = _classes(sig.charges % step)
+        else:
+            sectors = sig.sectors
+            if charges is not None:
+                sectors = [idx[np.isin(sig.charges[idx[:, 0]], charges)] for idx in sectors]
+                sectors = [idx for idx in sectors if len(idx)]
         spectra = []
         for idx in sectors:
             b = reduce(np.add, (_blocks(term.local, term.axes, sig, idx) for term in terms))
@@ -465,7 +494,7 @@ class SectorSpectrum:
 
     @property
     def whole(self) -> bool:
-        """True for the one-sector spectrum of an operator that couples charge sectors."""
+        """True for the one-sector spectrum of an operator of charge step 1."""
         return [idx.shape for idx in self.sectors] == [(1, self.dim)]
 
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -620,13 +649,13 @@ def evolved_expectations(
 ) -> np.ndarray:
     """T x K table of <O_k> in the state evolved by exp(-i H t), at every time.
 
-    Sector path: when H has no entry between charge sectors
-    (:attr:`SpaceSignature.sectors`) and neither has the state (rho, or
-    psi psi^dag), Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t)) over the diagonal
-    blocks, evolved by H's block spectrum (:class:`SectorSpectrum`).  In a
-    sector with H_N = V diag(E) V^dag, tilde X = V^dag X V and
-    W[m, n] = tilde O[n, m] tilde rho[m, n], the term is sum_m W[m, m] plus,
-    for each pair m < n with w = E_m - E_n,
+    Sector path: when H's spectrum is by charge sector (charge step 0,
+    :attr:`SpaceSignature.sectors`) and the state (rho, or psi psi^dag) has
+    no entry between charge sectors, Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t))
+    over the diagonal blocks, evolved by H's block spectrum
+    (:class:`SectorSpectrum`).  In a sector with H_N = V diag(E) V^dag,
+    tilde X = V^dag X V and W[m, n] = tilde O[n, m] tilde rho[m, n], the
+    term is sum_m W[m, m] plus, for each pair m < n with w = E_m - E_n,
     (W[m, n] + W[n, m]) cos(w t) - i (W[m, n] - W[n, m]) sin(w t).  The
     constants add up directly, and the cos/sin table of each sector size
     (:meth:`SectorSpectrum.phases`, kept with H) meets the coefficients of
@@ -636,9 +665,10 @@ def evolved_expectations(
     contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
     held at once.
 
-    Dense path, for any other H or state: the whole-space eigenbasis
-    H = V diag(E) V^dag of the same spectrum (:meth:`SectorSpectrum.eigenbasis`,
-    no second eigensolve) serves the whole grid.  With the phases
+    Dense path, for any other spectrum (whole, or by charge modulo a step
+    m >= 2) or state: the whole-space eigenbasis H = V diag(E) V^dag of the
+    same spectrum (:meth:`SectorSpectrum.eigenbasis`, scattered from its
+    sectors, no second eigensolve) serves the whole grid.  With the phases
     u = exp(-i E t), Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n,
     and <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
     phi = u * tilde psi.  Each operator is rotated once and written beside
@@ -654,7 +684,9 @@ def evolved_expectations(
         _same_signature(state.signature, op.signature)
     times = np.asarray(times, dtype=float).ravel()
     spectrum = h._block_spectrum()
-    if not spectrum.whole:
+    charges = h.signature.charges
+    # by charge sector (step 0) iff every sector holds one charge
+    if all((charges[idx] == charges[idx[:, :1]]).all() for idx in spectrum.sectors):
         state_blocks = _state_blocks(state)
         if state_blocks is not None:
             return _sector_expectations(spectrum, times, state_blocks, ops)

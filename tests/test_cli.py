@@ -177,6 +177,15 @@ def test_negative_squeeze_is_refused_before_any_state_is_built(monkeypatch, caps
     assert capsys.readouterr().err == "error: squeeze magnitudes must be nonnegative\n"
 
 
+def test_a_bad_dicke_group_size_is_refused_before_any_margin_is_computed(monkeypatch, capsys):
+    def no_margins(*args):
+        raise AssertionError("dicke_conditions ran before k was checked")
+
+    monkeypatch.setattr("entwitness.models.dicke.dicke_conditions", no_margins)
+    assert run(["dicke", "--N", "4", "--k", "4"]) == 2
+    assert capsys.readouterr().err == "error: group size must satisfy 1 <= k < N\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag, values",
     [

@@ -10,6 +10,12 @@ matrices and pure states in one sector; a generator or a state that
 couples sectors must take the dense path and still match ``evolve``, and
 ``evolve`` matches a dense matrix exponential either way.
 
+The rule is one for every generator: its charge step m is the gcd of the
+charge changes of its nonzero entries, and its sectors are the classes of
+the charge modulo m (m = 0 the charge sectors, m = 1 the whole space, m = 2
+the photon parities of a squeeze).  Generators of step 2 and 3 are checked
+against the dense eigensolve and a dense matrix exponential.
+
 A generator may also be a sum of local terms, eigensolved only in chosen
 sectors (``SectorSpectrum.of(terms, charges)``), and
 ``SectorSpectrum.apply`` evolves a vector confined to those sectors; this
@@ -21,7 +27,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entwitness import linalg
 from entwitness import operators as ops
@@ -34,6 +40,7 @@ from entwitness.spaces import (
     StateVector,
     basis_state,
     boson,
+    density_of,
     embed,
     embed_many,
     evolve,
@@ -440,3 +447,72 @@ def test_a_coherent_field_needs_no_dense_eigensolve(eig_shapes):
         np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
         assert table[:, 0].any()
     assert eig_shapes == [(19, 2, 2)]
+
+
+def _stepped_h(rng, sig, m):
+    """A random Hermitian operator on some factors whose entries change the charge by multiples of m only.
+
+    Its charge range over those factors is at least m, so its step is m.
+    """
+    axes = [int(ax) for ax in rng.permutation(len(sig.factors))[: rng.integers(1, len(sig.factors) + 1)]]
+    if sum(sig.dims[ax] - 1 for ax in axes) < m:
+        axes = [int(ax) for ax in rng.permutation(len(sig.factors))]
+    q = _local_charges(sig, axes)
+    g = _rand(rng, q.size)
+    local = np.where((q[:, None] - q[None, :]) % m == 0, g + g.conj().T, 0) / q.size
+    return LabeledOperator(sig, local, axes=axes)
+
+
+@SETTINGS
+@given(
+    kinds=st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3),
+    m=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_generator_of_charge_step_m_is_eigensolved_on_the_charge_classes_mod_m(kinds, m, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    q = sig.charges
+    assume(q.max() >= m)
+    h = _stepped_h(rng, sig, m)
+    spectrum = h._block_spectrum()
+    rows = [row for idx in spectrum.sectors for row in idx]
+    assert sorted(int(q[row[0]]) % m for row in rows) == list(range(m))
+    for row in rows:
+        np.testing.assert_array_equal(row, np.flatnonzero(q % m == q[row[0]] % m))
+    dense = linalg.herm_eig(h.matrix)
+    u = _propagator(0.7)
+    np.testing.assert_allclose(spectrum.function_of(u), dense.function_of(u), rtol=0, atol=1e-12)
+    stack = rng.normal(size=(sig.total_dim, 2)) + 1j * rng.normal(size=(sig.total_dim, 2))
+    np.testing.assert_allclose(spectrum.apply(u, stack), dense.function_of(u) @ stack, rtol=0, atol=1e-12)
+    psi = StateVector(sig, stack[:, 0] / np.linalg.norm(stack[:, 0]))
+    pinched = _block_diagonal_density(rng, sig)
+    # states that couple charge sectors, and states that do not (H still couples them)
+    states = [psi, DensityMatrix(sig, (pinched.matrix + psi.to_density().matrix) / 2),
+              pinched, _one_sector_state(rng, sig)]
+    observables = [identity_operator(sig), embed(_rand(rng, sig.dims[0]), sig.labels[0], sig),
+                   LabeledOperator(sig, _rand(rng, sig.total_dim))]
+    tables = [evolved_expectations(h, TIMES, state, observables) for state in states]
+    for i, t in enumerate(TIMES):
+        ut = linalg.mat_exp(-1j * t * h.matrix)
+        for state, table in zip(states, tables):
+            rho_t = ut @ density_of(state) @ ut.conj().T
+            got = evolve(h, t, state)
+            np.testing.assert_allclose(density_of(got), rho_t, rtol=0, atol=1e-12)
+            want = [np.trace(op.matrix @ rho_t) for op in observables]
+            np.testing.assert_allclose(table[i], want, rtol=0, atol=1e-12)
+
+
+def test_an_operator_of_charge_steps_2_and_3_is_whole(eig_shapes):
+    sig = signature(qubit("q"), boson("a", 4))
+    local = np.zeros((4, 4))
+    local[0, 2] = local[2, 0] = 1.0
+    local[0, 3] = local[3, 0] = 0.5
+    h = embed(local, "a", sig)
+    assert h._block_spectrum().whole
+    assert [idx.shape for idx in SectorSpectrum.of(h, [0]).sectors] == [(1, 8)]
+    assert eig_shapes == [(1, 8, 8), (1, 8, 8)]
+    u = _propagator(1.3)
+    np.testing.assert_allclose(
+        h._block_spectrum().function_of(u), linalg.herm_eig(h.matrix).function_of(u), rtol=0, atol=1e-12
+    )

@@ -68,15 +68,20 @@ def fresh_gaussian_spectra():
 def test_gaussian_factories_make_one_eigendecomposition_per_kind_and_dim(
     eig_calls, fresh_gaussian_spectra
 ):
+    # the squeeze generator moves the level by 2: its two parity blocks in one batched eigensolve
     for r, phi in zip((0.1, 0.3, 0.5, 0.7, 0.9), (0.0, 1.0, -2.0, 3.0, 5.5)):
         ops.squeeze(r * np.exp(1j * phi), 64)
-    assert eig_calls == [(64, 64)]
+    assert eig_calls == [(2, 32, 32)]
     ops.squeeze(0.4, 48)
-    assert eig_calls == [(64, 64), (48, 48)]
+    ops.squeezed_vacuum(0.2, 48)
+    ops.squeezed_single_photon(0.2, 48)
+    assert eig_calls == [(2, 32, 32), (2, 24, 24)]
+    # displacement and the pair ladder move it by 1: one sector, the whole space
     ops.displacement(0.4 - 0.2j, 64)
     ops.two_mode_squeezed(0.4, 64, phase=1.0)
     ops.gaussian_unitary(ops.GaussianParams(0.3j, 0.5, 0.2), 48)
-    assert eig_calls == [(64, 64), (48, 48), (64, 64), (64, 64), (48, 48)]
+    ops.coherent(0.3j, 48)
+    assert eig_calls == [(2, 32, 32), (2, 24, 24), (1, 64, 64), (1, 64, 64), (1, 48, 48)]
 
 
 def test_tampered_gaussian_generator_fails_the_hermiticity_check(
@@ -97,10 +102,15 @@ def test_tampered_gaussian_generator_fails_the_hermiticity_check(
 
 def test_cached_gaussian_spectra_are_read_only(fresh_gaussian_spectra):
     u = ops.squeeze(0.3, 24)
-    ed = ops._unit_spectrum("squeeze", 24)
-    for cached in (ed.eigenvalues, ed.eigenvectors):
-        with pytest.raises(ValueError):
-            cached[0] = 0.0
+    ops.displacement(0.3, 24)
+    for kind in ("squeeze", "displacement"):
+        spectrum = ops._unit_spectrum(kind, 24)
+        cached = [*spectrum.sectors, *(i for pair in spectrum.pairs for i in pair)]
+        cached += [a for ed in spectrum.spectra for a in (ed.eigenvalues, ed.eigenvectors)]
+        assert len(cached) == 5
+        for array in cached:
+            with pytest.raises(ValueError):
+                array[0] = 0
     # the unitary itself belongs to the caller
     u[0, 0] = 5.0
     assert ops.squeeze(0.3, 24)[0, 0] != 5.0

@@ -113,16 +113,19 @@ def test_zero_magnitude_is_the_exact_vacuum(dim):
 def _vacuum_only_column(kind, magnitude, phase, dim):
     """Column 0 as the vacuum image was computed before `_unit_column`, unchecked.
 
-    It now comes from `operators._checked_column` with n = 0.
+    It now comes from `operators._checked_column` with n = 0.  The vacuum
+    leads its sector of the cached spectrum: the even-parity block of the
+    squeeze, the whole space for displacement and the pair ladder.
     """
-    ed = ops._unit_spectrum(kind, dim)
+    column = np.zeros(dim, dtype=complex)
     if magnitude == 0:
-        column = np.zeros(dim, dtype=complex)
         column[0] = 1.0
-    else:
-        v = ed.eigenvectors
-        column = v @ (np.exp(-1j * magnitude * ed.eigenvalues) * v[0].conj())
-        column *= np.exp(1j * phase * np.arange(dim))
+        return column
+    spectrum = ops._unit_spectrum(kind, dim)
+    ((rows, ed),) = [(idx[0], ed) for idx, ed in zip(spectrum.sectors, spectrum.spectra) if idx[0, 0] == 0]
+    v = ed.eigenvectors[0]
+    column[rows] = v @ (np.exp(-1j * magnitude * ed.eigenvalues[0]) * v[0].conj())
+    column *= np.exp(1j * phase * np.arange(dim))
     return column
 
 
