@@ -368,10 +368,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         "atom-field witness trace for a thermal field start",
         "Resonant two-level atom coupled to one field mode that starts thermal\n"
         "(atom excited by default).  Tracks the 2x2 witness matrix built from\n"
-        "sigma^- against the centered field quadratures over time: off-diagonals\n"
-        "stay zero, the lower-right entry stays negative, and the upper-left\n"
-        "entry rises into entanglement bursts that shrink as the thermal\n"
-        "occupation grows.  Columns: kt, nbar, M11, M22, absM12, lambda_max.\n"
+        "sigma^- against the centered field quadratures over time; H and the\n"
+        "start conserve the excitation number, so <a> stays 0 and these are a\n"
+        "and a^dag.  Off-diagonals stay zero, the lower-right entry stays\n"
+        "negative, and the upper-left entry rises into entanglement bursts\n"
+        "that shrink as the thermal occupation grows.  Columns: kt, nbar, M11,\n"
+        "M22, absM12, lambda_max.\n"
         "--fock-dim (default 20) is where the field truncation starts: it doubles\n"
         "while the thermal start or its evolution leaks, and the dims used per\n"
         "nbar are in the .meta.json sidecar (fock_dims).",

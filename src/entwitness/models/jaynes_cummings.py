@@ -9,24 +9,26 @@ upper-left entry can go positive, and it does so in bursts whose height
 shrinks as the thermal occupation grows.
 
 The whole trace comes from one spectral table
-(:func:`~entwitness.spaces.evolved_expectations`): the moment tables of
-sigma^- against the uncentred basis [a, a^dag, I], <a>, and the top-two
-field population, at every grid time.  H conserves the excitation number
-a^dag a + sigma^+ sigma^-, and the thermal (x) |e><e| start is diagonal in
-it, so the table is read sector by sector: each sector {|n, g>, |n-1, e>}
-is a 2 x 2 block of H, all of them eigensolved in one batched call, and
-an observable contributes only through its diagonal blocks (<a> and eight
-of the twelve moment operators have none, and read exactly 0).  Centring is a
-linear map on those tables, :func:`~entwitness.witnesses.form_from_moments`
-assembles every 2x2 matrix at once, and :func:`~entwitness.witnesses.eig2`
-gives lambda_max in closed form.  No propagator, density matrix or centred
-operator is built per time point, and no D x D spectrum at all; the
-leakage rule judges the largest top-two population of the table's own
-column.  H, its block spectrum and the 14 observables depend only on the
-truncation and the couplings, so :func:`jc_witness_traces` builds them once
-for consecutive configs that share these, and those configs also share
-the cos/sin phase table of their time grid, which the block spectrum
-keeps; nothing outlives the call.
+(:func:`~entwitness.spaces.evolved_expectations`) of seven observables at
+every grid time: [top_two, sigma^+ a, sigma^+ a^dag, four P_e words], the
+top-two field population and the moment tables of sigma^- against
+[a, a^dag] (P_e = sigma^+ sigma^-).  H conserves the excitation number
+N = a^dag a + sigma^+ sigma^-, and so does every start allowed here, a
+thermal field times |e> or |g>, so the state commutes with N at every
+time; a lowers N, so <a>(t) = 0 and delta a = a.  The table is read sector
+by sector: each sector {|n, g>, |n-1, e>} is a 2 x 2 block of H, all of them
+eigensolved in one batched call, and an observable contributes only through
+its diagonal blocks (sigma^+ a^dag, P_e a^dag a^dag and P_e a a, which
+change N, have none and read exactly 0).
+:func:`~entwitness.witnesses.form_from_moments` assembles every 2x2 matrix
+at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max in closed
+form.  No propagator, density matrix or centred operator is built per time
+point, and no D x D spectrum at all; the leakage rule judges the largest
+top-two population of the table's own column.  H, its block spectrum and
+the 7 observables depend only on the truncation and the couplings, so
+:func:`jc_witness_traces` builds them once for consecutive configs that
+share these, and those configs also share the cos/sin phase table of their
+time grid, which the block spectrum keeps; nothing outlives the call.
 
 Truncation: ``fock_dim`` is where escalation starts.  The thermal start is
 built first and checked by the one leakage rule,
@@ -60,17 +62,16 @@ from ..spaces import (
     embed,
     escalate_fock_dim,
     evolved_expectations,
-    identity_operator,
     leakage_projector,
     qubit,
     signature,
 )
 
-# peak bytes of one trace per D^2, an upper bound: the complex D x D arrays
-# are H, the local matrices of the field-atom observables and the thermal
-# start, and the peak RSS of jc-thermal --points 50 grows by about 230 bytes
-# per D^2 from D = 320 to D = 640
-SYSTEM_BYTES_PER_D2 = 17 * 16
+# peak bytes of one trace per D^2, an upper bound in whole complex D x D
+# arrays: H, the local matrices of the field-atom observables and the
+# thermal start; the peak RSS of jc-thermal --nbar 0.02 --points 50 grows by
+# about 170 bytes per D^2 from fock_dim 320 (D = 640) to 640 (D = 1280)
+SYSTEM_BYTES_PER_D2 = 11 * 16
 
 # where _available_memory reads the kernel's and the cgroup's figures
 MEMINFO = "/proc/meminfo"
@@ -124,22 +125,6 @@ class JCWitnessTrace:
     lambda_max: np.ndarray
     fock_dim: int
     max_leakage: float
-
-
-def _centred(c: np.ndarray, t: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moment tables of side b = [delta a, delta a^dag] from those of [a, a^dag, I].
-
-    delta a = a - alpha and delta a^dag = a^dag - conj(alpha) are rows of a
-    linear map L onto the uncentred basis: c' = c L^T and
-    t'[k, k'] = sum conj(L[k, m]) L[k', m'] t[m, m'] on the side-b indices.
-    """
-    lmap = np.zeros(alpha.shape + (2, 3), dtype=complex)
-    lmap[..., 0, 0] = lmap[..., 1, 1] = 1.0
-    lmap[..., 0, 2] = -alpha
-    lmap[..., 1, 2] = -alpha.conj()
-    c = np.einsum("...km,...jm->...jk", lmap, c)
-    t = np.einsum("...km,...ln,...jmpn->...jkpl", lmap.conj(), lmap, t)
-    return c, t
 
 
 def _read_text(path: str) -> str | None:
@@ -206,7 +191,7 @@ def _require_free_memory(dim: int) -> None:
 def _system(
     dim: int, omega: float, kappa: float
 ) -> tuple[SpaceSignature, LabeledOperator, tuple[LabeledOperator, ...]]:
-    """Signature, H and the observables [top_two, a, *c_ops, *t_ops] at one truncation.
+    """Signature, H and the observables [top_two, *c_ops, *t_ops] at one truncation.
 
     A truncation too large for free memory is refused before anything is built.
     """
@@ -215,8 +200,8 @@ def _system(
     h = jc_hamiltonian(sig, omega, kappa)
     sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
     a = embed(ops.annihilator(dim), "field", sig, "a")
-    c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag(), identity_operator(sig)])
-    return sig, h, (leakage_projector(sig, "field"), a, *c_ops, *t_ops)
+    c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag()])
+    return sig, h, (leakage_projector(sig, "field"), *c_ops, *t_ops)
 
 
 def _trace_at_dim(cfg: JCConfig, dim: int, system) -> JCWitnessTrace:
@@ -229,9 +214,7 @@ def _trace_at_dim(cfg: JCConfig, dim: int, system) -> JCWitnessTrace:
     table = evolved_expectations(h, times, rho0, observables)
     n = times.size
     worst_leak = check_leakage("field", float(table[:, 0].real.max(initial=0.0)))
-    alpha = table[:, 1]
-    c_raw, t_raw = table[:, 2:5].reshape(n, 1, 3), table[:, 5:].reshape(n, 1, 3, 1, 3)
-    m = witnesses.form_from_moments(*_centred(c_raw, t_raw, alpha))
+    m = witnesses.form_from_moments(table[:, 1:3].reshape(n, 1, 2), table[:, 3:].reshape(n, 1, 2, 1, 2))
     return JCWitnessTrace(
         np.asarray(cfg.kt_grid),
         m[:, 0, 0].real,

@@ -310,12 +310,14 @@ def moment_operators(
     <F_j^dag G_k> fills c[j, k] (shape na x nb) and <F_j^dag F_j' G_k^dag G_k'>
     fills t[j, k, j', k'], the same numbers that :func:`bilinear_form` reads
     from the Gram table of a state; :func:`form_from_moments` turns either
-    into the form.
+    into the form.  Each t-word is built per side, (F_j^dag F_j') (G_k^dag G_k'):
+    the sides act on disjoint factors and commute, so a word is lifted to
+    the union of their axes once, not after every factor.
     """
     _check_disjoint(ops_a, ops_b)
     c_ops = [f.dag() @ g for f in ops_a for g in ops_b]
     t_ops = [
-        f.dag() @ f2 @ g.dag() @ g2
+        (f.dag() @ f2) @ (g.dag() @ g2)
         for f in ops_a
         for g in ops_b
         for f2 in ops_a

@@ -172,11 +172,12 @@ def test_a_coherent_field_takes_the_dense_path_and_matches_evolve():
     sig = jc.jc_signature(12)
     h = jc.jc_hamiltonian(sig, 1.0, 0.1)
     psi = product_state(sig, {"field": ops.coherent(0.8, 12), "atom": ops.EXCITED})
-    observables = list(jc._system(12, 1.0, 0.1)[2])
+    a = embed(ops.annihilator(12), "field", sig, "a")
+    observables = [a, *jc._system(12, 1.0, 0.1)[2]]
     for state in (psi, psi.to_density()):
         table = evolved_expectations(h, TIMES, state, observables)
         np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
-        assert table[:, 1].any()  # <a> of a coherent field is no structural zero
+        assert table[:, 0].any()  # <a> of a coherent field is no structural zero
 
 
 def test_a_stacked_herm_eig_raises_for_its_worst_non_hermitian_block():

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from entwitness import linalg, operators as ops, witnesses
 from entwitness.models.jaynes_cummings import (
     JCConfig,
-    _centred,
     jc_hamiltonian,
     jc_signature,
     jc_witness_trace,
@@ -31,7 +30,6 @@ from entwitness.spaces import (
     evolve,
     evolved_expectations,
     expectation,
-    identity_operator,
     qubit,
     require_low_leakage,
     signature,
@@ -167,24 +165,21 @@ def test_trace_memory_stays_small():
     assert peak < 4 * 2**20
 
 
-def test_centring_map_matches_delta_operators():
-    # a random atom-field state with <a> != 0, unlike any thermal JC start
-    rng = np.random.default_rng(11)
-    sig = jc_signature(5)
-    d = sig.total_dim
-    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(3)]
-    rho = sum(np.outer(v, v.conj()) for v in vecs)
-    rho = DensityMatrix(sig, rho / np.trace(rho).real)
-    sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
-    a = embed(ops.annihilator(5), "field", sig, "a")
-    c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag(), identity_operator(sig)])
-    c = np.array([expectation(rho, op) for op in c_ops]).reshape(1, 3)
-    t = np.array([expectation(rho, op) for op in t_ops]).reshape(1, 3, 1, 3)
-    alpha = np.array(expectation(rho, a))
-    assert abs(alpha) > 0.1
-    got = witnesses.form_from_moments(*_centred(c, t, alpha))
-    da = ops.delta(a, rho)
-    want = witnesses.witness_matrix_expand_b(rho, sm, [da, da.dag()]).matrix
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    lam_min, lam_max = witnesses.eig2(got[None])
-    np.testing.assert_allclose([lam_min[0], lam_max[0]], np.linalg.eigvalsh(want), atol=1e-12)
+@SETTINGS
+@given(
+    nbar=st.floats(0.0, 1.0),
+    atom=st.sampled_from(("excited", "ground")),
+    omega=st.floats(0.0, 3.0),
+    kappa=st.floats(0.01, 1.0),
+    kt=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8),
+)
+def test_a_reads_exactly_zero_from_every_jc_start(nbar, atom, omega, kappa, kt):
+    # H and thermal (x) |atom><atom| conserve the excitation number, which a
+    # lowers: so <a>(t) = 0, delta a = a, and the trace needs no centring
+    sig = jc_signature(24)
+    h = jc_hamiltonian(sig, omega, kappa)
+    level = ops.EXCITED if atom == "excited" else ops.GROUND
+    rho0 = DensityMatrix(sig, np.kron(ops.thermal(nbar, 24), np.outer(level, level.conj())))
+    a = embed(ops.annihilator(24), "field", sig, "a")
+    table = evolved_expectations(h, np.asarray(kt) / kappa, rho0, [a])
+    assert np.array_equal(table, np.zeros((len(kt), 1)))

@@ -183,7 +183,7 @@ def _peak_mib(fn) -> float:
 def test_first_jc_trace_at_fock_160_stays_at_per_operator_peak():
     jc.jc_witness_trace(JCConfig(nbar=0.02, kt_grid=KT))  # lazy imports outside the measurement
     cfg = JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 6.0, 600)), fock_dim=160)
-    assert _peak_mib(lambda: jc.jc_witness_trace(cfg)) <= 32.0
+    assert _peak_mib(lambda: jc.jc_witness_trace(cfg)) <= 20.0
 
 
 def test_a_jc_trace_at_fock_160_keeps_nothing_once_it_returns():

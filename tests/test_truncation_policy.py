@@ -127,8 +127,8 @@ def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(mo
     monkeypatch.setattr(jc, "_available_memory", _fake_available(400 * 1024))
     monkeypatch.setattr(jc, "jc_signature", not_built)
     monkeypatch.setattr(jc, "jc_hamiltonian", not_built)
-    # D = 80 needs 19 * 16 * 80^2 bytes, about 1.9 MiB
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 2 MiB, but only 0 MiB"):
+    # D = 80 needs 11 * 16 * 80^2 bytes, about 1.1 MiB
+    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1 MiB, but only 0 MiB"):
         jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
 
 
@@ -171,7 +171,7 @@ def _fake_machine(monkeypatch, tmp_path, meminfo=None, cgroup=None):
 
 
 def test_available_memory_counts_reclaimable_cache(monkeypatch, tmp_path):
-    # MemFree alone (100 KiB) would refuse D = 40, which needs about 0.5 MiB
+    # MemFree alone (100 KiB) would refuse D = 40, which needs about 0.3 MiB
     meminfo = "MemTotal:       8000000 kB\nMemFree:            100 kB\nMemAvailable:   1048576 kB\n"
     _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=("max", "4096"))
     assert jc._available_memory() == 2**30
@@ -180,9 +180,9 @@ def test_available_memory_counts_reclaimable_cache(monkeypatch, tmp_path):
 
 def test_a_cgroup_limit_below_the_host_free_memory_refuses(monkeypatch, tmp_path):
     meminfo = "MemFree:        1048576 kB\nMemAvailable:   1048576 kB\n"
-    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(3 * 2**20), str(2 * 2**20)))
-    assert jc._available_memory() == 2**20
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 2 MiB, but only 1 MiB"):
+    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(5 * 2**19), str(2 * 2**20)))
+    assert jc._available_memory() == 2**19
+    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1 MiB, but only 0 MiB"):
         jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
 
 
