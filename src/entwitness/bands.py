@@ -1,0 +1,92 @@
+"""One-factor operator locals stored by their one nonzero diagonal.
+
+A :class:`Band` is how :class:`~entwitness.spaces.LabeledOperator` keeps a
+local on one factor whose nonzero entries are real and lie on one diagonal:
+the Fock ladder a and a^dag, the number operator, thermal weights and the
+leakage projector.  It holds that diagonal and the one complex zero every
+other entry holds, so the dense local is rebuilt bit for bit, signed zeros
+included, and it is applied as one shifted, scaled copy.
+
+The values must be real: their products with complex entries are then
+exact, so a band's product equals the dense matmul entry for entry.  A
+complex diagonal is not stored as a band, because BLAS complex kernels that
+use fused multiply-adds round such a product differently in the last bit.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+
+class Band(NamedTuple):
+    """A d x d local whose entry [i, i + offset] is values[i] and every other entry ``zero``.
+
+    ``values`` (complex dtype) has zero imaginary parts.  ``zero`` is the
+    complex128 zero the dense local holds off the diagonal, with the sign
+    bits that ``dag`` and scalar ``*`` give it there.  A band's arrays are
+    never written; the bands derived from one another share them.
+    """
+
+    offset: int
+    values: np.ndarray
+    zero: np.complex128
+
+    @classmethod
+    def checked(cls, offset: int, values: np.ndarray, zero: np.complex128) -> "Band | None":
+        """The band, or None unless ``values`` is real and ``zero`` is a zero."""
+        if values.imag.any() or zero != 0:
+            return None
+        return cls(offset, values, zero)
+
+    @classmethod
+    def of(cls, local: np.ndarray) -> "Band | None":
+        """The band of a square complex local, or None unless every entry off one diagonal has one zero's bits."""
+        d = local.shape[0]
+        local = np.ascontiguousarray(local)
+        parts = local.view(float)  # (d, 2 d): real and imaginary parts
+        # a nonzero entry, if there is one, gives the offset
+        row, col = divmod(int((parts != 0).argmax()) // 2, d)
+        offset = col - row if local[row, col] != 0 else 0
+        corner = (d - 1, 0) if offset != 1 - d else (0, d - 1)  # off the diagonal
+        words = parts.view(np.uint64).reshape(d, d, 2)  # real and imaginary bits
+        fill = words[corner]
+        marks = words ^ fill if fill.any() else words  # nonzero where an entry differs from the fill
+        if np.count_nonzero(marks.diagonal(offset)) != np.count_nonzero(marks):
+            return None
+        return cls.checked(offset, local.diagonal(offset).copy(), local[corner])
+
+    @property
+    def charge_step(self) -> int:
+        """How far every nonzero entry moves the level: |offset|, or 0 with no nonzero entry."""
+        return abs(self.offset) if self.values.any() else 0
+
+    def dag(self) -> "Band":
+        return Band(-self.offset, self.values.conj(), self.zero.conjugate())
+
+    def scaled(self, scalar) -> "Band | None":
+        return Band.checked(self.offset, self.values * scalar, self.zero * scalar)
+
+    def minus_identity(self, value: complex) -> "Band | None":
+        """The band of local - value * identity, or None if that local is not one."""
+        if self.offset == 0:
+            return Band.checked(0, self.values - value, self.zero)
+        # the main diagonal holds ``zero``: unchanged only if zero - value has its bits
+        return self if (self.zero - value).tobytes() == self.zero.tobytes() else None
+
+    def dense(self, d: int) -> np.ndarray:
+        """The d x d local."""
+        local = np.full((d, d), self.zero)
+        start = self.offset if self.offset >= 0 else -self.offset * d
+        local.reshape(-1)[start :: d + 1][: d - abs(self.offset)] = self.values
+        return local
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The local times index 1 of a (batch, d, rest) array: level i reads level i + offset."""
+        n = len(self.values)
+        lo = max(-self.offset, 0)
+        out = np.zeros(y.shape, dtype=complex)
+        source = y[:, lo + self.offset : lo + self.offset + n]
+        np.multiply(self.values[:, None], source, out=out[:, lo : lo + n])
+        return out

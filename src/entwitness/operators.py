@@ -3,7 +3,12 @@
 Sign and ordering conventions, fixed here and reused everywhere:
 
 * Fock basis ``|0>, ..., |dim-1>``; the annihilator obeys a|n> = sqrt(n)|n-1>
-  and the truncated creator kills the top level.
+  and the truncated creator kills the top level.  The factories return dense
+  dim x dim arrays; once embedded, a, a^dag, the number operator, thermal
+  weights and the leakage projector each have one real nonzero diagonal and
+  are stored as it (:class:`~entwitness.spaces.LabeledOperator`), so
+  applying, conjugating, scaling or centring one (:func:`delta`) makes no
+  dense copy; the dense local is built only when a caller reads ``.local``.
 * displacement  D(alpha) = exp(alpha a^dag - conj(alpha) a)
 * rotation      R(theta) = exp(i theta a^dag a)
 * squeeze       S(z) = exp((conj(z) a^2 - z a^dag^2) / 2),  z = r e^{i phi},
@@ -132,11 +137,21 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
     return u
 
 
+@functools.lru_cache(maxsize=2 * _SPECTRUM_CACHE_SIZE)
+def _level_position(kind: str, dim: int, n: int) -> tuple[int, int, int]:
+    """(group, sector, position) of level n in the sectors of :func:`_unit_spectrum`."""
+    for g, idx in enumerate(_unit_spectrum(kind, dim).sectors):
+        sector, at = np.nonzero(idx == n)
+        if sector.size:
+            return g, int(sector[0]), int(at[0])
+    raise ValueError(f"level {n} is in no sector of the {kind} spectrum at dim {dim}")
+
+
 def _unit_column(kind: str, magnitude: float, phase: float, dim: int, n: int) -> np.ndarray:
     """Column n of :func:`_checked_exp`, without the D x D unitary and unchecked.
 
-    The column lies in the sector of level n.  With i K = V diag(lambda)
-    V^dag there, its entry k is e^{i phase (k - n)}
+    The column lies in the sector of level n (:func:`_level_position`).
+    With i K = V diag(lambda) V^dag there, its entry k is e^{i phase (k - n)}
     (V (e^{-i m lambda} * conj(V[n])))_k: one matrix-vector product of the
     sector's size, D for displacement and the pair ladder, D / 2 for squeeze.
     """
@@ -145,11 +160,10 @@ def _unit_column(kind: str, magnitude: float, phase: float, dim: int, n: int) ->
     if magnitude == 0:
         column[n] = 1.0
         return column
-    for idx, ed in zip(spectrum.sectors, spectrum.spectra):
-        sector, at = np.nonzero(idx == n)
-        if sector.size:
-            v, w = ed.eigenvectors[sector[0]], ed.eigenvalues[sector[0]]
-            column[idx[sector[0]]] = v @ (np.exp(-1j * magnitude * w) * v[at[0]].conj())
+    g, sector, at = _level_position(kind, dim, n)
+    ed = spectrum.spectra[g]
+    v, w = ed.eigenvectors[sector], ed.eigenvalues[sector]
+    column[spectrum.sectors[g][sector]] = v @ (np.exp(-1j * magnitude * w) * v[at].conj())
     column *= np.exp(1j * phase * (np.arange(dim) - n))
     return column
 
@@ -244,12 +258,14 @@ def delta(op: LabeledOperator, state: State) -> LabeledOperator:
     """Center an operator on a state: op - <op> * identity.
 
     The subtraction is recomputed for each state under test, so witness
-    matrices built from centered operators follow the state they probe.
+    matrices built from centered operators follow the state they probe.  A
+    diagonal-stored local stays one when the centred local has one real
+    diagonal: off the main diagonal when <op> is exactly 0 (the centred
+    local then equals op's bit for bit), on it when <op> is real; any other
+    is a dense copy with <op> subtracted on its diagonal.
     """
-    centered = op.local.copy()
-    centered.flat[:: centered.shape[0] + 1] -= expectation(state, op)
     name = f"delta({op.name})" if op.name else ""
-    return LabeledOperator(op.signature, centered, op.support, name, op.axes)
+    return op._minus_identity(expectation(state, op), name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ Operators are local: a :class:`LabeledOperator` keeps the matrix of the
 factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
-dimension D.  The dense D x D ``.matrix`` is built only when a caller reads
-it; no eigensolve does, since every sector block, the whole space
-included, is read from the local matrix.  Other
-D x D arrays are density matrices, their propagators, the eigenvector
-matrix of a Hamiltonian, and the identity root of a density matrix in the
-witness moment tables, an explicit ``np.eye(D)`` to which the operator
-words are applied.
+dimension D.  A local on one factor whose nonzero entries are real and lie
+on one diagonal (a, a^dag, the number operator, the leakage projector) is
+stored as that diagonal (:mod:`~entwitness.bands`) and applied as one
+shifted, scaled copy.  The dense D x D ``.matrix`` is built only when a
+caller reads it; no eigensolve does, since every sector block, the whole
+space included, is read from the local matrix.  Other D x D arrays are
+density matrices, their propagators, the eigenvector matrix of a
+Hamiltonian, and the identity root of a density matrix in the witness
+moment tables, an explicit ``np.eye(D)`` to which the operator words are
+applied.
 
 Evolution: a generator has one spectrum, its :class:`SectorSpectrum`,
 built once and kept.  The charge of a basis state is its total level
@@ -52,10 +55,10 @@ a :func:`leakage_projector` column of an :func:`evolved_expectations` table.
 truncation doubled, capped at :data:`MAX_FOCK_DIM`.
 
 All values here are immutable and safe to share across threads; the
-only state an operator changes is its cached full-space matrix, diagonal
-sector blocks and spectrum, each the same array whichever thread builds
-it, and the phase table its spectrum keeps for the last time grid,
-replaced whole.
+only state an operator changes is its cached full-space matrix, dense
+local (of a diagonal-stored one), diagonal sector blocks and spectrum,
+each the same array whichever thread builds it, and the phase table its
+spectrum keeps for the last time grid, replaced whole.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from . import linalg
+from .bands import Band
 
 BOSON = "boson"
 QUBIT = "qubit"
@@ -268,10 +272,23 @@ class LabeledOperator:
     form a full-space matrix.  The full-space D x D :attr:`matrix` is built
     on first access and cached; for an operator on every factor in
     signature order (Hamiltonians, propagators) it is the stored array.
+
+    A local on one factor whose nonzero entries are real and lie on one
+    diagonal is stored by that diagonal, (offset, values), as a
+    :class:`~entwitness.bands.Band`, and no dense local is kept.  The
+    constructor (so :func:`embed`) finds the diagonal by one scan of the
+    local's bits; the products and sums of ``@``, ``+`` and ``-`` are kept
+    dense and not scanned.  ``dag``, scalar ``*``, ``-op`` and
+    :func:`~entwitness.operators.delta` carry the diagonal without a new
+    scan, and fall back to the dense local only where the result has no
+    such diagonal (a complex scalar, or a nonzero mean off the main
+    diagonal).  :meth:`apply` is then one shifted, scaled copy along the
+    factor's axis.  ``.local`` is built from the diagonal on first access
+    and kept; it equals the dense local bit for bit, signed zeros included.
     """
 
     __slots__ = (
-        "signature", "local", "axes", "support", "name", "_matrix", "_sectors", "_diagonal"
+        "signature", "axes", "support", "name", "_local", "_band", "_matrix", "_sectors", "_diagonal"
     )
 
     def __init__(
@@ -290,14 +307,37 @@ class LabeledOperator:
             raise SignatureError(
                 f"matrix shape {local.shape} does not match factor dims {sub_dims}"
             )
+        band = Band.of(local) if len(axes) == 1 else None
+        self._set(signature, axes, frozenset(support), name, None if band else local, band)
+
+    def _set(self, signature, axes, support, name, local, band):
         self.signature = signature
-        self.local = local
         self.axes = axes
-        self.support = frozenset(support)
+        self.support = support
         self.name = name
+        self._local = local
+        self._band = band
         self._matrix = None
         self._sectors = None
         self._diagonal = None
+
+    @classmethod
+    def _stored(cls, signature, axes, support, name, local=None, band=None) -> "LabeledOperator":
+        """An operator stored as given: no shape check and no search for a diagonal."""
+        op = cls.__new__(cls)
+        op._set(signature, axes, support, name, local, band)
+        return op
+
+    def _derived(self, name: str, local=None, band=None) -> "LabeledOperator":
+        """An operator on the same factors and support, stored as given."""
+        return self._stored(self.signature, self.axes, self.support, name, local, band)
+
+    @property
+    def local(self) -> np.ndarray:
+        """The local matrix on ``axes``; for a diagonal-stored local, built on first access."""
+        if self._local is None:
+            self._local = self._band.dense(self.signature.dims[self.axes[0]])
+        return self._local
 
     @property
     def matrix(self) -> np.ndarray:
@@ -344,9 +384,19 @@ class LabeledOperator:
 
         ``x`` is a full-space vector, or an array whose second-to-last index
         runs over the full space (a D x m stack, a density matrix, or a batch
-        of either), as for ``np.matmul``.  The local matrix is contracted into
-        the factors at ``self.axes`` of that index.
+        of either), as for ``np.matmul``.  A diagonal-stored local scales and
+        shifts the factor's index of ``x``; any other local matrix is
+        contracted into the factors at ``self.axes`` of that index.
         """
+        if self._band is None:
+            return self._contract(x)
+        dims, ax = self.signature.dims, self.axes[0]
+        m = x.shape[-1] if x.ndim > 1 else 1
+        y = x.reshape(-1, dims[ax], math.prod(dims[ax + 1 :]) * m)
+        return self._band.apply(y).reshape(x.shape)
+
+    def _contract(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`apply` of the dense local matrix."""
         dims, axes, k = self.signature.dims, self.axes, len(self.axes)
         m = x.shape[-1] if x.ndim > 1 else 1
         if not axes or axes == tuple(range(axes[0], axes[0] + k)):
@@ -364,13 +414,25 @@ class LabeledOperator:
 
     def dag(self) -> "LabeledOperator":
         name = f"{self.name}^dag" if self.name else ""
-        return LabeledOperator(self.signature, self.local.conj().T, self.support, name, self.axes)
+        if self._band is not None:
+            return self._derived(name, band=self._band.dag())
+        return self._derived(name, local=self.local.conj().T)
+
+    def _minus_identity(self, value: complex, name: str) -> "LabeledOperator":
+        """``self - value * identity``, the local's diagonal lowered by ``value``."""
+        if self._band is not None:
+            band = self._band.minus_identity(value)
+            if band is not None:
+                return self._derived(name, band=band)
+        centred = self.local.copy()
+        centred.flat[:: centred.shape[0] + 1] -= value
+        return self._derived(name, local=centred)
 
     def _combine(self, other: "LabeledOperator", fn) -> "LabeledOperator":
         _same_signature(self.signature, other.signature)
         axes = tuple(sorted(set(self.axes) | set(other.axes)))
         local = fn(self._lifted(axes), other._lifted(axes))
-        return LabeledOperator(self.signature, local, self.support | other.support, "", axes)
+        return self._stored(self.signature, axes, self.support | other.support, "", local)
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         return self._combine(other, np.matmul)
@@ -382,8 +444,11 @@ class LabeledOperator:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "LabeledOperator":
-        local = self.local * scalar
-        return LabeledOperator(self.signature, local, self.support, self.name, self.axes)
+        if self._band is not None:
+            band = self._band.scaled(scalar)
+            if band is not None:
+                return self._derived(self.name, band=band)
+        return self._derived(self.name, local=self.local * scalar)
 
     __rmul__ = __mul__
 
@@ -414,8 +479,11 @@ def _charge_step(term: LabeledOperator) -> int:
     """The gcd of the charge changes of ``term``'s nonzero local entries; 0 if none changes it.
 
     The charge over the term's own axes is their level sum, so the step is
-    read from the nonzero entries of ``local`` alone.
+    read from the nonzero entries of ``local`` alone; a diagonal-stored
+    local's step is its offset.
     """
+    if term._band is not None:
+        return term._band.charge_step
     charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
     for ax in term.axes:
         charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
@@ -465,7 +533,8 @@ class SectorSpectrum:
         nonzero step raises a ValueError that names it.  ``charges`` keeps
         only the charge sectors of those charges (all if None), and is
         ignored for m > 0.  Every block is read from the local matrices
-        (:func:`_blocks`).
+        (:func:`_blocks`); the whole block of an operator on every factor,
+        in signature order, is its local matrix itself.
         """
         single = isinstance(terms, LabeledOperator)
         terms = [terms] if single else list(terms)
@@ -484,7 +553,10 @@ class SectorSpectrum:
                 sectors = [idx for idx in sectors if len(idx)]
         spectra = []
         for idx in sectors:
-            b = reduce(np.add, (_blocks(term.local, term.axes, sig, idx) for term in terms))
+            if step == 1 and terms[0].axes == tuple(range(len(sig.factors))):
+                b = terms[0].local[None]  # the whole space in basis order: the block is the local
+            else:
+                b = reduce(np.add, (_blocks(term.local, term.axes, sig, idx) for term in terms))
             if b.shape[-1] == 1:
                 b = linalg.require_hermitian(b)
                 spectra.append(linalg.EigenDecomposition(b[..., 0].real, np.ones_like(b)))
@@ -562,7 +634,8 @@ def embed_many(
     """An operator on chosen factors (its matrix laid out in the given order).
 
     The remaining factors carry the identity; the local matrix is stored as
-    given, not lifted to the full space.
+    given, not lifted to the full space (a one-factor local with one real
+    nonzero diagonal is stored as that diagonal, see :class:`LabeledOperator`).
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):

@@ -1,0 +1,102 @@
+"""Committed outputs of fixed CLI configs, regenerated in-process and compared.
+
+Each case under ``tests/golden/`` is a CSV and its ``.meta.json`` sidecar
+as the CLI wrote them.  The test runs the same arguments through
+``cli.main`` and compares: the header, every text, int and bool cell and
+every non-float sidecar field exactly, floats to a relative tolerance of
+:data:`RTOL`.  The sidecar's ``config.output`` is the path written to and is
+not compared.  Bytes are not compared: numpy and BLAS builds may move the
+last digits of a float.
+
+A change that moves an output on purpose rewrites the files with::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
+
+and names the move in CHANGES.md.
+"""
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from entwitness import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-12
+CASES = {
+    "two-mode-invariant-fock256": ["two-mode-invariant", "--fock-dim", "256"],
+    "lur-fock56": ["lur", "--fock-dim", "56", "--r-values", "0.1,0.3,0.5"],
+}
+
+
+def _run(argv: list[str], csv_path: Path) -> None:
+    assert cli.main(argv + ["--output", str(csv_path)]) == 0
+
+
+def _same_value(got, want) -> bool:
+    """Exact for text, bool, int, non-finite floats and containers of them; floats to RTOL."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_value(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same_value, got, want))
+    if isinstance(want, float) and math.isfinite(want) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+def _cell(text: str):
+    """A CSV cell as the value it spells: an int, a float, or the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _rows(path: Path) -> list[list]:
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return [header] + [[_cell(c) for c in row] for row in rows]
+
+
+def _meta(path: Path) -> dict:
+    meta = json.loads(path.read_text())
+    del meta["config"]["output"]
+    return meta
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_the_committed_golden_file(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    _run(CASES[name], out)
+    want = GOLDEN / f"{name}.csv"
+    got_rows, want_rows = _rows(out), _rows(want)
+    assert got_rows[0] == want_rows[0]
+    assert len(got_rows) == len(want_rows)
+    for i, (got, row) in enumerate(zip(got_rows[1:], want_rows[1:])):
+        assert _same_value(got, row), f"{name} row {i}: {got} != {row}"
+    assert _same_value(_meta(Path(f"{out}.meta.json")), _meta(Path(f"{want}.meta.json")))
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        out = GOLDEN / f"{name}.csv"
+        _run(argv, out)
+        meta_path = Path(f"{out}.meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["output"] = out.name
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    _regenerate()
