@@ -5,7 +5,10 @@ over the :func:`~entwitness.cli._format_cell` text of every cell, read from
 ``col.tolist()`` as the JSON writer reads it.  Tables are drawn column by
 column, each column an array of one dtype (floats, int64, bools, and strings
 that need quoting, as ``str`` or ``object`` arrays); examples are
-derandomized, so the suite is deterministic.
+derandomized, so the suite is deterministic.  Both writer paths are checked:
+the row path, which small tables take, and the byte path
+(:func:`~entwitness.cli._csv_by_bytes`), called directly whatever the
+table's size as well as through the table size that selects it.
 """
 
 import csv
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwitness import cli
+from entwitness import cli, csvbytes
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -89,3 +92,40 @@ def test_carriage_return_is_quoted_and_reads_back():
     text = cli._columns_to_csv(columns)
     assert text == 's,n\n"a\rb",1\n'
     assert list(csv.DictReader(io.StringIO(text, newline=""))) == [{"s": "a\rb", "n": "1"}]
+
+
+@SETTINGS
+@given(tables())
+def test_byte_writer_matches_per_cell_writer(columns):
+    assert cli._csv_by_bytes(columns) == _per_cell_csv(columns)
+
+
+def _large_table_of_every_kind() -> dict:
+    n = cli.CSV_BYTES_MIN_FLOAT_CELLS
+    texts = TEXTS + ["\u00e9t\u00e9 \u2014 \U0001f600", "\ud800", "x\udfffy", "\r", "\x00"]
+    mixed = [True, 1, "1", 0, False, "true", -0.0, 0.0, math.nan, 1.5, None, "a,b"]
+    return {
+        "x": np.array((EDGE_FLOATS + [1e153, -1e-300, 0.1, 1e22]) * n)[:n],
+        "n": np.arange(n, dtype=np.int64) * (-(2**40) + 7),
+        "u": np.arange(n, dtype=np.uint64) * np.uint64(2**60),
+        "flag": np.arange(n) % 3 == 0,
+        "text": np.array((texts * n)[:n]),
+        "kind": np.array((mixed * n)[:n], dtype=object),
+        "f32": np.linspace(-1, 1, n, dtype=np.float32),
+    }
+
+
+def test_large_table_of_every_column_kind_takes_the_byte_path(monkeypatch):
+    columns = _large_table_of_every_kind()
+    want = _per_cell_csv(columns)
+    assert cli._csv_by_rows(columns) == want
+    assert cli._csv_by_bytes(columns) == want
+    monkeypatch.setattr(csvbytes, "CHUNK_ROWS", 64)  # 200 rows in 4 chunks
+    monkeypatch.setattr(cli, "_csv_by_rows", lambda columns: pytest.fail("a large table took the row path"))
+    assert cli._columns_to_csv(columns) == want
+
+
+@pytest.mark.parametrize("texts", [[""], ["\r", "", "\u00e9", "\ud800"]], ids=["empty", "mixed"])
+def test_byte_writer_lone_text_column(texts):
+    columns = {"s": np.array(texts * cli.CSV_BYTES_MIN_FLOAT_CELLS)}
+    assert cli._csv_by_bytes(columns) == _per_cell_csv(columns)

@@ -8,6 +8,12 @@ every non-float sidecar field exactly, floats to a relative tolerance of
 not compared.  Bytes are not compared: numpy and BLAS builds may move the
 last digits of a float.
 
+The CSV writer picks its path by the table's float cell count
+(``cli.CSV_BYTES_MIN_FLOAT_CELLS``, 200).  ``jc-thermal-nbar2-points50``
+(300 float cells) is written by the byte path; ``two-mode-invariant-fock256``
+(16), ``lur-fock56`` (15) and ``ppt-crosscheck-trials37-seed3`` (111) by the
+row path.
+
 A change that moves an output on purpose rewrites the files with::
 
     PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
@@ -30,6 +36,10 @@ RTOL = 1e-12
 CASES = {
     "two-mode-invariant-fock256": ["two-mode-invariant", "--fock-dim", "256"],
     "lur-fock56": ["lur", "--fock-dim", "56", "--r-values", "0.1,0.3,0.5"],
+    "jc-thermal-nbar2-points50": ["jc-thermal", "--nbar", "2", "--points", "50"],
+    "ppt-crosscheck-trials37-seed3": [
+        "ppt-crosscheck", "--trials", "37", "--dims", "4x2,2x2,3x5", "--seed", "3",
+    ],
 }
 
 
