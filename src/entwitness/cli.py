@@ -342,16 +342,19 @@ def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[dict[str, np.ndarra
     closest = math.inf  # min |margin| / tol over both criteria and all trials
     for block in families.ppt_trials(seed, trials, dim_pairs, int(p["products"])):
         checks = witnesses.ppt_crosscheck_batch(block.states, block.ga, block.gb)
-        at = block.trials
+        at = np.asarray(block.trials)
         columns["kind"][at] = block.kind
         columns["dim_a"][at], columns["dim_b"][at] = block.dims
-        columns["cond1_margin"][at] = [chk.cond1.margin for chk in checks]
-        columns["cond2_margin"][at] = [chk.cond2.margin for chk in checks]
-        columns["ppt_min_eig"][at] = [chk.min_eigenvalue for chk in checks]
-        columns["flagged"][at] = [chk.flagged for chk in checks]
-        columns["consistent"][at] = [chk.consistent for chk in checks]
-        closest = min(
-            closest, *(abs(r.margin) / r.tolerance for chk in checks for r in (chk.cond1, chk.cond2))
+        columns["cond1_margin"][at] = checks.cond1.margin
+        columns["cond2_margin"][at] = checks.cond2.margin
+        columns["ppt_min_eig"][at] = checks.min_eigenvalue
+        columns["flagged"][at] = checks.flagged
+        columns["consistent"][at] = checks.consistent
+        # fmin skips a NaN ratio as Python's min over floats did
+        closest = np.fmin.reduce(
+            [np.abs(rep.margin) / rep.tolerance for rep in (checks.cond1, checks.cond2)],
+            axis=None,
+            initial=closest,
         )
     flagged = columns["flagged"]
     separable = columns["kind"] == "separable"
@@ -359,7 +362,7 @@ def _run_ppt_crosscheck(p: dict, seed: int, common) -> tuple[dict[str, np.ndarra
         "violations": int(np.count_nonzero(~columns["consistent"] | (separable & flagged))),
         "trials": trials,
         "flagged": int(np.count_nonzero(flagged)),
-        "min_abs_margin_over_tol": closest,
+        "min_abs_margin_over_tol": float(closest),
     }
 
 

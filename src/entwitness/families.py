@@ -26,9 +26,11 @@ of the partial-transpose cross-check (:func:`ppt_trials`).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -392,6 +394,120 @@ def atom_field_lur(
 # cap on the bytes of one stacked D x D complex array of a block of trials:
 # a block holds PPT_BLOCK_BYTES // (16 D^2) trials (16 at D = 16), at least one
 PPT_BLOCK_BYTES = 1 << 16
+# trials whose streams are seeded by one hash call (32 bytes of seed state each)
+PPT_SEED_CHUNK = 4096
+
+# numpy.random.SeedSequence with its default pool of four 32-bit words: the
+# constants of the pool hash (A), of the output hash of generate_state (B)
+# and of the mix of two words
+_WORD_MASK = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an int: its 32-bit words, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [(n >> shift) & _WORD_MASK for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash_pools(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` with one column per entropy word.
+
+    ``entropy`` holds the i-th 32-bit word of every row; the result has one
+    row of four 64-bit words per row.  The hash constants do not depend on
+    the data, so they advance as Python ints while the words stay ``uint32``
+    arrays, whose products wrap modulo 2^32 as the C hash does.
+    """
+    n = len(entropy[0])
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _WORD_MASK
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        out ^= out >> np.uint32(16)
+        return out
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const = _INIT_B
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _WORD_MASK
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        state[:, i] = value
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_seed_states(seed: int, trials: Sequence[int]) -> np.ndarray:
+    """``np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)`` for each k of ``trials``.
+
+    One row per trial, hashed for all trials at once: the entropy is the
+    32-bit words of ``seed`` followed by those of k, and trials with the same
+    number of words share one call of :func:`_hash_pools`.
+    """
+    k = np.asarray(trials, dtype=np.uint64).reshape(-1)
+    lead = _seed_words(seed)
+    low = (k & np.uint64(_WORD_MASK)).astype(np.uint32)
+    high = (k >> np.uint64(32)).astype(np.uint32)
+    states = np.empty((len(k), 4), dtype=np.uint64)
+    for rows, words in ((high == 0, [low]), (high != 0, [low, high])):
+        n = int(np.count_nonzero(rows))
+        if n:
+            entropy = [np.full(n, word, dtype=np.uint32) for word in lead]
+            states[rows] = _hash_pools(entropy + [word[rows] for word in words])
+    return states
+
+
+@functools.cache
+def _hashed_seed_type() -> type:
+    """A seed sequence that hands PCG64 the state :func:`_trial_seed_states` hashed.
+
+    Built on first use: ``numpy.random`` is imported lazily, and importing
+    it with the package would cost every run that draws nothing.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.state  # PCG64 asks once, for 4 words of np.uint64
+
+    return HashedSeed
+
+
+def _trial_streams(seed: int, trials: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The stream ``np.random.default_rng((seed, k))`` of each k of ``trials``, in order.
+
+    The seed states are hashed ``PPT_SEED_CHUNK`` trials at a time, so memory
+    stays flat however many trials there are; a stream then costs one PCG64
+    and one Generator, without a SeedSequence.
+    """
+    hashed_seed = _hashed_seed_type()
+    for start in range(0, len(trials), PPT_SEED_CHUNK):
+        for state in _trial_seed_states(seed, trials[start : start + PPT_SEED_CHUNK]):
+            yield np.random.Generator(np.random.PCG64(hashed_seed(state)))
 
 
 @dataclass(frozen=True)
@@ -457,17 +573,16 @@ def random_separable(rng: np.random.Generator, da: int, db: int, products: int) 
 
 
 def _separable_block(
-    seed: int, block: Sequence[int], da: int, db: int, products: int
+    rngs: Iterable[np.random.Generator], n: int, da: int, db: int, products: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices (n, D, D) of a separable block, and its rows of local draws."""
-    n, width = len(block), 2 * (da + db)
+    width = 2 * (da + db)
     local = np.empty((n, 2 * (da * da + db * db)))
     x = np.empty((n * products, width))
     weights = np.empty(n * products)
     ends = []
     used = 0
-    for i, trial in enumerate(block):
-        rng = np.random.default_rng((seed, trial))
+    for i, rng in enumerate(rngs):
         n_prod = int(rng.integers(1, products + 1))
         weights[used : used + n_prod] = rng.random(n_prod)
         draw = rng.normal(size=n_prod * width + local.shape[1])
@@ -494,7 +609,10 @@ def ppt_trials(
     """The ``ppt-crosscheck`` ensemble, in blocks of one kind and one pair of dims.
 
     Trial k draws everything from one stream, ``np.random.default_rng((seed,
-    k))``, so it can be reproduced alone.  It lives on the space of
+    k))``, so it can be reproduced alone.  The streams are not built by
+    ``default_rng``: :func:`_trial_seed_states` hashes the seed states of a
+    few thousand trials at once, as ``SeedSequence((seed, k))`` would, and
+    each state seeds a ``PCG64`` directly.  It lives on the space of
     ``dim_pairs[k % len(dim_pairs)]``; an even k is a pure state with
     complex Gaussian amplitudes, an odd k a separable mixture of 1 to
     ``products`` random product states (``integers`` for their number, then
@@ -514,16 +632,18 @@ def ppt_trials(
     for (kind, da, db), members in groups.items():
         d = da * db
         size = max(1, PPT_BLOCK_BYTES // (16 * d * d))
+        streams = _trial_streams(seed, members)
         for start in range(0, len(members), size):
             block = members[start : start + size]
+            rngs = itertools.islice(streams, len(block))
             if kind == "pure":
                 x = np.empty((len(block), 2 * (d + da * da + db * db)))
-                for i, trial in enumerate(block):
-                    x[i] = np.random.default_rng((seed, trial)).normal(size=x.shape[1])
+                for i, rng in enumerate(rngs):
+                    x[i] = rng.normal(size=x.shape[1])
                 states = _unit_rows(x[:, :d] + 1j * x[:, d : 2 * d])
                 local = x[:, 2 * d :]
             else:
-                states, local = _separable_block(seed, block, da, db, products)
+                states, local = _separable_block(rngs, len(block), da, db, products)
             ga = _local_stack(local[:, : 2 * da * da], da)
             gb = _local_stack(local[:, 2 * da * da :], db)
             yield PptTrialBlock(kind, (da, db), block, states, ga, gb)

@@ -183,8 +183,8 @@ def _require_free_memory(dim: int) -> None:
     free = _available_memory()
     if free is not None and need > free:
         raise MemoryError(
-            f"a jc trace at fock_dim {dim} (D = {d}) needs about {need / 2**20:.0f} MiB, "
-            f"but only {free / 2**20:.0f} MiB are free"
+            f"a jc trace at fock_dim {dim} (D = {d}) needs about {need / 2**20:.1f} MiB, "
+            f"but only {free / 2**20:.1f} MiB are free"
         )
 
 

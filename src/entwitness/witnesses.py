@@ -30,8 +30,10 @@ Words reach the roots by contraction (:meth:`LabeledOperator.apply`).
 * :func:`bilinear_form` (and the expanded matrices, its one-sided cases)
   reads c and t as two blocks of the table of [F_j] + [G_k] + [F_j G_k];
 * :func:`ppt_crosscheck_batch` builds the tables of [I, A, B, AB] of a
-  stack of states on one space at once and reads them like cond1 and cond2,
-  next to the partial-transpose minimum eigenvalue as a cross-check.
+  stack of states on one space at once and reads them through the helper
+  cond1 and cond2 read one table with, next to the partial-transpose
+  minimum eigenvalue as a cross-check; the verdicts come back as columns
+  (:class:`PptColumns`, :class:`ReportColumns`).
 
 The module also provides product-vector search on the form.
 
@@ -128,19 +130,79 @@ def _check_disjoint(side_a: Iterable[LabeledOperator], side_b: Iterable[LabeledO
         raise SupportError(f"operator supports overlap on factors {sorted(sup_a & sup_b)}")
 
 
+@dataclass(frozen=True)
+class ReportColumns:
+    """The fields of a stack of :class:`WitnessReport`, one array per field."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    entangled: np.ndarray
+    tolerance: np.ndarray
+
+    def report(self, i: int) -> WitnessReport:
+        return WitnessReport(
+            float(self.lhs[i]),
+            float(self.rhs[i]),
+            float(self.margin[i]),
+            bool(self.entangled[i]),
+            float(self.tolerance[i]),
+        )
+
+
+def _reports(lhs: np.ndarray, rhs: np.ndarray) -> ReportColumns:
+    """:func:`_report` entry by entry, with its bits.
+
+    ``np.fmax`` keeps Python's ``max(1.0, nan) == 1.0``.
+    """
+    tol = WITNESS_TOL_SCALE * np.fmax(1.0, np.abs(rhs))
+    margin = lhs - rhs
+    return ReportColumns(lhs, rhs, margin, margin > tol, tol)
+
+
 def _report(lhs: float, rhs: float) -> WitnessReport:
     tol = WITNESS_TOL_SCALE * max(1.0, abs(rhs))
     margin = lhs - rhs
     return WitnessReport(lhs, rhs, margin, bool(margin > tol), tol)
 
 
+def _abs_squared(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entry by entry, bit for bit Python's ``abs(z) ** 2``.
+
+    Python's complex ``abs`` is ``hypot`` and ``** 2`` is ``pow``; ``np.abs``
+    of a complex array and ``x * x`` (and ``np.power(x, 2)``) round
+    differently now and then.  Where ``** 2`` raises ``OverflowError``, this
+    raises ``FloatingPointError``.
+    """
+    with np.errstate(over="raise"):
+        return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def _not_real(what: str, imag: float, tol: float) -> linalg.NonHermitianError:
+    err = linalg.NonHermitianError(abs(imag), tol)
+    err.args = (f"{what} should be real, got imaginary part {imag:.3e}",)
+    return err
+
+
 def _real(value: complex, what: str) -> float:
     tol = 1e-8 * max(1.0, abs(value))
     if abs(value.imag) > tol:
-        err = linalg.NonHermitianError(abs(value.imag), tol)
-        err.args = (f"{what} should be real, got imaginary part {value.imag:.3e}",)
-        raise err
+        raise _not_real(what, value.imag, tol)
     return float(value.real)
+
+
+def _real_parts(values: np.ndarray, what: Sequence[str]) -> np.ndarray:
+    """:func:`_real` of every entry of ``values`` (..., len(what)); column j names ``what[j]``.
+
+    The first entry out of tolerance in row-major order raises: the first
+    row of a stack and, within it, the first column.
+    """
+    tol = 1e-8 * np.fmax(1.0, np.hypot(values.real, values.imag))
+    bad = np.flatnonzero(np.abs(values.imag) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise _not_real(what[i % len(what)], float(values.imag.flat[i]), float(tol.flat[i]))
+    return values.real
 
 
 _Word = tuple[LabeledOperator, ...]
@@ -177,34 +239,37 @@ def _gram(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return rows[..., 0, :]
 
 
-# the entries of the table of [I, A, B, AB] that the base tests read:
-# <A^dag B>, <(AB)^dag AB> = <A^dag A B^dag B>, <AB>, <A^dag A>, <B^dag B>
-_BASE_ROWS, _BASE_COLS = [1, 3, 0, 1, 2], [2, 3, 3, 1, 2]
+# the entries of the table of [I, A, B, AB] that the base tests read: the two
+# they square, <A^dag B> and <AB>, then the three that must be real, in the
+# order they are checked
+_BASE_ROWS, _BASE_COLS = [1, 0, 3, 1, 2], [2, 3, 3, 1, 2]
+_REAL_MOMENTS = ("<A^dag A B^dag B>", "<A^dag A>", "<B^dag B>")
 
 
-def _base_moments(state: State, a: LabeledOperator, b: LabeledOperator) -> list[complex]:
-    """The base-test entries of the Gram table of the words [I, A, B, AB]."""
+def _base_moments(state: State, a: LabeledOperator, b: LabeledOperator) -> np.ndarray:
+    """The base-test entries of the Gram table of the words [I, A, B, AB], as a (1, 5) row."""
     _check_disjoint([a], [b])
-    return _gram(*_images(state, [(), (a,), (b,), (a, b)]))[_BASE_ROWS, _BASE_COLS].tolist()
+    return _gram(*_images(state, [(), (a,), (b,), (a, b)]))[None, _BASE_ROWS, _BASE_COLS]
 
 
-def _base_reports(moments: Sequence[complex]) -> tuple[WitnessReport, WitnessReport]:
-    """cond1 and cond2 from the base-test entries of a Gram table."""
-    a_b, ab_ab, ab, a_a, b_b = moments
-    return (
-        _report(abs(a_b) ** 2, _real(ab_ab, "<A^dag A B^dag B>")),
-        _report(abs(ab) ** 2, _real(a_a, "<A^dag A>") * _real(b_b, "<B^dag B>")),
-    )
+def _base_columns(moments: np.ndarray) -> tuple[ReportColumns, ReportColumns]:
+    """cond1 and cond2 of each row (n, 5) of base-test entries of Gram tables."""
+    real = _real_parts(moments[:, 2:], _REAL_MOMENTS)
+    rhs = real[:, :2].copy()
+    rhs[:, 1] *= real[:, 2]
+    both = _reports(_abs_squared(moments[:, :2]), rhs)
+    fields = (both.lhs, both.rhs, both.margin, both.entangled, both.tolerance)
+    return ReportColumns(*(f[:, 0] for f in fields)), ReportColumns(*(f[:, 1] for f in fields))
 
 
 def cond1(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Cross-correlation test: |<A^dag B>|^2 > <A^dag A B^dag B>."""
-    return _base_reports(_base_moments(state, a, b))[0]
+    return _base_columns(_base_moments(state, a, b))[0].report(0)
 
 
 def cond2(state: State, a: LabeledOperator, b: LabeledOperator) -> WitnessReport:
     """Pairing test: |<A B>|^2 > <A^dag A><B^dag B>."""
-    return _base_reports(_base_moments(state, a, b))[1]
+    return _base_columns(_base_moments(state, a, b))[1].report(0)
 
 
 def witness_matrix_expand_a(
@@ -530,6 +595,23 @@ class PptCrosscheck:
         return (not self.flagged) or self.min_eigenvalue < -PPT_TOL
 
 
+@dataclass(frozen=True)
+class PptColumns:
+    """The fields of a stack of :class:`PptCrosscheck`, one array per field."""
+
+    cond1: ReportColumns
+    cond2: ReportColumns
+    min_eigenvalue: np.ndarray
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return self.cond1.entangled | self.cond2.entangled
+
+    @property
+    def consistent(self) -> np.ndarray:
+        return ~self.flagged | (self.min_eigenvalue < -PPT_TOL)
+
+
 def ppt_crosscheck(state: State, a: LabeledOperator, b: LabeledOperator) -> PptCrosscheck:
     """Evaluate both base criteria and the partial-transpose eigenvalue together.
 
@@ -537,24 +619,26 @@ def ppt_crosscheck(state: State, a: LabeledOperator, b: LabeledOperator) -> PptC
     they flag must have a negative partial transpose; the report makes that
     implication checkable.
     """
-    rep1, rep2 = _base_reports(_base_moments(state, a, b))
+    rep1, rep2 = (c.report(0) for c in _base_columns(_base_moments(state, a, b)))
     labels = sorted(a.support) or [state.signature.labels[0]]
     return PptCrosscheck(rep1, rep2, ppt_min_eig(state, labels))
 
 
-def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> list[PptCrosscheck]:
-    """:func:`ppt_crosscheck` for a stack of states on one space a (x) b.
+def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> PptColumns:
+    """:func:`ppt_crosscheck` for a stack of states on one space a (x) b, as columns.
 
     ``states`` holds n kets (n, D) or n density matrices (n, D, D) with
     D = d_a d_b, ``ga`` (n, d_a, d_a) and ``gb`` (n, d_b, d_b) the local
     matrices of A and B on sides a and b, and the partial transpose is taken
-    on side a.  Entry i equals
+    on side a.  Entry i of every column equals that field of
     ``ppt_crosscheck(state_i, embed(ga[i], "a", sig), embed(gb[i], "b", sig))``
     for ``sig = signature(boson("a", d_a), boson("b", d_b))`` bit for bit:
     the images of the words [I, A, B, AB] are contracted with the inner
     shapes of :meth:`LabeledOperator.apply`, batched over the stack, one
-    :func:`_gram` call gives every table, and the partial-transpose
-    eigenvalues come from one ``eigvalsh`` call.
+    :func:`_gram` call gives every table, both criteria read the tables
+    through the helper the per-state reports read, and the partial-transpose
+    eigenvalues come from one ``eigvalsh`` call.  A moment that should be
+    real and is not raises the error of the first such state in the stack.
     """
     n, da, db = len(ga), ga.shape[-1], gb.shape[-1]
     d = da * db
@@ -577,7 +661,7 @@ def ppt_crosscheck_batch(states: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> 
         bras = images(np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)))
         kets = images(states)
         rho = states
-    moments = _gram(bras, kets)[:, _BASE_ROWS, _BASE_COLS].tolist()
+    cond1_cols, cond2_cols = _base_columns(_gram(bras, kets)[:, _BASE_ROWS, _BASE_COLS])
     pt = rho.reshape(n, da, db, da, db).swapaxes(1, 3).reshape(n, d, d)
     min_eig = np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0]
-    return [PptCrosscheck(*_base_reports(m), w) for m, w in zip(moments, min_eig.tolist())]
+    return PptColumns(cond1_cols, cond2_cols, min_eig)

@@ -10,9 +10,12 @@ last digits of a float.
 
 The CSV writer picks its path by the table's float cell count
 (``cli.CSV_BYTES_MIN_FLOAT_CELLS``, 200).  ``jc-thermal-nbar2-points50``
-(300 float cells) is written by the byte path; ``two-mode-invariant-fock256``
-(16), ``lur-fock56`` (15) and ``ppt-crosscheck-trials37-seed3`` (111) by the
-row path.
+(300 float cells), ``ppt-crosscheck-defaults`` (500 trials, 1500) and
+``ppt-crosscheck-trials200-seed1`` (600) are written by the byte path;
+``two-mode-invariant-fock256`` (16), ``lur-fock56`` (15) and
+``ppt-crosscheck-trials37-seed3`` (111) by the row path.  The two larger
+ppt-crosscheck tables hold separable mixtures of every product count from
+1 to 16.
 
 A change that moves an output on purpose rewrites the files with::
 
@@ -39,6 +42,10 @@ CASES = {
     "jc-thermal-nbar2-points50": ["jc-thermal", "--nbar", "2", "--points", "50"],
     "ppt-crosscheck-trials37-seed3": [
         "ppt-crosscheck", "--trials", "37", "--dims", "4x2,2x2,3x5", "--seed", "3",
+    ],
+    "ppt-crosscheck-defaults": ["ppt-crosscheck"],
+    "ppt-crosscheck-trials200-seed1": [
+        "ppt-crosscheck", "--trials", "200", "--dims", "2x4,3x3,4x4,3x5", "--seed", "1",
     ],
 }
 

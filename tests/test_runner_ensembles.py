@@ -9,7 +9,10 @@ batched runner's columns must give the CSV of its rows (read as columns by
 must keep the peak memory of a bench-size run near that of the loop.  The
 blocks normalise their kets all at once, which keeps the loop's bits only
 while `np.vecdot` sums a row as `np.linalg.norm` does; that is pinned here
-too.
+too, as are the seed states hashed for many trials at once (equal to
+`np.random.SeedSequence((seed, k))`, so each stream is that of
+`default_rng((seed, k))`) and the columns of the batch, whose floats must
+keep the bits of Python's `abs(z) ** 2` and `max(1.0, abs(rhs))`.
 `lur --mode atom-field` takes its state from
 `families.atom_field_superposition`, checked against the inline
 construction it replaced.
@@ -19,7 +22,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,6 +164,46 @@ def test_runner_equals_the_per_trial_loop_on_random_configs(seed, dims, products
     _assert_same_csv(_params(trials, [f"{da}x{db}" for da, db in dims], products), seed)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64), st.sampled_from([0, 2**31, 2**32 - 1, 2**32, 2**64])),
+    trials=st.lists(
+        st.one_of(st.integers(0, 5000), st.integers(0, 2**64 - 1)), min_size=1, max_size=12
+    ),
+)
+def test_seed_states_equal_seed_sequence_and_streams_equal_default_rng(seed, trials):
+    states = families._trial_seed_states(seed, trials)
+    for k, state, rng in zip(trials, states, families._trial_streams(seed, trials)):
+        want = np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+        assert state.tobytes() == want.tobytes()
+        ref = np.random.default_rng((seed, k))
+        assert rng.normal() == ref.normal()
+        assert rng.integers(1, 17) == ref.integers(1, 17)
+        assert rng.random() == ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_streams_cross_the_hash_chunks_in_order(monkeypatch):
+    monkeypatch.setattr(families, "PPT_SEED_CHUNK", 7)
+    trials = list(range(3, 60, 2)) + [2**32 + 1, 2**40]
+    for k, rng in zip(trials, families._trial_streams(11, trials), strict=True):
+        assert rng.bit_generator.state == np.random.default_rng((11, k)).bit_generator.state
+
+
+def test_the_package_import_leaves_numpy_random_unloaded():
+    """The trial streams' seed type is built on first use, not at import."""
+    src = str(pathlib.Path(families.__file__).resolve().parents[1])
+    code = "import sys, entwitness, entwitness.cli, entwitness.models; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_a_negative_seed_exits_2(capsys):
+    assert cli.main(["ppt-crosscheck", "--trials", "3", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2, 1e5])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_block_normalisation_equals_linalg_norm_bit_for_bit(kind, scale):
@@ -179,10 +226,10 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def _assert_same_report(got: witnesses.WitnessReport, want: witnesses.WitnessReport):
+def _assert_same_report(got: witnesses.ReportColumns, i: int, want: witnesses.WitnessReport):
     for field in ("lhs", "rhs", "margin", "tolerance"):
-        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
-    assert got.entangled == want.entangled
+        assert _bits(getattr(got, field)[i]) == _bits(getattr(want, field)), field
+    assert got.entangled[i] == want.entangled
 
 
 def _schmidt_hops(psi, da, db):
@@ -217,14 +264,14 @@ def test_batch_entries_equal_the_per_state_crosscheck_bit_for_bit(seed, da, db, 
                 ga[i], gb[i] = _schmidt_hops(states[i], da, db)
     sig = signature(boson("a", da), boson("b", db))
     got = witnesses.ppt_crosscheck_batch(states, ga, gb)
-    assert len(got) == n
-    for i, chk in enumerate(got):
+    assert len(got.min_eigenvalue) == n
+    for i in range(n):
         state = StateVector(sig, states[i]) if states.ndim == 2 else DensityMatrix(sig, states[i])
         want = witnesses.ppt_crosscheck(state, embed(ga[i], "a", sig), embed(gb[i], "b", sig))
-        _assert_same_report(chk.cond1, want.cond1)
-        _assert_same_report(chk.cond2, want.cond2)
-        assert _bits(chk.min_eigenvalue) == _bits(want.min_eigenvalue)
-        assert (chk.flagged, chk.consistent) == (want.flagged, want.consistent)
+        _assert_same_report(got.cond1, i, want.cond1)
+        _assert_same_report(got.cond2, i, want.cond2)
+        assert _bits(got.min_eigenvalue[i]) == _bits(want.min_eigenvalue)
+        assert (got.flagged[i], got.consistent[i]) == (want.flagged, want.consistent)
 
 
 def test_schmidt_hops_flag_pure_states_in_a_batch():
@@ -236,7 +283,64 @@ def test_schmidt_hops_flag_pure_states_in_a_batch():
     checks = witnesses.ppt_crosscheck_batch(
         psi, np.array([h[0] for h in hops]), np.array([h[1] for h in hops])
     )
-    assert all(chk.flagged and chk.consistent for chk in checks)
+    assert checks.flagged.all() and checks.consistent.all()
+
+
+def test_a_non_real_moment_in_a_batch_raises_as_the_per_state_call():
+    """The first trial in block order raises, naming its first non-real moment.
+
+    Trial 1 is not Hermitian and has B = 0, so only <A^dag A> is not real;
+    trial 2 has a non-real <A^dag A B^dag B>, which is checked first within
+    a trial but comes later in the stack.
+    """
+    rng = np.random.default_rng(3)
+    da, db, n = 2, 3, 4
+    d = da * db
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    rho = g @ g.conj().swapaxes(1, 2)
+    states = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    states[1:3] += 0.3j * rng.normal(size=(2, d, d))
+    ga = rng.normal(size=(n, da, da)) + 1j * rng.normal(size=(n, da, da))
+    gb = rng.normal(size=(n, db, db)) + 1j * rng.normal(size=(n, db, db))
+    gb[1] = 0.0
+    sig = signature(boson("a", da), boson("b", db))
+    with pytest.raises(linalg.NonHermitianError) as per_state:
+        witnesses.ppt_crosscheck(DensityMatrix(sig, states[1]), embed(ga[1], "a", sig), embed(gb[1], "b", sig))
+    with pytest.raises(linalg.NonHermitianError) as batch:
+        witnesses.ppt_crosscheck_batch(states, ga, gb)
+    assert str(per_state.value).startswith("<A^dag A> should be real")
+    assert str(batch.value) == str(per_state.value)
+    assert (batch.value.max_asymmetry, batch.value.tolerance) == (
+        per_state.value.max_asymmetry,
+        per_state.value.tolerance,
+    )
+    with pytest.raises(linalg.NonHermitianError, match=r"^<A\^dag A B\^dag B> should be real"):
+        witnesses.ppt_crosscheck_batch(states[2:], ga[2:], gb[2:])
+
+
+def _edge_floats(*extra):
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 2.0**-1022, 1.0, -1.0, *extra]),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(re=st.lists(_edge_floats(), min_size=1, max_size=8), data=st.data())
+def test_report_columns_keep_the_bits_of_python_floats(re, data):
+    """|z|^2 and the report fields as Python computes them for one report (``_report``).
+
+    A NaN goes into rhs only: Python's ``abs`` of a complex NaN may raise.
+    """
+    im = data.draw(st.lists(_edge_floats(), min_size=len(re), max_size=len(re)))
+    rhs = data.draw(st.lists(_edge_floats(math.nan), min_size=len(re), max_size=len(re)))
+    z = np.array(re) + 1j * np.array(im)
+    lhs = witnesses._abs_squared(z)
+    cols = witnesses._reports(lhs, np.array(rhs))
+    for i, (zi, r) in enumerate(zip(z.tolist(), rhs)):
+        want = witnesses._report(abs(zi) ** 2, r)
+        assert _bits(lhs[i]) == _bits(want.lhs)
+        _assert_same_report(cols, i, want)
 
 
 def _peak_bytes(run) -> int:
@@ -294,10 +398,12 @@ def test_violations_count_inconsistent_and_flagged_separable_trials(monkeypatch,
         # in each block: flagged with a positive partial transpose (inconsistent),
         # flagged with a negative one (consistent), then left as drawn
         checks = real(states, ga, gb)
-        for i, chk in enumerate(checks[: 2 * (len(checks) // 3)]):
-            cond1 = dataclasses.replace(chk.cond1, entangled=True)
-            checks[i] = dataclasses.replace(chk, cond1=cond1, min_eigenvalue=(-1.0) ** i)
-        return checks
+        k = 2 * (len(checks.min_eigenvalue) // 3)
+        entangled, min_eig = checks.cond1.entangled.copy(), checks.min_eigenvalue.copy()
+        entangled[:k] = True
+        min_eig[:k] = (-1.0) ** np.arange(k)
+        cond1 = dataclasses.replace(checks.cond1, entangled=entangled)
+        return dataclasses.replace(checks, cond1=cond1, min_eigenvalue=min_eig)
 
     monkeypatch.setattr(witnesses, "ppt_crosscheck_batch", forced)
     out = tmp_path / "ppt.csv"
@@ -310,6 +416,43 @@ def test_violations_count_inconsistent_and_flagged_separable_trials(monkeypatch,
     bad = [r["consistent"] == "false" or (r["kind"] == "separable" and r["flagged"] == "true") for r in rows]
     assert diag["violations"] == sum(bad)
     assert diag["flagged"] == sum(r["flagged"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_abs_squared_keeps_python_bits_where_x_times_x_does_not(scale):
+    """About 1 in 1200 of these |z| square differently as ``x * x`` than as ``x ** 2``."""
+    rng = np.random.default_rng(int(scale * 1e5))
+    z = scale * (rng.normal(size=50_000) + 1j * rng.normal(size=50_000))
+    want = np.array([abs(x) ** 2 for x in z.tolist()])
+    assert witnesses._abs_squared(z).tobytes() == want.tobytes()
+
+
+def test_an_overflowing_square_raises_as_python_does():
+    z = 1e200 + 0j
+    with pytest.raises(OverflowError):
+        abs(z) ** 2
+    with pytest.raises(FloatingPointError):
+        witnesses._abs_squared(np.array([1.0, z]))
+
+
+def test_the_closest_margin_skips_a_nan_ratio_as_python_min_did(monkeypatch):
+    real = witnesses.ppt_crosscheck_batch
+    ratios = []
+
+    def with_a_nan(states, ga, gb):
+        checks = real(states, ga, gb)
+        margin = checks.cond1.margin.copy()
+        margin[0] = math.nan
+        checks = dataclasses.replace(checks, cond1=dataclasses.replace(checks.cond1, margin=margin))
+        for rep in (checks.cond1, checks.cond2):
+            ratios.extend((np.abs(rep.margin) / rep.tolerance).tolist())
+        return checks
+
+    monkeypatch.setattr(witnesses, "ppt_crosscheck_batch", with_a_nan)
+    columns, diag = cli._run_ppt_crosscheck(_params(40, ("2x4", "3x3")), 2, None)
+    assert np.isnan(columns["cond1_margin"]).sum() == 2  # one per block: pure on 2x4, mixed on 3x3
+    assert diag["min_abs_margin_over_tol"] == min(math.inf, *ratios)
+    assert not math.isnan(diag["min_abs_margin_over_tol"])
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -128,7 +128,7 @@ def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(mo
     monkeypatch.setattr(jc, "jc_signature", not_built)
     monkeypatch.setattr(jc, "jc_hamiltonian", not_built)
     # D = 80 needs 11 * 16 * 80^2 bytes, about 1.1 MiB
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1 MiB, but only 0 MiB"):
+    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1\.1 MiB, but only 0\.4 MiB"):
         jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
 
 
@@ -182,8 +182,21 @@ def test_a_cgroup_limit_below_the_host_free_memory_refuses(monkeypatch, tmp_path
     meminfo = "MemFree:        1048576 kB\nMemAvailable:   1048576 kB\n"
     _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(5 * 2**19), str(2 * 2**20)))
     assert jc._available_memory() == 2**19
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1 MiB, but only 0 MiB"):
+    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1\.1 MiB, but only 0\.5 MiB"):
         jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
+
+
+def test_a_refusal_tells_the_need_from_the_headroom_below_one_mib(monkeypatch, tmp_path):
+    # D = 80 needs about 1.07 MiB against exactly 1 MiB of cgroup headroom:
+    # whole MiB would print both as 1
+    meminfo = "MemFree:        1048576 kB\nMemAvailable:   1048576 kB\n"
+    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(3 * 2**20), str(2 * 2**20)))
+    assert jc._available_memory() == 2**20
+    with pytest.raises(MemoryError) as refused:
+        jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
+    assert str(refused.value) == (
+        "a jc trace at fock_dim 40 (D = 80) needs about 1.1 MiB, but only 1.0 MiB are free"
+    )
 
 
 def test_nothing_readable_checks_nothing(monkeypatch, tmp_path):
