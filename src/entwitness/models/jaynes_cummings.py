@@ -25,16 +25,29 @@ at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max in closed
 form.  No propagator, density matrix or centred operator is built per time
 point, and no D x D spectrum at all; the leakage rule judges the largest
 top-two population of the table's own column.  H, its block spectrum and
-the 7 observables depend only on the truncation and the couplings, so
-:func:`jc_witness_traces` builds them once for consecutive configs that
-share these, and those configs also share the cos/sin phase table of their
-time grid, which the block spectrum keeps; nothing outlives the call.
+the 7 observables depend only on the truncation and the couplings; the
+field-atom products among them are Kronecker products of their field and
+atom locals, with no D x D lift.
 
-Truncation: ``fock_dim`` is where escalation starts.  The thermal start is
-built first and checked by the one leakage rule,
+Batches: :func:`jc_witness_traces` evaluates each run of consecutive
+configs that share the truncation, the couplings, the atom start and the
+time grid as one batch.  It builds one system, stacks the thermal starts,
+and reads one (B, T, 7) table from one sector evaluation, whose cos/sin
+phase table the block spectrum keeps; ``form_from_moments`` and ``eig2``
+then run once over (B, T).  A batch is cut into stacks of at most as many
+configs as keep the (B, T, 7) complex table within
+:data:`~entwitness.spaces._BLOCK_BYTES` (at least one), and each stack
+builds its D x D starts one at a time.  Consecutive batches with the same
+truncation and couplings share the system; nothing outlives the call.
+
+Truncation: ``fock_dim`` is where escalation starts.  The thermal start's
+weights are checked first by the one leakage rule,
 :func:`~entwitness.spaces.check_leakage`, so a start too wide for the
 truncation doubles it (:func:`~entwitness.spaces.escalate_fock_dim`) before
-any D x D work; so does a trace that reaches the top levels later.  A new
+any D x D work; so does a trace that reaches the top levels later.  Only
+the config that leaks escalates, alone; the rest of its batch keep their
+traces at the batch's truncation, and the traces come back in config
+order.  A new
 system is refused with ``MemoryError`` when its estimated size,
 :data:`SYSTEM_BYTES_PER_D2` bytes per D^2 (D = 2 fock_dim), exceeds
 :func:`_available_memory`: the kernel's ``MemAvailable``, or the headroom
@@ -44,18 +57,22 @@ under the process's cgroup v2 memory limit where that is smaller.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from .. import linalg
 from .. import operators as ops
+from .. import spaces
 from .. import witnesses
 from ..spaces import (
     QUBIT,
     DensityMatrix,
     LabeledOperator,
+    LeakageError,
     SpaceSignature,
     boson,
     check_leakage,
@@ -69,8 +86,10 @@ from ..spaces import (
 
 # peak bytes of one trace per D^2, an upper bound in whole complex D x D
 # arrays: H, the local matrices of the field-atom observables and the
-# thermal start; the peak RSS of jc-thermal --nbar 0.02 --points 50 grows by
-# about 170 bytes per D^2 from fock_dim 320 (D = 640) to 640 (D = 1280)
+# thermal start (a batch builds its starts one at a time); the peak RSS of
+# jc-thermal --nbar 0.02 --points 50 grows by about 153 bytes per D^2 from
+# fock_dim 320 (D = 640, 95.6 MiB) to 640 (D = 1280, 274.3 MiB), measured
+# as ru_maxrss on a 2-vCPU x86-64 VM
 SYSTEM_BYTES_PER_D2 = 11 * 16
 
 # where _available_memory reads the kernel's and the cgroup's figures
@@ -96,6 +115,13 @@ class JCConfig:
             raise ValueError(f"unknown atom_initial '{self.atom_initial}'")
         if self.kappa <= 0:
             raise ValueError("coupling must be positive")
+
+    @functools.cached_property
+    def kt(self) -> np.ndarray:
+        """``kt_grid`` as a read-only array, converted once."""
+        kt = np.asarray(self.kt_grid)
+        kt.setflags(write=False)
+        return kt
 
 
 def jc_signature(fock_dim: int) -> SpaceSignature:
@@ -204,38 +230,97 @@ def _system(
     return sig, h, (leakage_projector(sig, "field"), *c_ops, *t_ops)
 
 
-def _trace_at_dim(cfg: JCConfig, dim: int, system) -> JCWitnessTrace:
-    # first, so that a start too wide for dim raises before any system is built
-    field = ops.thermal(cfg.nbar, dim)
+def _start(sig: SpaceSignature, weights: np.ndarray, atom: np.ndarray) -> DensityMatrix:
+    """The thermal field of level populations ``weights`` times the atom state."""
+    field = np.diag(weights).astype(complex)  # ops.thermal, from its checked weights
+    return DensityMatrix(sig, linalg.kron2d(field, np.outer(atom, atom.conj())))
+
+
+def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTrace | LeakageError]:
+    """The trace of each config of one batch at truncation ``dim``, or the LeakageError of its start or trace.
+
+    The configs share their couplings, atom start and time grid.  Every
+    thermal start is checked first, so a batch whose starts all leak builds
+    no system.  The other starts go through
+    :func:`~entwitness.spaces.evolved_expectations` as one stack, ``cap``
+    at a time, so that each (B, T, K) table stays within
+    :data:`~entwitness.spaces._BLOCK_BYTES` (at least one config per
+    stack); the stack is drawn one D x D start at a time.
+    """
+    results: list = [None] * len(batch)
+    weights = {}
+    for i, cfg in enumerate(batch):
+        try:
+            weights[i] = ops.thermal_weights(cfg.nbar, dim)
+        except LeakageError as err:
+            results[i] = err
+    if not weights:
+        return results
+    cfg = batch[0]
     sig, h, observables = system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
-    rho0 = DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
-    times = np.asarray(cfg.kt_grid) / cfg.kappa
-    table = evolved_expectations(h, times, rho0, observables)
+    times = cfg.kt / cfg.kappa
     n = times.size
-    worst_leak = check_leakage("field", float(table[:, 0].real.max(initial=0.0)))
-    m = witnesses.form_from_moments(table[:, 1:3].reshape(n, 1, 2), table[:, 3:].reshape(n, 1, 2, 1, 2))
-    return JCWitnessTrace(
-        np.asarray(cfg.kt_grid),
-        m[:, 0, 0].real,
-        m[:, 1, 1].real,
-        abs(m[:, 0, 1]),
-        witnesses.eig2(m)[1],
-        dim,
-        worst_leak,
-    )
+    cap = max(1, spaces._BLOCK_BYTES // (16 * max(n, 1) * len(observables)))
+    live = list(weights)
+    for first in range(0, len(live), cap):
+        chunk = live[first : first + cap]
+        table = evolved_expectations(h, times, (_start(sig, weights[i], atom) for i in chunk), observables)
+        b = len(chunk)
+        m = witnesses.form_from_moments(table[..., 1:3].reshape(b, n, 1, 2), table[..., 3:].reshape(b, n, 1, 2, 1, 2))
+        lambda_max = witnesses.eig2(m)[1]
+        for j, i in enumerate(chunk):
+            try:
+                leak = check_leakage("field", float(table[j, :, 0].real.max(initial=0.0)))
+            except LeakageError as err:
+                results[i] = err
+                continue
+            results[i] = JCWitnessTrace(
+                batch[i].kt.copy(),
+                m[j, :, 0, 0].real,
+                m[j, :, 1, 1].real,
+                abs(m[j, :, 0, 1]),
+                lambda_max[j],
+                dim,
+                leak,
+            )
+    return results
+
+
+def _batch_key(cfg: JCConfig) -> tuple:
+    """Configs of one key share the system, the atom start and the time grid, bit for bit."""
+    return (cfg.fock_dim, cfg.omega, cfg.kappa, cfg.atom_initial, cfg.kt.tobytes())
 
 
 def jc_witness_traces(cfgs: Iterable[JCConfig]) -> list[JCWitnessTrace]:
     """Evolve each thermal-field start and record its witness matrix over time.
 
-    One trace per config, in order.  Each starts at ``cfg.fock_dim`` and
-    escalates the field truncation (doubling) if the thermal start or its
-    evolution populates the top Fock levels.  Consecutive configs with the
-    same truncation and couplings share one system, dropped on return.
+    One trace per config, in order.  Each run of consecutive configs with
+    the same truncation, couplings, atom start and time grid is one batch:
+    one system and stacked sector evaluations at the run's ``fock_dim``,
+    each stack capped so that its (B, T, K) table stays within
+    ``spaces._BLOCK_BYTES`` (:func:`_traces_at_dim`).  A config whose
+    thermal start or evolution populates the top Fock levels escalates
+    alone through :func:`~entwitness.spaces.escalate_fock_dim`, doubling
+    the field truncation; the others keep their batch's traces.
+    Consecutive batches with the same truncation and couplings share one
+    system, dropped on return.  A batch of one config is the single trace.
     """
     system = functools.lru_cache(maxsize=1)(_system)
-    return [escalate_fock_dim(lambda dim: _trace_at_dim(cfg, dim, system), cfg.fock_dim) for cfg in cfgs]
+    traces = []
+    for _, run in itertools.groupby(cfgs, key=_batch_key):
+        batch = list(run)
+        for cfg, result in zip(batch, _traces_at_dim(batch, batch[0].fock_dim, system)):
+
+            def alone(dim, cfg=cfg, result=result):
+                # the batch's result at the run's fock_dim, this config alone above it
+                trace = result if dim == cfg.fock_dim else _traces_at_dim([cfg], dim, system)[0]
+                if isinstance(trace, LeakageError):
+                    raise trace
+                return trace
+
+            traces.append(escalate_fock_dim(alone, cfg.fock_dim))
+    return traces
 
 
 def jc_witness_trace(cfg: JCConfig) -> JCWitnessTrace:

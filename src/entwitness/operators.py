@@ -305,10 +305,15 @@ def squeezed_single_photon(z: complex, dim: int) -> np.ndarray:
 
 
 def thermal(nbar: float, dim: int) -> np.ndarray:
-    """Thermal density matrix with geometric weights, renormalized to trace 1.
+    """Thermal density matrix: the diagonal matrix of :func:`thermal_weights`."""
+    return np.diag(thermal_weights(nbar, dim)).astype(complex)
 
-    The weights are checked before the D x D matrix is built, as the vector
-    sqrt(w), whose level populations are w; so a refusal costs O(dim).
+
+def thermal_weights(nbar: float, dim: int) -> np.ndarray:
+    """Geometric thermal level populations, renormalized to sum 1; raises if they leak.
+
+    The weights are checked as the vector sqrt(w), whose level populations
+    are w, before any matrix is built; so a refusal costs O(dim).
     """
     if nbar < 0:
         raise ValueError("mean photon number must be nonnegative")
@@ -321,7 +326,7 @@ def thermal(nbar: float, dim: int) -> np.ndarray:
         mode = signature(boson(f"thermal(nbar={nbar})", dim))
         require_low_leakage(StateVector(mode, np.sqrt(w)))
         w = w / w.sum()
-    return np.diag(w).astype(complex)
+    return w
 
 
 def two_mode_squeezed(r: float, dim: int, phase: float = 0.0) -> np.ndarray:

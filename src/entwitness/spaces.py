@@ -33,10 +33,12 @@ charge can be eigensolved in just the sectors a start vector occupies.
 :func:`evolve` applies exp(-i H t) to a vector sector by sector and to a
 density matrix as the D x D propagator.  :func:`evolved_expectations`
 returns the T x K table of <O_k> along a time grid, with no propagator or
-state per time.  When H's spectrum is by charge sector and the state
-couples none, it sums Tr(O_NN rho_N(t)) over the sectors: only the
-diagonal blocks of each observable are read, and a block of 2 x 2 sectors
-contributes one cos/sin phase per sector.  Otherwise each operator is
+state per time, or the B x T x K table of a stack of B states.  When H's
+spectrum is by charge sector and a state couples none, it sums
+Tr(O_NN rho_N(t)) over the sectors: only the diagonal blocks of each
+observable are read, a block of 2 x 2 sectors contributes one cos/sin
+phase per sector, and the states of a stack meet the phases in one
+product.  Otherwise each operator is
 rotated once into the whole-space eigenbasis of the same spectrum and
 written beside the others into a D x (k D) stack, and a block of times
 reads every operator of a stack with one product.  :data:`_BLOCK_BYTES`
@@ -265,9 +267,15 @@ class LabeledOperator:
     ``LabeledOperator(sig, matrix, support, name)`` takes a full-space
     matrix (``axes`` is every factor, in signature order); pass ``axes`` to
     give a local matrix instead.  :func:`embed` and :func:`embed_many` store
-    the local matrix, ``dag``, ``-op`` and scalar ``*`` act on it, and ``@``,
-    ``+`` and ``-`` lift both operands to the union of their axes, in
-    signature order.  :meth:`apply` contracts the local matrix into the
+    the local matrix, and ``dag``, ``-op`` and scalar ``*`` act on it.  The
+    results of ``@``, ``+`` and ``-`` act on the union of the operands'
+    axes, in signature order.  ``@`` of operators on disjoint factors is the
+    Kronecker product of their locals, permuted to that order
+    (:func:`~entwitness.linalg.kron2d`: no D x D lift and no D^3 product,
+    and ``A @ B`` and ``B @ A`` have the same bits); of two on the same
+    factors in signature order, the product of their locals.  Other
+    products, and every ``+`` and ``-``, lift both operands to the union
+    first.  :meth:`apply` contracts the local matrix into the
     full-space index of an array, so expectation values and witnesses never
     form a full-space matrix.  The full-space D x D :attr:`matrix` is built
     on first access and cached; for an operator on every factor in
@@ -367,17 +375,11 @@ class LabeledOperator:
         """The local matrix on ``axes`` (a superset of ``self.axes``), identity elsewhere."""
         if axes == self.axes:
             return self.local
-        dims = self.signature.dims
-        rest = [ax for ax in axes if ax not in self.axes]
-        d_rest = math.prod(dims[ax] for ax in rest)
-        d = self.local.shape[0] * d_rest
+        rest = tuple(ax for ax in axes if ax not in self.axes)
+        d_rest = math.prod(self.signature.dims[ax] for ax in rest)
         # kron(local, identity), laid out over (own axes..., rest...)
         big = np.multiply.outer(self.local, np.eye(d_rest, dtype=complex)).transpose(0, 2, 1, 3)
-        order = list(self.axes) + rest
-        n = len(order)
-        perm = [order.index(ax) for ax in axes]
-        t = big.reshape([dims[ax] for ax in order] * 2)
-        return t.transpose(perm + [p + n for p in perm]).reshape(d, d)
+        return _reordered(big, self.axes + rest, axes, self.signature.dims)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``op.matrix @ x`` by contraction, without the full-space matrix.
@@ -435,7 +437,27 @@ class LabeledOperator:
         return self._stored(self.signature, axes, self.support | other.support, "", local)
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
+        if not set(self.axes) & set(other.axes):
+            return self._kron(other)
+        if self.axes == other.axes == tuple(sorted(self.axes)):
+            # the same factors in signature order: nothing to lift
+            _same_signature(self.signature, other.signature)
+            local = self.local @ other.local
+            return self._stored(self.signature, self.axes, self.support | other.support, "", local)
         return self._combine(other, np.matmul)
+
+    def _kron(self, other: "LabeledOperator") -> "LabeledOperator":
+        """``self @ other`` on disjoint axes: the Kronecker product of the locals, on sorted axes.
+
+        Its entries are complex products with no fused multiply-add
+        (:func:`~entwitness.linalg.kron2d`), so ``A @ B`` and ``B @ A``
+        have the same bits.
+        """
+        _same_signature(self.signature, other.signature)
+        order = self.axes + other.axes
+        axes = tuple(sorted(order))
+        local = _reordered(linalg.kron2d(self.local, other.local), order, axes, self.signature.dims)
+        return self._stored(self.signature, axes, self.support | other.support, "", local)
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
         return self._combine(other, np.add)
@@ -454,6 +476,17 @@ class LabeledOperator:
 
     def __neg__(self) -> "LabeledOperator":
         return self * (-1.0)
+
+
+def _reordered(local: np.ndarray, order: tuple[int, ...], axes: tuple[int, ...], dims) -> np.ndarray:
+    """A local laid out over the factors at ``order``, laid out over ``axes`` (the same set) instead."""
+    d = math.prod(dims[ax] for ax in order)
+    if order == axes:
+        return local.reshape(d, d)
+    n = len(order)
+    perm = [order.index(ax) for ax in axes]
+    t = local.reshape([dims[ax] for ax in order] * 2)
+    return t.transpose(perm + [p + n for p in perm]).reshape(d, d)
 
 
 def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: np.ndarray) -> np.ndarray:
@@ -717,13 +750,18 @@ def evolve(h: LabeledOperator, t: float, state: State) -> State:
 def evolved_expectations(
     h: LabeledOperator,
     times: Sequence[float],
-    state: State,
+    state: State | Iterable[State],
     ops: Sequence[LabeledOperator],
 ) -> np.ndarray:
     """T x K table of <O_k> in the state evolved by exp(-i H t), at every time.
 
+    ``state`` is one state, or an iterable of B states that gives a
+    B x T x K table.  The states are drawn one at a time and each is kept
+    only as its diagonal sector blocks (or as its table on the dense
+    path), so a stream of D x D density matrices holds one at a time.
+
     Sector path: when H's spectrum is by charge sector (charge step 0,
-    :attr:`SpaceSignature.sectors`) and the state (rho, or psi psi^dag) has
+    :attr:`SpaceSignature.sectors`) and a state (rho, or psi psi^dag) has
     no entry between charge sectors, Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t))
     over the diagonal blocks, evolved by H's block spectrum
     (:class:`SectorSpectrum`).  In a sector with H_N = V diag(E) V^dag,
@@ -732,16 +770,20 @@ def evolved_expectations(
     (W[m, n] + W[n, m]) cos(w t) - i (W[m, n] - W[n, m]) sin(w t).  The
     constants add up directly, and the cos/sin table of each sector size
     (:meth:`SectorSpectrum.phases`, kept with H) meets the coefficients of
-    every observable in one real C-contiguous product.  Only the diagonal
-    blocks of an observable are read, from its local matrix; an observable
-    whose diagonal blocks are all 0 reads exactly 0 and is never
+    every observable in one real C-contiguous product per state, all of a
+    stack in one stacked matmul; the state blocks are rotated once, as one
+    stack.  A state's table has the same bits alone and in any stack.  Only the
+    diagonal blocks of an observable are read, from its local matrix; an
+    observable whose diagonal blocks are all 0 reads exactly 0 and is never
     contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
-    held at once.
+    held at once, which does not depend on the stack, and their products
+    with as many states' blocks as are held at once.
 
     Dense path, for any other spectrum (whole, or by charge modulo a step
-    m >= 2) or state: the whole-space eigenbasis H = V diag(E) V^dag of the
-    same spectrum (:meth:`SectorSpectrum.eigenbasis`, scattered from its
-    sectors, no second eigensolve) serves the whole grid.  With the phases
+    m >= 2) or state, one state at a time: the whole-space eigenbasis
+    H = V diag(E) V^dag of the same spectrum
+    (:meth:`SectorSpectrum.eigenbasis`, scattered from its sectors, no
+    second eigensolve) serves the whole grid.  With the phases
     u = exp(-i E t), Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n,
     and <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
     phi = u * tilde psi.  Each operator is rotated once and written beside
@@ -752,17 +794,32 @@ def evolved_expectations(
     sets k and the number of times per block.  The phase table is the only
     array that grows with T; no propagator or state is formed per time.
     """
-    _same_signature(state.signature, h.signature)
+    single = isinstance(state, (StateVector, DensityMatrix))
     for op in ops:
-        _same_signature(state.signature, op.signature)
+        _same_signature(h.signature, op.signature)
     times = np.asarray(times, dtype=float).ravel()
     spectrum = h._block_spectrum()
     charges = h.signature.charges
     # by charge sector (step 0) iff every sector holds one charge
-    if all((charges[idx] == charges[idx[:, :1]]).all() for idx in spectrum.sectors):
-        state_blocks = _state_blocks(state)
-        if state_blocks is not None:
-            return _sector_expectations(spectrum, times, state_blocks, ops)
+    by_sector = all((charges[idx] == charges[idx[:, :1]]).all() for idx in spectrum.sectors)
+
+    def blocks_or_table(st: State):
+        """The state's sector blocks, or, where it has none, its dense-path table."""
+        _same_signature(st.signature, h.signature)
+        blocks = _state_blocks(st) if by_sector else None
+        return blocks if blocks is not None else _dense_expectations(spectrum, times, st, ops)
+
+    entries = list(map(blocks_or_table, [state] if single else state))
+    stack = [e for e in entries if isinstance(e, list)]
+    rows = iter(_sector_expectations(spectrum, times, stack, ops) if stack else ())
+    table = np.empty((len(entries), times.size, len(ops)), dtype=complex)
+    for i, e in enumerate(entries):
+        table[i] = next(rows) if isinstance(e, list) else e
+    return table[0] if single else table
+
+
+def _dense_expectations(spectrum: SectorSpectrum, times: np.ndarray, state: State, ops) -> np.ndarray:
+    """The dense path of :func:`evolved_expectations`, for one state."""
     energies, v = spectrum.eigenbasis()
     vh = v.conj().T
     d = v.shape[0]
@@ -811,14 +868,16 @@ def _state_blocks(state: State) -> list[np.ndarray] | None:
 def _sector_expectations(
     spectrum: SectorSpectrum,
     times: np.ndarray,
-    state_blocks: list[np.ndarray],
+    state_blocks: list[list[np.ndarray]],
     ops: Sequence[LabeledOperator],
 ) -> np.ndarray:
-    """The sector path of :func:`evolved_expectations`."""
+    """The sector path of :func:`evolved_expectations`: the B x T x K table of B states' blocks."""
     vs = [ed.eigenvectors for ed in spectrum.spectra]
-    tilde_rho = [v.conj().swapaxes(-1, -2) @ r @ v for v, r in zip(vs, state_blocks)]
+    n_states = len(state_blocks)
+    # every state's blocks of one sector size, rotated as one (B, n, s, s) stack
+    tilde_rho = [v.conj().swapaxes(-1, -2) @ np.stack(r) @ v for v, *r in zip(vs, *state_blocks)]
     phases = spectrum.phases(times)
-    table = np.zeros((times.size, len(ops)), dtype=complex)
+    table = np.zeros((n_states, times.size, len(ops)), dtype=complex)
     op_bytes = 16 * sum(idx.size * idx.shape[1] for idx in spectrum.sectors)
     per_stack = max(1, _BLOCK_BYTES // op_bytes)
     for k0 in range(0, len(ops), per_stack):
@@ -830,19 +889,27 @@ def _sector_expectations(
                 stacks.append(blocks)
         if not cols:
             continue
-        values = np.zeros((times.size, len(cols)), dtype=complex)
-        for g, (v, rho, (m, n), phase) in enumerate(zip(vs, tilde_rho, spectrum.pairs, phases)):
-            tilde_o = v.conj().swapaxes(-1, -2) @ np.stack([b[g] for b in stacks]) @ v
-            w = tilde_o.swapaxes(-1, -2) * rho  # W[k, sector, m, n]
-            values += w.diagonal(axis1=-2, axis2=-1).sum(axis=(-2, -1))
-            if m.size:
-                upper, lower = w[..., m, n], w[..., n, m]
-                coef = np.empty((2, upper[0].size, len(cols)), dtype=complex)
-                coef[0] = (upper + lower).reshape(len(cols), -1).T
-                coef[1] = (-1j * (upper - lower)).reshape(len(cols), -1).T
-                # real (T x 2P)(2P x 2K) product on the complex coefficients' float view
-                values += (phase @ coef.reshape(-1, len(cols)).view(float)).view(complex)
-        table[:, cols] = values
+        k = len(cols)
+        tilde_o = [v.conj().swapaxes(-1, -2) @ np.stack([b[g] for b in stacks]) @ v for g, v in enumerate(vs)]
+        per_group = max(1, _BLOCK_BYTES // (k * op_bytes))  # states whose W are held at once
+        for b0 in range(0, n_states, per_group):
+            rhos = [rho[b0 : b0 + per_group] for rho in tilde_rho]
+            nb = len(rhos[0])
+            values = np.zeros((nb, times.size, k), dtype=complex)
+            for o, rho, (m, n), phase in zip(tilde_o, rhos, spectrum.pairs, phases):
+                w = o.swapaxes(-1, -2) * rho[:, None]  # W[b, k, sector, m, n]
+                values += w.diagonal(axis1=-2, axis2=-1).sum(axis=(-2, -1))[:, None, :]
+                if m.size:
+                    upper, lower = w[..., m, n], w[..., n, m]
+                    coef = np.empty((nb, 2, upper[0, 0].size, k), dtype=complex)
+                    coef[:, 0] = (upper + lower).reshape(nb, k, -1).swapaxes(-1, -2)
+                    coef[:, 1] = (-1j * (upper - lower)).reshape(nb, k, -1).swapaxes(-1, -2)
+                    # per state, a real (T x 2P)(2P x 2K) product on the complex
+                    # coefficients' float view, all in one stacked matmul; one
+                    # (T x 2P)(2P x 2BK) product would round a state's columns
+                    # by the width of the whole stack (BLAS edge kernels)
+                    values += (phase @ coef.reshape(nb, -1, k).view(float)).view(complex)
+            table[b0 : b0 + nb, :, cols] = values
     return table
 
 

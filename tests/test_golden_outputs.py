@@ -10,12 +10,18 @@ last digits of a float.
 
 The CSV writer picks its path by the table's float cell count
 (``cli.CSV_BYTES_MIN_FLOAT_CELLS``, 200).  ``jc-thermal-nbar2-points50``
-(300 float cells), ``ppt-crosscheck-defaults`` (500 trials, 1500) and
-``ppt-crosscheck-trials200-seed1`` (600) are written by the byte path;
-``two-mode-invariant-fock256`` (16), ``lur-fock56`` (15) and
+(300 float cells), ``jc-thermal-points100`` (1800),
+``jc-thermal-ground-nbar0.3-1-points50`` (600),
+``jc-thermal-nbar0.01-2-0.02-points40`` (720), ``ppt-crosscheck-defaults``
+(500 trials, 1500) and ``ppt-crosscheck-trials200-seed1`` (600) are
+written by the byte path; ``two-mode-invariant-fock256`` (16),
+``lur-fock56`` (15), ``jc-thermal-nbar0-fock2-points5`` (30) and
 ``ppt-crosscheck-trials37-seed3`` (111) by the row path.  The two larger
 ppt-crosscheck tables hold separable mixtures of every product count from
-1 to 16.
+1 to 16.  The jc cases cover a batch of three nbar at fock_dim 20, a batch
+of two whose second config escalates to 40, a start at fock_dim 2 whose
+trace escalates to 4, and a batch whose middle config escalates to 40
+while the configs on either side keep 20, in config order.
 
 A change that moves an output on purpose rewrites the files with::
 
@@ -47,6 +53,12 @@ CASES = {
     "ppt-crosscheck-trials200-seed1": [
         "ppt-crosscheck", "--trials", "200", "--dims", "2x4,3x3,4x4,3x5", "--seed", "1",
     ],
+    "jc-thermal-points100": ["jc-thermal", "--points", "100"],
+    "jc-thermal-ground-nbar0.3-1-points50": [
+        "jc-thermal", "--atom", "ground", "--nbar", "0.3,1", "--points", "50",
+    ],
+    "jc-thermal-nbar0-fock2-points5": ["jc-thermal", "--nbar", "0", "--fock-dim", "2", "--points", "5"],
+    "jc-thermal-nbar0.01-2-0.02-points40": ["jc-thermal", "--nbar", "0.01,2,0.02", "--points", "40"],
 }
 
 

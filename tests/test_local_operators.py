@@ -5,7 +5,12 @@ checks draw signatures of two to four mixed qubit and boson factors, operators
 on random subsets of them in random order (non-adjacent and reversed orders
 included), and compare :meth:`LabeledOperator.apply`, the operator algebra and
 ``.matrix`` against a full-space matrix built here from index arithmetic
-alone.  Examples are derandomized, so the suite is deterministic.
+alone.  A product on disjoint factors, a Kronecker product of the locals,
+is checked against the product of the lifted matrices: by value against
+real matmuls of their parts (the unfused complex product) and against the
+complex matmul for real locals, within two ulps for complex ones, whose
+BLAS kernels may fuse one product; ``A @ B`` and ``B @ A`` bit for bit.
+Examples are derandomized, so the suite is deterministic.
 """
 
 import tracemalloc
@@ -182,3 +187,50 @@ def test_lur_tmsv_never_forms_a_full_space_matrix(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two operators with random locals on disjoint, possibly interleaved, factor subsets.
+
+    Two or three factors; each operator takes its factors in a random order,
+    so that one may sit between the factors of the other (axes (2, 0)
+    against (1,)).  The locals are complex, or real-valued (complex dtype,
+    zero imaginary parts).
+    """
+    sig = draw(signatures().filter(lambda s: len(s.factors) <= 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    order = draw(st.permutations(range(len(sig.factors))))
+    cut = draw(st.integers(1, len(order) - 1))
+    pair = []
+    for axes in (order[:cut], order[cut:]):
+        local = _random_matrix(rng, int(np.prod([sig.dims[ax] for ax in axes])))
+        pair.append(embed_many(local.real.astype(complex) if real else local, [sig.labels[ax] for ax in axes], sig))
+    return sig, rng, real, pair
+
+
+@SETTINGS
+@given(disjoint_pairs())
+def test_a_product_on_disjoint_factors_is_the_kronecker_product(case):
+    sig, rng, real, (a, b) = case
+    ab, ba = a @ b, b @ a
+    fa, fb = a.matrix, b.matrix
+    assert ab.axes == ba.axes == tuple(sorted(a.axes + b.axes))
+    assert ab.local.tobytes() == ba.local.tobytes()
+    # each entry of the lifted product has one nonzero term, so real matmuls
+    # give every real product rounded once: the complex product with no
+    # fused multiply-add
+    unfused = np.empty(fa.shape, dtype=complex)
+    unfused.real = fa.real @ fb.real - fa.imag @ fb.imag
+    unfused.imag = fa.real @ fb.imag + fa.imag @ fb.real
+    assert np.array_equal(ab.matrix, unfused)  # by value: the sign of a zero may differ
+    dense = fa @ fb
+    if real:
+        assert np.array_equal(ab.matrix, dense)
+    else:
+        # a complex BLAS kernel may fuse one product of an entry into its sum
+        assert np.all(np.abs(ab.matrix - dense) <= 2 * np.finfo(float).eps * np.abs(dense))
+    x = rng.normal(size=(sig.total_dim, 3)) + 1j * rng.normal(size=(sig.total_dim, 3))
+    want = dense @ x
+    assert np.abs(ab.apply(x) - want).max() <= 1e-14 * max(1.0, np.abs(want).max())

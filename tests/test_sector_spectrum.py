@@ -242,19 +242,21 @@ def test_the_nbar_of_a_run_read_one_phase_table(monkeypatch):
         systems.append(system(*args))
         return systems[-1]
 
+    read = []
+    phases = SectorSpectrum.phases
+
+    def recording_phases(self, times):
+        read.append(phases(self, times))
+        return read[-1]
+
     monkeypatch.setattr(jc, "_system", recording_system)
+    monkeypatch.setattr(SectorSpectrum, "phases", recording_phases)
     kt = tuple(np.linspace(0.0, 6.0, 30))
-    first_tables = []
-
-    def configs():
-        yield jc.JCConfig(nbar=0.01, kt_grid=kt)
-        first_tables.append(systems[0][1]._block_spectrum()._phases[1])
-        yield jc.JCConfig(nbar=0.03, kt_grid=kt)
-
-    jc.jc_witness_traces(configs())
+    traces = jc.jc_witness_traces(jc.JCConfig(nbar=nbar, kt_grid=kt) for nbar in (0.01, 0.03))
+    assert [t.fock_dim for t in traces] == [20, 20]
     assert len(systems) == 1
     tables = systems[0][1]._block_spectrum()._phases[1]
-    assert tables is first_tables[0]
+    assert read and all(t is tables for t in read)
     assert [t.shape for t in tables] == [(30, 0), (30, 2 * 19)]
 
 

@@ -10,6 +10,11 @@ at one truncation and couplings; a sequence of configurations must give
 what a fresh process gives for each, every ``jc-thermal`` run builds its
 own system, and nothing stays allocated once a call returns.  The peak bounds are the tracemalloc peaks of the per-operator
 evaluation this replaced.
+
+A stack of states gives each state the table it gets alone, bit for bit,
+whatever the byte bound, and ``jc_witness_traces`` gives each config of a
+batch the trace it gets alone: the stacks are capped by the bound, a
+config that leaks escalates alone, and the traces keep the config order.
 """
 
 import json
@@ -19,7 +24,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entwitness import operators as ops
 from entwitness import spaces
 from entwitness.models import jaynes_cummings as jc
 from entwitness.models.jaynes_cummings import JCConfig
@@ -219,3 +226,90 @@ def test_dense_stack_at_d256_stays_at_per_operator_peak(pure, bound_mib):
     times = np.linspace(0.0, 5.0, 600)
     evolved_expectations(h, times, state, observables)  # H's spectrum is cached from here on
     assert _peak_mib(lambda: evolved_expectations(h, times, state, observables)) <= bound_mib
+
+
+def _jc_states(sig, dim):
+    """Starts at one jc truncation: three with no entry between charge sectors, one that couples two."""
+    proj = [np.outer(level, level.conj()) for level in (ops.EXCITED, ops.GROUND)]
+    coupled = np.zeros(sig.total_dim, dtype=complex)
+    coupled[[0, 2]] = [0.6, 0.8j]  # |0, g> and |1, g>: charges 0 and 1
+    pure = np.zeros(sig.total_dim, dtype=complex)
+    pure[[2, 1]] = [0.8, -0.6]  # |1, g> and |0, e>: both of charge 1
+    return [
+        DensityMatrix(sig, np.kron(ops.thermal(0.3, dim), proj[0])),
+        StateVector(sig, coupled),
+        DensityMatrix(sig, np.kron(ops.thermal(0.05, dim), proj[1])),
+        StateVector(sig, pure),
+    ]
+
+
+# the sector blocks of one observable at fock_dim 16 (D = 32): one 1 x 1 and
+# fifteen 2 x 2 sectors
+JC16_OP_BYTES = 16 * (1 + 15 * 4)
+
+
+# all 7 observables in one stack of the sector path; 2 to 4 per stack, so
+# that a stack of one nonzero observable meets 2 to 4 states at once (a
+# product as wide as all of them would round their columns by its width);
+# and one per stack, one state at a time
+@pytest.mark.parametrize("block_bytes", [spaces._BLOCK_BYTES, *(j * JC16_OP_BYTES for j in (2, 3, 4)), 600])
+def test_a_stack_of_states_gives_each_state_s_own_table_bit_for_bit(monkeypatch, block_bytes):
+    monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
+    sig, h, observables = jc._system(16, 1.0, 0.1)
+    times = np.linspace(0.0, 40.0, 17)
+    states = _jc_states(sig, 16)
+    alone = [evolved_expectations(h, times, state, observables) for state in states]
+    stacked = evolved_expectations(h, times, iter(states), observables)
+    assert stacked.shape == (len(states), times.size, len(observables))
+    for got, want in zip(stacked, alone):
+        assert got.tobytes() == want.tobytes()
+    assert evolved_expectations(h, times, [], observables).shape == (0, times.size, len(observables))
+
+
+def test_a_batch_gives_each_config_s_own_trace_and_caps_its_stacks(monkeypatch):
+    # 2.0 leaks at fock_dim 20 and escalates alone, between configs that do not
+    cfgs = [JCConfig(nbar=nbar, kt_grid=KT) for nbar in (0.01, 0.5, 2.0, 0.02, 0.03)]
+    stacks = []
+    evaluate = jc.evolved_expectations
+
+    def recording(h, times, states, observables):
+        table = evaluate(h, times, states, observables)
+        stacks.append(table.shape[0])
+        return table
+
+    monkeypatch.setattr(jc, "evolved_expectations", recording)
+    per_config = 16 * len(KT) * 7  # bytes of one config's (T, K) table
+    # the default; 2 configs per stack; and 1 per stack, with one observable per product
+    for block_bytes, want in ((spaces._BLOCK_BYTES, [4, 1]), (2 * per_config + 1, [2, 2, 1]), (1, [1, 1, 1, 1, 1])):
+        monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
+        alone = [jc.jc_witness_trace(cfg) for cfg in cfgs]
+        stacks.clear()
+        traces = jc.jc_witness_traces(cfgs)
+        assert stacks == want
+        assert [t.fock_dim for t in traces] == [20, 20, 40, 20, 20]
+        for got, ref in zip(traces, alone):
+            for field in ("kt",) + FIELDS:
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+            assert got.max_leakage == ref.max_leakage
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(
+    nbars=st.lists(st.sampled_from([0.0, 0.01, 0.3, 0.85, 2.0]), min_size=1, max_size=6),
+    points=st.integers(1, 60),
+    atom=st.sampled_from(["excited", "ground"]),
+    # at fock_dim 12 one observable's blocks take 720 bytes
+    block_bytes=st.sampled_from([spaces._BLOCK_BYTES, 20_000, 4 * 720, 3 * 720, 2 * 720]),
+)
+def test_batched_traces_equal_single_traces_bit_for_bit(nbars, points, atom, block_bytes):
+    kt = tuple(np.linspace(0.0, 8.0, points))
+    cfgs = [JCConfig(nbar=nbar, kt_grid=kt, fock_dim=12, atom_initial=atom) for nbar in nbars]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_BLOCK_BYTES", block_bytes)
+        traces = jc.jc_witness_traces(cfgs)
+        for got, cfg in zip(traces, cfgs, strict=True):
+            want = jc.jc_witness_trace(cfg)
+            assert got.fock_dim == want.fock_dim
+            assert got.max_leakage == want.max_leakage
+            for field in ("kt",) + FIELDS:
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
