@@ -121,31 +121,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two complex matrices, each entry a complex product with no fused multiply-add.
-
-    Each entry is (ar br - ai bi) + i (ar bi + ai br) from real products,
-    each rounded once, as Python's complex ``*`` computes it: the same on
-    every machine, and symmetric, so the swapped operands give the same
-    values in the swapped layout.  With no imaginary part in either
-    operand, the entries are the real products, exact.  numpy's vectorised
-    complex multiply (so ``np.kron``) may fuse one product into the sum,
-    and so may a BLAS complex matmul of the two operators lifted to one
-    space (whose entries each have one nonzero term): both can differ from
-    this in the last bit.
-    """
-    (m, n), (p, q) = a.shape, b.shape
-    left, right = a[:, None, :, None], b[None, :, None, :]
-    out = np.zeros((m, p, n, q), dtype=complex)
-    np.multiply(left.real, right.real, out=out.real)
-    if a.imag.any() or b.imag.any():
-        part = np.empty(out.shape)
-        out.real -= np.multiply(left.imag, right.imag, out=part)
-        np.multiply(left.real, right.imag, out=out.imag)
-        out.imag += np.multiply(left.imag, right.real, out=part)
-    return out.reshape(m * p, n * q)
-
-
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     out = np.array([[1.0 + 0.0j]])
     for m in mats:

@@ -64,7 +64,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .. import linalg
 from .. import operators as ops
 from .. import spaces
 from .. import witnesses
@@ -87,8 +86,8 @@ from ..spaces import (
 # peak bytes of one trace per D^2, an upper bound in whole complex D x D
 # arrays: H, the local matrices of the field-atom observables and the
 # thermal start (a batch builds its starts one at a time); the peak RSS of
-# jc-thermal --nbar 0.02 --points 50 grows by about 153 bytes per D^2 from
-# fock_dim 320 (D = 640, 95.6 MiB) to 640 (D = 1280, 274.3 MiB), measured
+# jc-thermal --nbar 0.02 --points 50 grows by about 145 bytes per D^2 from
+# fock_dim 320 (D = 640, 92.4 MiB) to 640 (D = 1280, 261.9 MiB), measured
 # as ru_maxrss on a 2-vCPU x86-64 VM
 SYSTEM_BYTES_PER_D2 = 11 * 16
 
@@ -233,7 +232,7 @@ def _system(
 def _start(sig: SpaceSignature, weights: np.ndarray, atom: np.ndarray) -> DensityMatrix:
     """The thermal field of level populations ``weights`` times the atom state."""
     field = np.diag(weights).astype(complex)  # ops.thermal, from its checked weights
-    return DensityMatrix(sig, linalg.kron2d(field, np.outer(atom, atom.conj())))
+    return DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
 
 
 def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTrace | LeakageError]:

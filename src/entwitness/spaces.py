@@ -270,12 +270,12 @@ class LabeledOperator:
     the local matrix, and ``dag``, ``-op`` and scalar ``*`` act on it.  The
     results of ``@``, ``+`` and ``-`` act on the union of the operands'
     axes, in signature order.  ``@`` of operators on disjoint factors is the
-    Kronecker product of their locals, permuted to that order
-    (:func:`~entwitness.linalg.kron2d`: no D x D lift and no D^3 product,
-    and ``A @ B`` and ``B @ A`` have the same bits); of two on the same
-    factors in signature order, the product of their locals.  Other
-    products, and every ``+`` and ``-``, lift both operands to the union
-    first.  :meth:`apply` contracts the local matrix into the
+    Kronecker product of their locals, permuted to that order (no D x D
+    lift and no D^3 product; the operand on the lower-numbered factor is
+    the left Kronecker factor, so ``A @ B`` and ``B @ A`` have the same bits).
+    Other products, and every ``+`` and ``-``, lift both operands to the
+    union first (an operand already on the union in signature order is
+    used as it is).  :meth:`apply` contracts the local matrix into the
     full-space index of an array, so expectation values and witnesses never
     form a full-space matrix.  The full-space D x D :attr:`matrix` is built
     on first access and cached; for an operator on every factor in
@@ -439,24 +439,20 @@ class LabeledOperator:
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         if not set(self.axes) & set(other.axes):
             return self._kron(other)
-        if self.axes == other.axes == tuple(sorted(self.axes)):
-            # the same factors in signature order: nothing to lift
-            _same_signature(self.signature, other.signature)
-            local = self.local @ other.local
-            return self._stored(self.signature, self.axes, self.support | other.support, "", local)
         return self._combine(other, np.matmul)
 
     def _kron(self, other: "LabeledOperator") -> "LabeledOperator":
         """``self @ other`` on disjoint axes: the Kronecker product of the locals, on sorted axes.
 
-        Its entries are complex products with no fused multiply-add
-        (:func:`~entwitness.linalg.kron2d`), so ``A @ B`` and ``B @ A``
-        have the same bits.
+        The operand on the lower-numbered factor is passed to
+        :func:`~entwitness.linalg.kron` first, whatever the call order, so
+        ``A @ B`` and ``B @ A`` have the same bits.
         """
         _same_signature(self.signature, other.signature)
-        order = self.axes + other.axes
+        first, second = sorted((self, other), key=lambda op: min(op.axes, default=-1))
+        order = first.axes + second.axes
         axes = tuple(sorted(order))
-        local = _reordered(linalg.kron2d(self.local, other.local), order, axes, self.signature.dims)
+        local = _reordered(linalg.kron(first.local, second.local), order, axes, self.signature.dims)
         return self._stored(self.signature, axes, self.support | other.support, "", local)
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
