@@ -13,10 +13,14 @@ The CSV writer picks its path by the table's float cell count
 (300 float cells), ``jc-thermal-points100`` (1800),
 ``jc-thermal-ground-nbar0.3-1-points50`` (600),
 ``jc-thermal-nbar0.01-2-0.02-points40`` (720), ``ppt-crosscheck-defaults``
-(500 trials, 1500) and ``ppt-crosscheck-trials200-seed1`` (600) are
-written by the byte path; ``two-mode-invariant-fock256`` (16),
-``lur-fock56`` (15), ``jc-thermal-nbar0-fock2-points5`` (30) and
-``ppt-crosscheck-trials37-seed3`` (111) by the row path.  The two larger
+(500 trials, 1500), ``ppt-crosscheck-trials200-seed1`` (600),
+``tavis-defaults`` (1200), ``dicke-defaults`` (480) and ``lur-atom-field``
+(328) are written by the byte path; ``two-mode-invariant-fock256`` (16),
+``two-mode-invariant-defaults`` (16), ``lur-fock56`` (15), ``lur-defaults``
+(15), ``jc-thermal-nbar0-fock2-points5`` (30),
+``ppt-crosscheck-trials37-seed3`` (111), ``beamsplitters-defaults`` (8) and
+the three ``noise-threshold-*`` cases (3 each; ``subspace`` prints a NaN
+``c1``, which matches only a NaN) by the row path.  The two larger
 ppt-crosscheck tables hold separable mixtures of every product count from
 1 to 16.  The jc cases cover a batch of three nbar at fock_dim 20, a batch
 of two whose second config escalates to 40, a start at fock_dim 2 whose
@@ -59,6 +63,15 @@ CASES = {
     ],
     "jc-thermal-nbar0-fock2-points5": ["jc-thermal", "--nbar", "0", "--fock-dim", "2", "--points", "5"],
     "jc-thermal-nbar0.01-2-0.02-points40": ["jc-thermal", "--nbar", "0.01,2,0.02", "--points", "40"],
+    "tavis-defaults": ["tavis"],
+    "dicke-defaults": ["dicke"],
+    "beamsplitters-defaults": ["beamsplitters"],
+    "lur-defaults": ["lur"],
+    "lur-atom-field": ["lur", "--mode", "atom-field"],
+    "two-mode-invariant-defaults": ["two-mode-invariant"],
+    "noise-threshold-bell": ["noise-threshold", "--family", "bell"],
+    "noise-threshold-subspace": ["noise-threshold", "--family", "subspace"],
+    "noise-threshold-pair-bilinear": ["noise-threshold", "--family", "pair-bilinear"],
 }
 
 
@@ -76,6 +89,8 @@ def _same_value(got, want) -> bool:
         return isinstance(got, list) and len(got) == len(want) and all(map(_same_value, got, want))
     if isinstance(want, float) and math.isfinite(want) and isinstance(got, float):
         return math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
+    if isinstance(want, float) and math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
     return type(got) is type(want) and got == want
 
 
