@@ -2,8 +2,9 @@
 
 Matrices are plain numpy arrays with complex128 entries.  Nothing in this
 module knows about physics, only about shapes: Hermitian eigenproblems
-(of one matrix or of a stack of equal-size blocks), matrix exponentials, Kronecker products, partial traces and transposes, and
-Schmidt decompositions of bipartite vectors.
+(of one matrix or of a stack of equal-size blocks), matrix exponentials,
+Kronecker products, partial transposes, and Schmidt decompositions of
+bipartite vectors.
 
 Storage is dense throughout; the systems handled by this package stay at a
 few thousand dimensions.
@@ -134,28 +135,6 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     if m.shape != (total, total):
         raise ValueError(f"dims {dims} give total {total}, matrix has shape {m.shape}")
     return dims
-
-
-def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
-    """Trace out all tensor factors except those in ``keep`` (indices).
-
-    The kept factors stay in their original relative order and the trace is
-    preserved: Tr(result) = Tr(m).
-    """
-    m = _square(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    traced = [i for i in range(n) if i not in keep]
-    t = m.reshape(dims + dims)
-    perm = keep + traced
-    t = np.transpose(t, axes=perm + [i + n for i in perm])
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    d_tr = int(np.prod([dims[i] for i in traced])) if traced else 1
-    t = t.reshape(d_keep, d_tr, d_keep, d_tr)
-    return np.einsum("aibi->ab", t)
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:

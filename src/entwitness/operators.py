@@ -64,11 +64,9 @@ from . import linalg
 from .spaces import (
     LabeledOperator,
     SectorSpectrum,
-    SpaceSignature,
     State,
     StateVector,
     boson,
-    embed_many,
     expectation,
     require_low_leakage,
     signature,
@@ -359,20 +357,3 @@ def beamsplitter_spectrum(t: float, r: float, dims: tuple[int, int]) -> SectorSp
     hop = np.kron(creator(da), annihilator(db))  # a^dag b
     g = 1j * math.atan2(r, t) * (hop - hop.conj().T)
     return SectorSpectrum.of(LabeledOperator(signature(boson("a", da), boson("b", db)), g))
-
-
-def beamsplitter_pair_matrix(t: float, r: float, dims: tuple[int, int]) -> np.ndarray:
-    """The unitary exp(-i G) of :func:`beamsplitter_spectrum`; 0 between photon-number sectors."""
-    return beamsplitter_spectrum(t, r, dims).function_of(lambda w: np.exp(-1j * w))
-
-
-def beamsplitter_unitary(
-    t: float,
-    r: float,
-    labels: tuple[str, str],
-    sig: SpaceSignature,
-) -> LabeledOperator:
-    """Beam splitter on two labeled modes, identity on all other factors."""
-    la, lb = labels
-    u = beamsplitter_pair_matrix(t, r, (sig.factor(la).dim, sig.factor(lb).dim))
-    return embed_many(u, [la, lb], sig, name=f"BS({t:g},{r:g})")

@@ -2,8 +2,8 @@
 
 A :class:`SpaceSignature` fixes an ordered list of subsystem factors, each a
 truncated bosonic mode or a qubit.  Every state and operator carries its
-signature, so partial traces, partial transposes and operator embeddings
-never have to guess a tensor layout.
+signature, so partial transposes and operator embeddings never have to
+guess a tensor layout.
 
 Operators are local: a :class:`LabeledOperator` keeps the matrix of the
 factors it acts on and applies it by tensor contraction on the reshaped
@@ -33,17 +33,14 @@ charge can be eigensolved in just the sectors a start vector occupies.
 :func:`evolve` applies exp(-i H t) to a vector sector by sector and to a
 density matrix as the D x D propagator.  :func:`evolved_expectations`
 returns the T x K table of <O_k> along a time grid, with no propagator or
-state per time, or the B x T x K table of a stack of B states.  When H's
-spectrum is by charge sector and a state couples none, it sums
+state per time, or the B x T x K table of a stack of B states.  It takes an
+H whose spectrum is by charge sector and states that couple no sectors,
+refuses any other generator or state with a ValueError, and sums
 Tr(O_NN rho_N(t)) over the sectors: only the diagonal blocks of each
 observable are read, a block of 2 x 2 sectors contributes one cos/sin
 phase per sector, and the states of a stack meet the phases in one
-product.  Otherwise each operator is
-rotated once into the whole-space eigenbasis of the same spectrum and
-written beside the others into a D x (k D) stack, and a block of times
-reads every operator of a stack with one product.  :data:`_BLOCK_BYTES`
-bounds the stack and the per-block product (an operator larger than the
-bound is a stack by itself), so memory is O(T D + D^2).
+product.  :data:`_BLOCK_BYTES` bounds the observable blocks held at once
+and their products with the state blocks.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
 population of its top two levels ("leakage") measures how badly a state is
@@ -80,7 +77,9 @@ QUBIT = "qubit"
 
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
-_BLOCK_BYTES = 512 * 2**10  # bound on each temporary of evolved_expectations
+# bound on the observable blocks that evolved_expectations holds at once,
+# and on their products with the state blocks
+_BLOCK_BYTES = 512 * 2**10
 
 
 class SignatureError(ValueError):
@@ -532,7 +531,7 @@ class SectorSpectrum:
     are the classes of the charge modulo its charge step m
     (:meth:`of`): the charge sectors (:attr:`SpaceSignature.sectors`) for
     m = 0, the two photon-parity classes of a squeeze generator for m = 2,
-    and the whole space in basis order for m = 1 (:attr:`whole`).  The
+    and the whole space in basis order for m = 1.  The
     phase table of the last time grid is kept (:meth:`phases`), so every
     state evolved under one generator on one grid reads the same table.
     """
@@ -592,23 +591,6 @@ class SectorSpectrum:
             else:
                 spectra.append(linalg.herm_eig(b))
         return cls(sig.total_dim, sectors, spectra)
-
-    @property
-    def whole(self) -> bool:
-        """True for the one-sector spectrum of an operator of charge step 1."""
-        return [idx.shape for idx in self.sectors] == [(1, self.dim)]
-
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (D,) and eigenvectors (D, D): stored if whole, else scattered from every sector."""
-        if self.whole:
-            ed = self.spectra[0]
-            return ed.eigenvalues[0], ed.eigenvectors[0]
-        w = np.empty(self.dim)
-        v = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, ed in zip(self.sectors, self.spectra):
-            w[idx] = ed.eigenvalues
-            v[idx[:, :, None], idx[:, None, :]] = ed.eigenvectors
-        return w, v
 
     def function_of(self, f) -> np.ndarray:
         """The full-space D x D matrix V f(Lambda) V^dag, block by block (0 off the built sectors)."""
@@ -753,13 +735,14 @@ def evolved_expectations(
 
     ``state`` is one state, or an iterable of B states that gives a
     B x T x K table.  The states are drawn one at a time and each is kept
-    only as its diagonal sector blocks (or as its table on the dense
-    path), so a stream of D x D density matrices holds one at a time.
+    only as its diagonal sector blocks, so a stream of D x D density
+    matrices holds one at a time.
 
-    Sector path: when H's spectrum is by charge sector (charge step 0,
-    :attr:`SpaceSignature.sectors`) and a state (rho, or psi psi^dag) has
-    no entry between charge sectors, Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t))
-    over the diagonal blocks, evolved by H's block spectrum
+    H's spectrum must be by charge sector (charge step 0,
+    :attr:`SpaceSignature.sectors`), and a state (rho, or psi psi^dag) must
+    have no entry between charge sectors; any other generator or state
+    raises a ValueError.  Then Tr(O rho(t)) = sum_N Tr(O_NN rho_N(t)) over
+    the diagonal blocks, evolved by H's block spectrum
     (:class:`SectorSpectrum`).  In a sector with H_N = V diag(E) V^dag,
     tilde X = V^dag X V and W[m, n] = tilde O[n, m] tilde rho[m, n], the
     term is sum_m W[m, m] plus, for each pair m < n with w = E_m - E_n,
@@ -774,21 +757,6 @@ def evolved_expectations(
     contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
     held at once, which does not depend on the stack, and their products
     with as many states' blocks as are held at once.
-
-    Dense path, for any other spectrum (whole, or by charge modulo a step
-    m >= 2) or state, one state at a time: the whole-space eigenbasis
-    H = V diag(E) V^dag of the same spectrum
-    (:meth:`SectorSpectrum.eigenbasis`, scattered from its sectors, no
-    second eigensolve) serves the whole grid.  With the phases
-    u = exp(-i E t), Tr(O rho(t)) = sum_n conj(u_n) (u (tilde O^T * tilde rho))_n,
-    and <psi(t)|O|psi(t)> = sum_n conj(phi_n) (phi tilde O^T)_n with
-    phi = u * tilde psi.  Each operator is rotated once and written beside
-    the others into one D x (k D) stack, k operators at a time, so that a
-    block of times is one (t x D)(D x k D) product followed by one batched
-    product against the conjugate phases.  :data:`_BLOCK_BYTES` bounds the
-    stack (unless one operator alone is larger) and the product, which
-    sets k and the number of times per block.  The phase table is the only
-    array that grows with T; no propagator or state is formed per time.
     """
     single = isinstance(state, (StateVector, DensityMatrix))
     for op in ops:
@@ -797,67 +765,27 @@ def evolved_expectations(
     spectrum = h._block_spectrum()
     charges = h.signature.charges
     # by charge sector (step 0) iff every sector holds one charge
-    by_sector = all((charges[idx] == charges[idx[:, :1]]).all() for idx in spectrum.sectors)
-
-    def blocks_or_table(st: State):
-        """The state's sector blocks, or, where it has none, its dense-path table."""
-        _same_signature(st.signature, h.signature)
-        blocks = _state_blocks(st) if by_sector else None
-        return blocks if blocks is not None else _dense_expectations(spectrum, times, st, ops)
-
-    entries = list(map(blocks_or_table, [state] if single else state))
-    stack = [e for e in entries if isinstance(e, list)]
-    rows = iter(_sector_expectations(spectrum, times, stack, ops) if stack else ())
-    table = np.empty((len(entries), times.size, len(ops)), dtype=complex)
-    for i, e in enumerate(entries):
-        table[i] = next(rows) if isinstance(e, list) else e
+    if not all((charges[idx] == charges[idx[:, :1]]).all() for idx in spectrum.sectors):
+        raise ValueError("the generator has an entry between charge sectors")
+    blocks = [_state_blocks(st, h.signature) for st in ([state] if single else state)]
+    if not blocks:
+        return np.empty((0, times.size, len(ops)), dtype=complex)
+    table = _sector_expectations(spectrum, times, blocks, ops)
     return table[0] if single else table
 
 
-def _dense_expectations(spectrum: SectorSpectrum, times: np.ndarray, state: State, ops) -> np.ndarray:
-    """The dense path of :func:`evolved_expectations`, for one state."""
-    energies, v = spectrum.eigenbasis()
-    vh = v.conj().T
-    d = v.shape[0]
-    pure = isinstance(state, StateVector)
-    tilde_state = vh @ state.amplitudes if pure else vh @ state.matrix @ v
-    phases = np.outer(times, -1j * energies)
-    np.exp(phases, out=phases)
-    n_t = phases.shape[0]
-    table = np.empty((n_t, len(ops)), dtype=complex)
-    row_bytes = d * table.itemsize
-    per_stack = max(1, min(len(ops), _BLOCK_BYTES // (d * row_bytes)))
-    stack = np.empty((d, per_stack * d), dtype=complex)
-    for k0 in range(0, len(ops), per_stack):
-        chunk = ops[k0 : k0 + per_stack]
-        k = len(chunk)
-        for j, op in enumerate(chunk):
-            # tilde O^T = (O V)^T conj(V), written in place
-            o_t = np.matmul(op.apply(v).T, vh.T, out=stack[:, j * d : (j + 1) * d])
-            if not pure:
-                o_t *= tilde_state
-        step = max(1, _BLOCK_BYTES // (k * row_bytes))
-        for start in range(0, n_t, step):
-            u = phases[start : start + step]
-            left = u * tilde_state if pure else u
-            prod = (left @ stack[:, : k * d]).reshape(-1, k, d)
-            values = np.matmul(prod, left.conj()[:, :, None])
-            table[start : start + step, k0 : k0 + k] = values[..., 0]
-    return table
-
-
-def _state_blocks(state: State) -> list[np.ndarray] | None:
-    """Diagonal sector blocks of rho (or psi psi^dag), or None if it couples sectors."""
-    sig = state.signature
+def _state_blocks(state: State, sig: SpaceSignature) -> list[np.ndarray]:
+    """Diagonal sector blocks of rho (or psi psi^dag); a ValueError if it has weight between sectors."""
+    _same_signature(state.signature, sig)
     if isinstance(state, StateVector):
         psi = state.amplitudes
         if np.unique(sig.charges[psi != 0]).size > 1:
-            return None
+            raise ValueError("the state vector has weight in more than one charge sector")
         return [psi[idx][:, :, None] * psi[idx].conj()[:, None, :] for idx in sig.sectors]
     everywhere = tuple(range(len(sig.factors)))
     blocks = [_blocks(state.matrix, everywhere, sig, idx) for idx in sig.sectors]
     if np.count_nonzero(state.matrix) != sum(np.count_nonzero(b) for b in blocks):
-        return None
+        raise ValueError("the density matrix has an entry between charge sectors")
     return blocks
 
 
@@ -907,30 +835,6 @@ def _sector_expectations(
                     values += (phase @ coef.reshape(nb, -1, k).view(float)).view(complex)
             table[b0 : b0 + nb, :, cols] = values
     return table
-
-
-@dataclass(frozen=True)
-class DensityValidation:
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.hermiticity_defect <= 1e-10
-            and self.trace_defect <= 1e-8
-            and self.min_eigenvalue >= -1e-8
-        )
-
-
-def validate_density(rho: DensityMatrix) -> DensityValidation:
-    """Report-only check of Hermiticity, unit trace and positivity."""
-    m = rho.matrix
-    herm = float(np.abs(m - m.conj().T).max())
-    tr = abs(complex(np.trace(m)) - 1.0)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return DensityValidation(herm, float(tr), float(w[0]))
 
 
 def level_populations(state: State, label: str) -> np.ndarray:

@@ -130,48 +130,6 @@ def test_kron_truncated_commutator():
     assert np.abs(big_comm - linalg.kron(comm_local, np.eye(2))).max() < 1e-12
 
 
-def test_partial_trace_bell():
-    bell = np.zeros(4, dtype=complex)
-    bell[1] = bell[2] = 1 / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    reduced = linalg.partial_trace(rho, (2, 2), keep=[0])
-    assert np.abs(reduced - np.eye(2) / 2).max() < 1e-12
-
-
-def test_partial_trace_product():
-    rng = np.random.default_rng(5)
-    for da, db in [(2, 3), (3, 4)]:
-        ga = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
-        gb = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
-        rho_a = ga @ ga.conj().T
-        rho_a /= np.trace(rho_a)
-        rho_b = gb @ gb.conj().T
-        reduced = linalg.partial_trace(linalg.kron(rho_a, rho_b), (da, db), keep=[0])
-        assert np.abs(reduced - rho_a * np.trace(rho_b)).max() < 1e-12
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    for keep in ([0], [1], [0, 1]):
-        red = linalg.partial_trace(m, (3, 4), keep=keep)
-        assert abs(np.trace(red) - np.trace(m)) < 1e-12 * max(1.0, abs(np.trace(m)))
-
-
-def test_partial_trace_counterexample_reduction():
-    # X = (|01>+|10>)(<01|+<10|) - 2(|01>-|10>)(<01|-<10|) reduces to -I
-    plus = np.array([0, 1, 1, 0], dtype=complex)
-    minus = np.array([0, 1, -1, 0], dtype=complex)
-    x = np.outer(plus, plus.conj()) - 2 * np.outer(minus, minus.conj())
-    x1 = linalg.partial_trace(x, (2, 2), keep=[0])
-    assert np.abs(x1 + np.eye(2)).max() < 1e-12
-
-
-def test_partial_trace_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        linalg.partial_trace(np.eye(6), (2, 2), keep=[0])
-
-
 def test_partial_transpose_diagonal_fixed():
     rho = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
     assert np.allclose(linalg.partial_transpose(rho, (2, 2), 0), rho)

@@ -4,10 +4,10 @@ The charge of a basis state is its total level number.  A generator with
 no entry between charge sectors is eigensolved block by block, one batched
 ``linalg.herm_eig`` per sector size, and ``evolved_expectations`` and
 ``evolve`` read that block spectrum; a generator that couples sectors is
-one sector, the whole space.  Here the sector path is checked against the
-dense path on random charge-conserving generators, block-diagonal density
-matrices and pure states in one sector; a generator or a state that
-couples sectors must take the dense path and still match ``evolve``, and
+one sector, the whole space.  Here ``evolved_expectations`` is checked
+against ``evolve`` at every time on random charge-conserving generators,
+block-diagonal density matrices and pure states in one sector; it refuses
+a generator or a state that couples sectors with a ValueError, and
 ``evolve`` matches a dense matrix exponential either way.
 
 The rule is one for every generator: its charge step m is the gcd of the
@@ -89,13 +89,9 @@ def _observables(rng, sig):
     ]
 
 
-def _dense(h):
-    """A copy of ``h`` preset with the one-sector spectrum of its full matrix: the dense path."""
-    d = h.signature.total_dim
-    copy = LabeledOperator(h.signature, h.matrix)
-    copy._sectors = SectorSpectrum(d, [np.arange(d)[None, :]], [linalg.herm_eig(h.matrix[None])])
-    assert copy._block_spectrum().whole
-    return copy
+def _whole(spectrum):
+    """True for the one-sector spectrum, the whole space in basis order."""
+    return [idx.shape for idx in spectrum.sectors] == [(1, spectrum.dim)]
 
 
 def _block_diagonal_density(rng, sig):
@@ -125,15 +121,14 @@ def test_sector_and_dense_paths_agree(kinds, seed):
     rng = np.random.default_rng(seed)
     sig = _signature(kinds)
     h = _conserving_h(rng, sig)
-    assert not h._block_spectrum().whole
+    assert not _whole(h._block_spectrum())
     observables = _observables(rng, sig)
     for state in (_block_diagonal_density(rng, sig), _one_sector_state(rng, sig)):
         got = evolved_expectations(h, TIMES, state, observables)
-        want = evolved_expectations(_dense(h), TIMES, state, observables)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _per_time(h, state, observables), rtol=0, atol=1e-12)
     u = _propagator(0.7)
     np.testing.assert_allclose(
-        h._block_spectrum().function_of(u), _dense(h)._block_spectrum().function_of(u), rtol=0, atol=1e-12
+        h._block_spectrum().function_of(u), linalg.herm_eig(h.matrix).function_of(u), rtol=0, atol=1e-12
     )
 
 
@@ -150,34 +145,48 @@ def test_an_observable_without_diagonal_blocks_reads_exactly_zero(kinds, seed):
 
 @SETTINGS
 @given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
-def test_a_generator_with_one_cross_sector_entry_takes_the_dense_path(kinds, seed):
+def test_a_generator_with_one_cross_sector_entry_is_refused(kinds, seed):
     rng = np.random.default_rng(seed)
     sig = _signature(kinds)
     m = _conserving_h(rng, sig).matrix.copy()
     i, j = 0, int(np.flatnonzero(sig.charges == 1)[0])
     m[i, j] = m[j, i] = 1e-3
     h = LabeledOperator(sig, m)
-    assert h._block_spectrum().whole
+    assert _whole(h._block_spectrum())
     observables = _observables(rng, sig)
-    state = _block_diagonal_density(rng, sig)
-    np.testing.assert_allclose(
-        evolved_expectations(h, TIMES, state, observables),
-        _per_time(h, state, observables),
-        rtol=0,
-        atol=1e-12,
-    )
+    for state in (_block_diagonal_density(rng, sig), _one_sector_state(rng, sig)):
+        with pytest.raises(ValueError, match="generator has an entry between charge sectors"):
+            evolved_expectations(h, TIMES, state, observables)
 
 
-def test_a_coherent_field_takes_the_dense_path_and_matches_evolve():
+@SETTINGS
+@given(kinds=kinds, seed=st.integers(0, 2**32 - 1))
+def test_a_state_with_weight_between_sectors_is_refused(kinds, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    h = _conserving_h(rng, sig)
+    observables = _observables(rng, sig)
+    i, j = 0, int(np.flatnonzero(sig.charges == 1)[0])
+    rho = _block_diagonal_density(rng, sig).matrix.copy()
+    rho[i, j] = rho[j, i] = 1e-9
+    psi = _one_sector_state(rng, sig).amplitudes.copy()
+    psi[j if psi[i] != 0 else i] = 1e-12
+    good = _one_sector_state(rng, sig)
+    for bad, match in ((DensityMatrix(sig, rho), "density matrix"), (StateVector(sig, psi), "state vector")):
+        with pytest.raises(ValueError, match=f"the {match} has .* charge sector"):
+            evolved_expectations(h, TIMES, bad, observables)
+        with pytest.raises(ValueError, match=match):  # anywhere in a stack
+            evolved_expectations(h, TIMES, [good, bad], observables)
+
+
+def test_a_coherent_field_start_is_refused():
     sig = jc.jc_signature(12)
     h = jc.jc_hamiltonian(sig, 1.0, 0.1)
     psi = product_state(sig, {"field": ops.coherent(0.8, 12), "atom": ops.EXCITED})
-    a = embed(ops.annihilator(12), "field", sig, "a")
-    observables = [a, *jc._system(12, 1.0, 0.1)[2]]
+    observables = [embed(ops.annihilator(12), "field", sig, "a"), *jc._system(12, 1.0, 0.1)[2]]
     for state in (psi, psi.to_density()):
-        table = evolved_expectations(h, TIMES, state, observables)
-        np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
-        assert table[:, 0].any()  # <a> of a coherent field is no structural zero
+        with pytest.raises(ValueError, match="charge sector"):
+            evolved_expectations(h, TIMES, state, observables)
 
 
 def test_a_stacked_herm_eig_raises_for_its_worst_non_hermitian_block():
@@ -333,7 +342,7 @@ def test_a_term_with_one_cross_sector_entry_is_refused(kinds, seed):
     # one leaky operator alone is eigensolved whole, even when asked for one charge
     d = sig.total_dim
     assert [idx.shape for idx in SectorSpectrum.of(terms[-1], [0]).sectors] == [(1, d)]
-    assert terms[-1]._block_spectrum().whole
+    assert _whole(terms[-1]._block_spectrum())
     with pytest.raises(ValueError, match=f"term {len(terms) - 1} \\('leaky'\\)"):
         SectorSpectrum.of(terms)
     with pytest.raises(ValueError, match="'leaky'"):
@@ -389,18 +398,18 @@ def test_evolution_matches_a_dense_matrix_exponential(kinds, seed, coupling, t):
     rng = np.random.default_rng(seed)
     sig = _signature(kinds)
     h = (_coupling_h if coupling else _conserving_h)(rng, sig)
-    assert h._block_spectrum().whole == coupling
+    assert _whole(h._block_spectrum()) == coupling
     u = linalg.mat_exp(-1j * t * h.matrix)
     psi = rng.normal(size=sig.total_dim) + 1j * rng.normal(size=sig.total_dim)
     psi = StateVector(sig, psi / np.linalg.norm(psi))
     np.testing.assert_allclose(evolve(h, t, psi).amplitudes, u @ psi.amplitudes, rtol=0, atol=1e-12)
     rho = DensityMatrix(sig, (_block_diagonal_density(rng, sig).matrix + psi.to_density().matrix) / 2)
     np.testing.assert_allclose(evolve(h, t, rho).matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
-    # both states couple sectors: the dense path, on the eigenbasis scattered from the blocks
+    # both states couple sectors (and a coupling H is no sector spectrum): refused
     observables = _observables(rng, sig)
-    for state, rho_t in ((psi, u @ psi.to_density().matrix @ u.conj().T), (rho, u @ rho.matrix @ u.conj().T)):
-        want = [np.trace(op.matrix @ rho_t) for op in observables]
-        np.testing.assert_allclose(evolved_expectations(h, [t], state, observables)[0], want, rtol=0, atol=1e-12)
+    for state in (psi, rho):
+        with pytest.raises(ValueError, match="charge sector"):
+            evolved_expectations(h, [t], state, observables)
 
 
 @SETTINGS
@@ -446,9 +455,8 @@ def test_a_coherent_field_needs_no_dense_eigensolve(eig_shapes):
     a = embed(ops.annihilator(dim), "field", sig, "a")
     observables = [a, embed(ops.qubit_ops()["minus"], "atom", sig), a.dag() @ a]
     for state in (psi, psi.to_density()):
-        table = evolved_expectations(h, TIMES, state, observables)
-        np.testing.assert_allclose(table, _per_time(h, state, observables), rtol=0, atol=1e-12)
-        assert table[:, 0].any()
+        with pytest.raises(ValueError, match="charge sector"):
+            evolved_expectations(h, TIMES, state, observables)
     assert eig_shapes == [(19, 2, 2)]
 
 
@@ -495,15 +503,14 @@ def test_a_generator_of_charge_step_m_is_eigensolved_on_the_charge_classes_mod_m
               pinched, _one_sector_state(rng, sig)]
     observables = [identity_operator(sig), embed(_rand(rng, sig.dims[0]), sig.labels[0], sig),
                    LabeledOperator(sig, _rand(rng, sig.total_dim))]
-    tables = [evolved_expectations(h, TIMES, state, observables) for state in states]
-    for i, t in enumerate(TIMES):
+    for state in states:
+        with pytest.raises(ValueError, match="generator has an entry between charge sectors"):
+            evolved_expectations(h, TIMES, state, observables)
+    for t in TIMES:
         ut = linalg.mat_exp(-1j * t * h.matrix)
-        for state, table in zip(states, tables):
+        for state in states:
             rho_t = ut @ density_of(state) @ ut.conj().T
-            got = evolve(h, t, state)
-            np.testing.assert_allclose(density_of(got), rho_t, rtol=0, atol=1e-12)
-            want = [np.trace(op.matrix @ rho_t) for op in observables]
-            np.testing.assert_allclose(table[i], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(density_of(evolve(h, t, state)), rho_t, rtol=0, atol=1e-12)
 
 
 def test_an_operator_of_charge_steps_2_and_3_is_whole(eig_shapes):
@@ -512,7 +519,7 @@ def test_an_operator_of_charge_steps_2_and_3_is_whole(eig_shapes):
     local[0, 2] = local[2, 0] = 1.0
     local[0, 3] = local[3, 0] = 0.5
     h = embed(local, "a", sig)
-    assert h._block_spectrum().whole
+    assert _whole(h._block_spectrum())
     assert [idx.shape for idx in SectorSpectrum.of(h, [0]).sectors] == [(1, 8)]
     assert eig_shapes == [(1, 8, 8), (1, 8, 8)]
     u = _propagator(1.3)
@@ -534,5 +541,5 @@ def test_a_whole_block_is_the_generator_itself_with_no_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spectrum.whole
+    assert _whole(spectrum)
     assert peak <= 3 * 16 * 512**2 + 2**18

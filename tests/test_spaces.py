@@ -21,7 +21,6 @@ from entwitness.spaces import (
     qubit,
     require_low_leakage,
     signature,
-    validate_density,
 )
 
 from conftest import max_phase_free_error
@@ -208,29 +207,6 @@ def test_evolve_rejects_non_hermitian():
     bad = spaces.LabeledOperator(sig, np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(linalg.NonHermitianError):
         evolve(bad, 1.0, basis_state(sig, {"atom": 0}))
-
-
-def test_validate_density_thermal_ok():
-    sig = signature(boson("a", 40))
-    rep = validate_density(DensityMatrix(sig, operators.thermal(0.5, 40)))
-    assert rep.ok
-
-
-def test_validate_density_flags_shifted_matrix():
-    sig = signature(boson("a", 30))
-    rho = operators.thermal(0.5, 30) - 0.1 * np.eye(30)
-    rep = validate_density(DensityMatrix(sig, rho))
-    assert rep.min_eigenvalue < 0
-    assert not rep.ok
-
-
-def test_validate_density_flags_partial_transpose_of_bell():
-    sig = signature(qubit("a"), qubit("b"))
-    bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-    pt = linalg.partial_transpose(np.outer(bell, bell.conj()), (2, 2), 0)
-    rep = validate_density(DensityMatrix(sig, pt))
-    assert rep.min_eigenvalue == pytest.approx(-0.5, abs=1e-10)
-    assert not rep.ok
 
 
 def test_product_state_and_leakage():

@@ -104,11 +104,16 @@ def test_empty_grid_gives_empty_trace():
     assert trace.max_leakage == 0.0
 
 
+def _same_charge(sig):
+    return sig.charges[:, None] == sig.charges[None, :]
+
+
 def _three_factor_case(rng):
+    """A charge-conserving H on (a, q, b) and observables on every layout of factors."""
     sig = signature(boson("a", 3), qubit("q"), boson("b", 2))
     d = sig.total_dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = LabeledOperator(sig, g + g.conj().T)
+    h = LabeledOperator(sig, np.where(_same_charge(sig), g + g.conj().T, 0))
 
     def rand(n):
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -127,12 +132,14 @@ def test_evolved_expectations_match_evolve_for_vectors_and_densities():
     rng = np.random.default_rng(7)
     sig, h, observables = _three_factor_case(rng)
     d = sig.total_dim
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    # psi in the charge-2 sector (four states), rho with no entry between sectors
+    psi = np.where(sig.charges == 2, rng.normal(size=d) + 1j * rng.normal(size=d), 0)
     psi = StateVector(sig, psi / np.linalg.norm(psi))
     w = rng.random(3)
     vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in w]
     rho = sum(wk * np.outer(v, v.conj()) / np.vdot(v, v).real for wk, v in zip(w / w.sum(), vecs))
-    # unsorted, repeated and negative times, then enough to span three time blocks
+    rho = np.where(_same_charge(sig), rho, 0)  # the pinching keeps rho positive, of trace 1
+    # unsorted, repeated and negative times, and a longer grid
     times = np.concatenate([[0.7, 0.0, 2.5, -1.1, 0.7], np.linspace(0.0, 3.0, 140)])
     for state in (psi, DensityMatrix(sig, rho)):
         table = evolved_expectations(h, times, state, observables)

@@ -1,10 +1,10 @@
 """Stacked evaluation in ``evolved_expectations``, the call-scoped jc system, and memory.
 
-``evolved_expectations`` writes the rotated observables side by side into
-byte-bounded stacks and reads a block of times with one product per stack;
-here it is checked against per-time ``evolve`` + ``expectation`` with the
-byte bound shrunk so that the observables span several stacks and the grid
-several uneven time blocks.  ``jc_witness_traces`` builds one system (H,
+``evolved_expectations`` reads the diagonal sector blocks of the
+observables in byte-bounded stacks, one product per stack and sector size;
+here it is checked against per-time ``evolve`` + ``expectation`` on a
+charge-conserving H, with the byte bound shrunk so that the observables
+span several stacks.  ``jc_witness_traces`` builds one system (H,
 its spectrum and the moment observables) for consecutive configurations
 at one truncation and couplings; a sequence of configurations must give
 what a fresh process gives for each, every ``jc-thermal`` run builds its
@@ -45,7 +45,9 @@ from entwitness.spaces import (
     signature,
 )
 
-OP_BYTES = 12 * 12 * 16  # one rotated observable of the 12-dim test space
+# the sector blocks of one observable of the 12-dim test space: sectors of
+# 1, 3, 4, 3 and 1 states (charges 0 to 4)
+OP_BYTES = 16 * (1 + 9 + 16 + 9 + 1)
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -53,14 +55,16 @@ def _unit(m: np.ndarray) -> np.ndarray:
 
 
 def _case(rng):
+    """A charge-conserving H, eight observables, a vector in one sector and a block-diagonal rho."""
     sig = signature(boson("a", 3), qubit("q"), boson("b", 2))
     d = sig.total_dim
+    same = sig.charges[:, None] == sig.charges[None, :]
 
     def rand(n):
         return _unit(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
     g = rand(d)
-    h = LabeledOperator(sig, g + g.conj().T)
+    h = LabeledOperator(sig, np.where(same, g + g.conj().T, 0))
     observables = [
         embed_many(rand(6), ["a", "b"], sig),  # non-adjacent factors
         embed(rand(2), "q", sig),
@@ -71,22 +75,21 @@ def _case(rng):
         embed(rand(3), "a", sig),
         embed_many(rand(6), ["a", "b"], sig),
     ]
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = np.where(sig.charges == 2, rng.normal(size=d) + 1j * rng.normal(size=d), 0)
     w = rng.random(3)
     vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in w]
     rho = sum(wk * np.outer(v, v.conj()) / np.vdot(v, v).real for wk, v in zip(w / w.sum(), vecs))
-    states = (StateVector(sig, psi / np.linalg.norm(psi)), DensityMatrix(sig, rho))
+    states = (StateVector(sig, psi / np.linalg.norm(psi)), DensityMatrix(sig, np.where(same, rho, 0)))
     return h, observables, states
 
 
-# 3 observables per stack (stacks of 3, 3, 2), blocks of 12 and 18 times;
-# below one observable, so 1 per stack and blocks of 6 times; the default
-# bound, one stack of all 8
-@pytest.mark.parametrize("block_bytes", [3 * OP_BYTES, 1200, spaces._BLOCK_BYTES])
+# room for 12 observables, so one stack of all 8; 2 per stack, so four
+# stacks; the default bound
+@pytest.mark.parametrize("block_bytes", [12 * OP_BYTES, 1200, spaces._BLOCK_BYTES])
 def test_stacked_table_matches_per_time_evolution(monkeypatch, block_bytes):
     monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
     h, observables, states = _case(np.random.default_rng(3))
-    # 50 times: a multiple of none of the block lengths above
+    # 50 times, unsorted and repeated
     times = np.concatenate([[0.9, 0.0, -2.0, 0.9], np.linspace(0.0, 4.0, 46)])
     for state in states:
         table = evolved_expectations(h, times, state, observables)
@@ -206,38 +209,13 @@ def test_a_jc_trace_at_fock_160_keeps_nothing_once_it_returns():
     assert retained < 1.0
 
 
-@pytest.mark.parametrize("pure, bound_mib", [(True, 6.5), (False, 7.4)])
-def test_dense_stack_at_d256_stays_at_per_operator_peak(pure, bound_mib):
-    rng = np.random.default_rng(5)
-    sig = signature(boson("a", 16), boson("b", 16))
-    d = sig.total_dim
-
-    def rand():
-        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-
-    g = rand()
-    h = LabeledOperator(sig, g + g.conj().T)
-    observables = [LabeledOperator(sig, rand()) for _ in range(3)]
-    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(4)]
-    rho = sum(np.outer(v, v.conj()) for v in vecs)
-    state = StateVector(sig, vecs[0] / np.linalg.norm(vecs[0])) if pure else DensityMatrix(
-        sig, rho / np.trace(rho).real
-    )
-    times = np.linspace(0.0, 5.0, 600)
-    evolved_expectations(h, times, state, observables)  # H's spectrum is cached from here on
-    assert _peak_mib(lambda: evolved_expectations(h, times, state, observables)) <= bound_mib
-
-
 def _jc_states(sig, dim):
-    """Starts at one jc truncation: three with no entry between charge sectors, one that couples two."""
+    """Three starts at one jc truncation, none with an entry between charge sectors."""
     proj = [np.outer(level, level.conj()) for level in (ops.EXCITED, ops.GROUND)]
-    coupled = np.zeros(sig.total_dim, dtype=complex)
-    coupled[[0, 2]] = [0.6, 0.8j]  # |0, g> and |1, g>: charges 0 and 1
     pure = np.zeros(sig.total_dim, dtype=complex)
     pure[[2, 1]] = [0.8, -0.6]  # |1, g> and |0, e>: both of charge 1
     return [
         DensityMatrix(sig, np.kron(ops.thermal(0.3, dim), proj[0])),
-        StateVector(sig, coupled),
         DensityMatrix(sig, np.kron(ops.thermal(0.05, dim), proj[1])),
         StateVector(sig, pure),
     ]
@@ -248,10 +226,10 @@ def _jc_states(sig, dim):
 JC16_OP_BYTES = 16 * (1 + 15 * 4)
 
 
-# all 7 observables in one stack of the sector path; 2 to 4 per stack, so
-# that a stack of one nonzero observable meets 2 to 4 states at once (a
-# product as wide as all of them would round their columns by its width);
-# and one per stack, one state at a time
+# all 7 observables in one stack; 2 to 4 per stack, so that a stack of one
+# nonzero observable meets 2 states or all 3 at once (a product as wide as
+# all of them would round their columns by its width); and one per stack,
+# one state at a time
 @pytest.mark.parametrize("block_bytes", [spaces._BLOCK_BYTES, *(j * JC16_OP_BYTES for j in (2, 3, 4)), 600])
 def test_a_stack_of_states_gives_each_state_s_own_table_bit_for_bit(monkeypatch, block_bytes):
     monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
