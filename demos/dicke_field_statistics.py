@@ -9,8 +9,6 @@ nothing.  A direct three-mode simulation backs the closed forms.
 
 import math
 
-import numpy as np
-
 from entwitness import operators as ops
 from entwitness.models import dicke as dk
 

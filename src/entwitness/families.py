@@ -99,12 +99,13 @@ def bell_threshold_closed_form(c1c2_abs: float) -> float:
 
 
 def bell_threshold_scan(c1: float, tol: float = 1e-5) -> float:
-    """Locate the noise threshold by bisection on the cond1 margin."""
+    """Locate the noise threshold on the cond1 margin beyond its tolerance."""
     sig = bell_signature()
     a, b = bell_witness_ops(sig)
 
-    def entangled(s: float) -> bool:
-        return witnesses.cond1(noisy_bell(s, c1, sig), a, b).entangled
+    def entangled(s: float) -> float:
+        rep = witnesses.cond1(noisy_bell(s, c1, sig), a, b)
+        return rep.margin - rep.tolerance
 
     return threshold_scan(entangled, 0.01, 0.999, tol)
 
@@ -159,9 +160,9 @@ def subspace_threshold_scan(rng: np.random.Generator, tol: float = 1e-5) -> floa
     v1, v2 = random_block_vectors(rng)
     basis, b_op = subspace_witness_basis()
 
-    def entangled(s: float) -> bool:
+    def entangled(s: float) -> float:
         m = witnesses.witness_matrix_expand_a(noisy_correlated_subspace(s, v1, v2), basis, b_op)
-        return m.has_positive_eigenvalue()
+        return witnesses.positive_eigenvalue_margin(m.matrix)
 
     return threshold_scan(entangled, 0.05, 0.95, tol)
 
@@ -248,13 +249,15 @@ def psi01_x_threshold(tol: float = 2e-3, dim: int = 4) -> XThresholdComparison:
     """Noise threshold of the bilinear-form criterion, by see-saw product-vector scan.
 
     The signature, |psi01> and the two annihilators are built once per scan;
-    each bisection point only mixes in its noise, centres the annihilators and
-    scans the form.
+    each probed point only mixes in its noise, centres the annihilators and
+    scans the form, up to the first product vector above the positivity
+    threshold.
     """
     form = _psi01_bilinear_forms(dim)
 
-    def entangled(s: float) -> bool:
-        return witnesses.product_vector_scan(form(s)).value > witnesses.POSITIVITY_EPS
+    def entangled(s: float) -> float:
+        eps = witnesses.POSITIVITY_EPS
+        return witnesses.product_vector_scan(form(s), stop_above=eps).value - eps
 
     s_star = threshold_scan(entangled, 0.2, 0.9, tol)
     return XThresholdComparison(s_star, PRINTED_X_THRESHOLD, ANALYTIC_X_THRESHOLD)

@@ -45,6 +45,7 @@ numerical noise, not entanglement.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,9 +115,14 @@ def positivity_threshold(eigenvalues: np.ndarray) -> float:
     return POSITIVITY_EPS * max(1.0, scale)
 
 
-def matrix_has_positive_eigenvalue(m: np.ndarray) -> bool:
+def positive_eigenvalue_margin(m: np.ndarray) -> float:
+    """lambda_max(m) minus its positivity threshold: positive exactly when the test passes."""
     w = np.linalg.eigvalsh(np.asarray(m, dtype=complex))
-    return bool(w[-1] > positivity_threshold(w))
+    return float(w[-1] - positivity_threshold(w))
+
+
+def matrix_has_positive_eigenvalue(m: np.ndarray) -> bool:
+    return positive_eigenvalue_margin(m) > 0
 
 
 def _names(ops_list: Sequence[LabeledOperator], stem: str) -> tuple[str, ...]:
@@ -440,7 +446,9 @@ def _seed_mesh(grid: int) -> np.ndarray:
     return vs
 
 
-def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
+def product_vector_scan(
+    x: WitnessMatrix, grid: int = 12, stop_above: float = math.inf
+) -> ProductScanResult:
     """Maximize (u (x) v)^dag X (u (x) v) over unit product vectors by see-saw.
 
     The seeds are cells of a grid x grid mesh of side-b vectors
@@ -453,6 +461,11 @@ def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
     stop rule and leaves the stack once its value rises by at most
     :data:`SEESAW_RTOL` relative, or after :data:`SEESAW_MAX_STEPS` steps; the
     first seed with the best value wins.  Requires a 2-dim side b.
+
+    With ``stop_above`` set, the scan returns as soon as an accepted value
+    exceeds it, with the best value accepted so far: a lower bound on the
+    maximum, above ``stop_above``.  Accepted values only rise, so the
+    returned value exceeds ``stop_above`` exactly when the full scan's does.
     """
     na, nb = x.dims
     if nb != 2:
@@ -489,6 +502,8 @@ def product_vector_scan(x: WitnessMatrix, grid: int = 12) -> ProductScanResult:
         values[live] = top
         us[live] = vecs[:, :, -1]
         v_best[live] = v
+        if top.max() > stop_above:
+            break
         u = us[live]
         v = np.linalg.eigh(np.einsum("jkml,pj,pm->pkl", t4, u.conj(), u))[1][:, :, -1]
     scores = values.tolist()

@@ -6,13 +6,11 @@ import pytest
 from entwitness import operators as ops
 from entwitness.models.beam_splitters import (
     BSConfig,
-    BSReport,
     bs_conditions,
     bs_simulate,
     epsilon_state,
     field_moments,
     matrix_from_moments,
-    moment_na2,
     printed_reduction_sides,
 )
 from entwitness.models.dicke import FieldMoments

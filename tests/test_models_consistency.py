@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from entwitness import linalg, operators as ops, witnesses
+from entwitness import operators as ops, witnesses
 from entwitness.models import beam_splitters as bs
 from entwitness.models import dicke as dk
 from entwitness.models import jaynes_cummings as jc

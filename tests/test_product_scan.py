@@ -99,7 +99,12 @@ def test_seesaw_matches_the_reference_on_the_pair_family():
 
 
 @pytest.mark.parametrize(
-    "tol, recorded", [(1e-3, 6.18017578125000022e-01), (1e-4, 6.18060302734374956e-01)]
+    "tol, recorded",
+    [
+        (1e-3, 6.18017578125000022e-01),
+        (1e-4, 6.18060302734374956e-01),
+        (1e-5, 6.18036270141601562e-01),
+    ],
 )
 def test_pair_threshold_is_unchanged(tol, recorded):
     def entangled(s):
@@ -108,6 +113,33 @@ def test_pair_threshold_is_unchanged(tol, recorded):
     s_star = families.psi01_x_threshold(tol=tol).scanned
     assert s_star == recorded
     assert s_star == threshold_scan(entangled, 0.2, 0.9, tol)
+
+
+def _stops_with_the_full_verdict(x: WitnessMatrix):
+    eps = witnesses.POSITIVITY_EPS
+    full = product_vector_scan(x)
+    stopped = product_vector_scan(x, stop_above=eps)
+    assert (stopped.value > eps) == (full.value > eps)
+    assert stopped.value <= full.value
+    if full.value <= eps:
+        _assert_bit_identical(stopped, full)
+    vec = np.kron(stopped.u, stopped.v)
+    assert abs(np.vdot(vec, x.matrix @ vec).real - stopped.value) <= 1e-12
+
+
+def test_a_stopped_scan_keeps_the_verdict_on_the_pair_family():
+    for s in np.linspace(0.2, 0.9, 36):
+        _stops_with_the_full_verdict(families.psi01_bilinear_x(s))
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(["complex", "real", "low-rank"]),
+)
+def test_a_stopped_scan_keeps_the_verdict_on_random_forms(seed, na, kind):
+    _stops_with_the_full_verdict(_form(seed, na, kind))
 
 
 def test_product_scan_still_needs_a_two_dim_side_b():

@@ -15,7 +15,6 @@ from entwitness.spaces import (
     signature,
 )
 from entwitness.witnesses import (
-    PptCrosscheck,
     SupportError,
     WitnessMatrix,
     bilinear_form,
