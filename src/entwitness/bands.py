@@ -5,7 +5,9 @@ local on one factor whose nonzero entries are real and lie on one diagonal:
 the Fock ladder a and a^dag, the number operator, thermal weights and the
 leakage projector.  It holds that diagonal and the one complex zero every
 other entry holds, so the dense local is rebuilt bit for bit, signed zeros
-included, and it is applied as one shifted, scaled copy.
+included, and it is applied as one shifted, scaled copy.  The product of
+two bands on one factor is a band, with the offsets added
+(:meth:`Band.matmul`).
 
 The values must be real: their products with complex entries are then
 exact, so a band's product equals the dense matmul entry for entry.  A
@@ -41,6 +43,11 @@ class Band(NamedTuple):
         return cls(offset, values, zero)
 
     @classmethod
+    def diagonal(cls, values, offset: int = 0) -> "Band":
+        """The band of ``np.diag(values, offset).astype(complex)``: real values, +0 everywhere else."""
+        return cls(offset, np.asarray(values, dtype=float).astype(complex), np.complex128(0))
+
+    @classmethod
     def of(cls, local: np.ndarray) -> "Band | None":
         """The band of a square complex local, or None unless every entry off one diagonal has one zero's bits."""
         d = local.shape[0]
@@ -56,11 +63,6 @@ class Band(NamedTuple):
         if np.count_nonzero(marks.diagonal(offset)) != np.count_nonzero(marks):
             return None
         return cls.checked(offset, local.diagonal(offset).copy(), local[corner])
-
-    @property
-    def charge_step(self) -> int:
-        """How far every nonzero entry moves the level: |offset|, or 0 with no nonzero entry."""
-        return abs(self.offset) if self.values.any() else 0
 
     def dag(self) -> "Band":
         return Band(-self.offset, self.values.conj(), self.zero.conjugate())
@@ -82,6 +84,33 @@ class Band(NamedTuple):
         local.reshape(-1)[start :: d + 1][: d - abs(self.offset)] = self.values
         return local
 
+    def matmul(self, other: "Band", d: int) -> "Band | None":
+        """The band of ``self.dense(d) @ other.dense(d)``, bit for bit, or None where that is not known.
+
+        Entry [i, i + offset] is the one product self[i, j] other[j, i + offset]
+        (j = i + self.offset), 0 where j falls outside the factor, and every
+        other entry is +0.  That is the dense matmul's bits when no real part
+        of either local has its sign bit set (a, a^dag, the number operator
+        and the qubit ladder): the other products in its sums are then exact
+        zeros, and the sum of a product with them keeps its value and reads
+        +0 for a zero (checked against numpy's matmul in the tests).  Any
+        other pair, or a product with no diagonal inside the factor, gives
+        None.
+        """
+        offset = self.offset + other.offset
+        if abs(offset) >= d or not (_nonnegative(self) and _nonnegative(other)):
+            return None
+        n = d - abs(offset)
+        i = max(-offset, 0)  # the row of the product's first entry
+        j = i + self.offset  # and its inner index
+        lo, hi = max(0, -j), min(n, d - j)  # the entries whose inner index lies inside the factor
+        values = np.zeros(n, dtype=complex)
+        if lo < hi:
+            # row r of a band holds values[r - max(-offset, 0)]
+            x, y = i - max(-self.offset, 0), j - max(-other.offset, 0)
+            values[lo:hi] = self.values[x + lo : x + hi] * other.values[y + lo : y + hi] + 0j
+        return Band(offset, values, np.complex128(0))
+
     def apply(self, y: np.ndarray) -> np.ndarray:
         """The local times index 1 of a (batch, d, rest) array: level i reads level i + offset."""
         n = len(self.values)
@@ -90,3 +119,8 @@ class Band(NamedTuple):
         source = y[:, lo + self.offset : lo + self.offset + n]
         np.multiply(self.values[:, None], source, out=out[:, lo : lo + n])
         return out
+
+
+def _nonnegative(band: Band) -> bool:
+    """No real part of the band's dense local has its sign bit set."""
+    return not (np.signbit(band.values.real).any() or np.signbit(band.zero.real))

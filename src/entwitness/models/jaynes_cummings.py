@@ -25,9 +25,13 @@ at once, and :func:`~entwitness.witnesses.eig2` gives lambda_max in closed
 form.  No propagator, density matrix or centred operator is built per time
 point, and no D x D spectrum at all; the leakage rule judges the largest
 top-two population of the table's own column.  H, its block spectrum and
-the 7 observables depend only on the truncation and the couplings; the
-field-atom products among them are Kronecker products of their field and
-atom locals, with no D x D lift.
+the 7 observables depend only on the truncation and the couplings.  No
+D x D array is built anywhere on this path: the field locals are bands
+(:class:`~entwitness.bands.Band`), H and the field-atom words are sums
+and products of per-factor locals, kept as expressions
+(:class:`~entwitness.spaces.LabeledOperator`), and their 2 x 2 sector
+blocks are read from those expressions entry by entry; a trace holds O(D)
+memory.
 
 Batches: :func:`jc_witness_traces` evaluates each run of consecutive
 configs that share the truncation, the couplings, the atom start and the
@@ -36,29 +40,25 @@ and reads one (B, T, 7) table from one sector evaluation, whose cos/sin
 phase table the block spectrum keeps; ``form_from_moments`` and ``eig2``
 then run once over (B, T).  A batch is cut into stacks of at most as many
 configs as keep the (B, T, 7) complex table within
-:data:`~entwitness.spaces._BLOCK_BYTES` (at least one), and each stack
-builds its D x D starts one at a time.  Consecutive batches with the same
+:data:`~entwitness.spaces._BLOCK_BYTES` (at least one).  A thermal start
+is the product of its field weights and the atom projector, and only its
+sector blocks are read.  Consecutive batches with the same
 truncation and couplings share the system; nothing outlives the call.
 
 Truncation: ``fock_dim`` is where escalation starts.  The thermal start's
 weights are checked first by the one leakage rule,
 :func:`~entwitness.spaces.check_leakage`, so a start too wide for the
 truncation doubles it (:func:`~entwitness.spaces.escalate_fock_dim`) before
-any D x D work; so does a trace that reaches the top levels later.  Only
-the config that leaks escalates, alone; the rest of its batch keep their
-traces at the batch's truncation, and the traces come back in config
-order.  A new
-system is refused with ``MemoryError`` when its estimated size,
-:data:`SYSTEM_BYTES_PER_D2` bytes per D^2 (D = 2 fock_dim), exceeds
-:func:`_available_memory`: the kernel's ``MemAvailable``, or the headroom
-under the process's cgroup v2 memory limit where that is smaller.
+any system is built; so does a trace that reaches the top levels later.
+Only the config that leaks escalates, alone; the rest of its batch keep
+their traces at the batch's truncation, and the traces come back in
+config order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,9 +67,9 @@ import numpy as np
 from .. import operators as ops
 from .. import spaces
 from .. import witnesses
+from ..bands import Band
 from ..spaces import (
     QUBIT,
-    DensityMatrix,
     LabeledOperator,
     LeakageError,
     SpaceSignature,
@@ -82,20 +82,6 @@ from ..spaces import (
     qubit,
     signature,
 )
-
-# peak bytes of one trace per D^2, an upper bound in whole complex D x D
-# arrays: H, the local matrices of the field-atom observables and the
-# thermal start (a batch builds its starts one at a time); the peak RSS of
-# jc-thermal --nbar 0.02 --points 50 grows by about 145 bytes per D^2 from
-# fock_dim 320 (D = 640, 92.4 MiB) to 640 (D = 1280, 261.9 MiB), measured
-# as ru_maxrss on a 2-vCPU x86-64 VM
-SYSTEM_BYTES_PER_D2 = 11 * 16
-
-# where _available_memory reads the kernel's and the cgroup's figures
-MEMINFO = "/proc/meminfo"
-PROC_CGROUP = "/proc/self/cgroup"
-CGROUP_ROOT = "/sys/fs/cgroup"
-
 
 @dataclass(frozen=True)
 class JCConfig:
@@ -131,8 +117,8 @@ def jc_hamiltonian(sig: SpaceSignature, omega: float, kappa: float) -> LabeledOp
     """Field term plus the atom terms of every qubit factor (Tavis-Cummings for several)."""
     dim = sig.factor("field").dim
     qo = ops.qubit_ops()
-    a = embed(ops.annihilator(dim), "field", sig, "a")
-    h = omega * embed(ops.number_op(dim), "field", sig)
+    a = embed(ops.annihilator_band(dim), "field", sig, "a")
+    h = omega * embed(ops.number_band(dim), "field", sig)
     for atom in (f.label for f in sig.factors if f.kind == QUBIT):
         sp = embed(qo["plus"], atom, sig)
         sm = embed(qo["minus"], atom, sig)
@@ -152,87 +138,28 @@ class JCWitnessTrace:
     max_leakage: float
 
 
-def _read_text(path: str) -> str | None:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError:
-        return None
-
-
-def _meminfo_available() -> int | None:
-    """``MemAvailable`` in bytes: free memory plus the cache the kernel can reclaim."""
-    for line in (_read_text(MEMINFO) or "").splitlines():
-        fields = line.split()
-        if len(fields) >= 2 and fields[0] == "MemAvailable:" and fields[1].isdigit():
-            return int(fields[1]) * 1024
-    return None
-
-
-def _cgroup_headroom() -> int | None:
-    """``memory.max`` less ``memory.current`` of this process's cgroup v2, if a number."""
-    for line in (_read_text(PROC_CGROUP) or "").splitlines():
-        if line.startswith("0::"):
-            group = os.path.join(CGROUP_ROOT, line[3:].strip().lstrip("/"))
-            limit = (_read_text(os.path.join(group, "memory.max")) or "").strip()
-            current = (_read_text(os.path.join(group, "memory.current")) or "").strip()
-            if limit.isdigit() and current.isdigit():
-                return max(0, int(limit) - int(current))
-    return None
-
-
-def _available_memory() -> int | None:
-    """Bytes a new allocation can take, or None where nothing can be read.
-
-    The smaller of ``MemAvailable`` and the cgroup v2 headroom, of those
-    that can be read; else the free pages of ``os.sysconf``, which leave
-    out reclaimable cache.
-    """
-    known = [b for b in (_meminfo_available(), _cgroup_headroom()) if b is not None]
-    if known:
-        return min(known)
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError, AttributeError):
-        return None
-
-
-def _require_free_memory(dim: int) -> None:
-    """Raise ``MemoryError`` if a trace at this truncation would not fit in free memory.
-
-    Free memory is :func:`_available_memory`; where none can be read,
-    nothing is checked.
-    """
-    d = 2 * dim
-    need = SYSTEM_BYTES_PER_D2 * d * d
-    free = _available_memory()
-    if free is not None and need > free:
-        raise MemoryError(
-            f"a jc trace at fock_dim {dim} (D = {d}) needs about {need / 2**20:.1f} MiB, "
-            f"but only {free / 2**20:.1f} MiB are free"
-        )
-
-
 def _system(
     dim: int, omega: float, kappa: float
 ) -> tuple[SpaceSignature, LabeledOperator, tuple[LabeledOperator, ...]]:
     """Signature, H and the observables [top_two, *c_ops, *t_ops] at one truncation.
 
-    A truncation too large for free memory is refused before anything is built.
+    Every field local is a band and every field-atom operator a product or
+    sum of per-factor locals, so nothing here holds more than O(D) entries.
     """
-    _require_free_memory(dim)
     sig = jc_signature(dim)
     h = jc_hamiltonian(sig, omega, kappa)
     sm = embed(ops.qubit_ops()["minus"], "atom", sig, "sigma-")
-    a = embed(ops.annihilator(dim), "field", sig, "a")
+    a = embed(ops.annihilator_band(dim), "field", sig, "a")
     c_ops, t_ops = witnesses.moment_operators([sm], [a, a.dag()])
     return sig, h, (leakage_projector(sig, "field"), *c_ops, *t_ops)
 
 
-def _start(sig: SpaceSignature, weights: np.ndarray, atom: np.ndarray) -> DensityMatrix:
-    """The thermal field of level populations ``weights`` times the atom state."""
-    field = np.diag(weights).astype(complex)  # ops.thermal, from its checked weights
-    return DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
+def _start(weights: np.ndarray, projector: LabeledOperator) -> LabeledOperator:
+    """The thermal field of level populations ``weights`` times the atom ``projector``, a product of the two locals.
+
+    Its matrix is ``np.kron(ops.thermal(nbar, dim), |atom><atom|)``, bit for bit.
+    """
+    return embed(Band.diagonal(weights), "field", projector.signature) @ projector  # ops.thermal, from its checked weights
 
 
 def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTrace | LeakageError]:
@@ -244,7 +171,8 @@ def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTra
     :func:`~entwitness.spaces.evolved_expectations` as one stack, ``cap``
     at a time, so that each (B, T, K) table stays within
     :data:`~entwitness.spaces._BLOCK_BYTES` (at least one config per
-    stack); the stack is drawn one D x D start at a time.
+    stack).  Each start is the product of its thermal weights and the
+    atom projector, read by its sector blocks (:func:`_start`).
     """
     results: list = [None] * len(batch)
     weights = {}
@@ -258,13 +186,14 @@ def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTra
     cfg = batch[0]
     sig, h, observables = system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
+    projector = embed(np.outer(atom, atom.conj()), "atom", sig)
     times = cfg.kt / cfg.kappa
     n = times.size
     cap = max(1, spaces._BLOCK_BYTES // (16 * max(n, 1) * len(observables)))
     live = list(weights)
     for first in range(0, len(live), cap):
         chunk = live[first : first + cap]
-        table = evolved_expectations(h, times, (_start(sig, weights[i], atom) for i in chunk), observables)
+        table = evolved_expectations(h, times, (_start(weights[i], projector) for i in chunk), observables)
         b = len(chunk)
         m = witnesses.form_from_moments(table[..., 1:3].reshape(b, n, 1, 2), table[..., 3:].reshape(b, n, 1, 2, 1, 2))
         lambda_max = witnesses.eig2(m)[1]

@@ -9,6 +9,9 @@ Sign and ordering conventions, fixed here and reused everywhere:
   are stored as it (:class:`~entwitness.spaces.LabeledOperator`), so
   applying, conjugating, scaling or centring one (:func:`delta`) makes no
   dense copy; the dense local is built only when a caller reads ``.local``.
+  :func:`annihilator_band` and :func:`number_band` give the same operators
+  as that diagonal, with no dim x dim array, for ``embed``; made dense, each
+  equals its dense factory bit for bit.
 * displacement  D(alpha) = exp(alpha a^dag - conj(alpha) a)
 * rotation      R(theta) = exp(i theta a^dag a)
 * squeeze       S(z) = exp((conj(z) a^2 - z a^dag^2) / 2),  z = r e^{i phi},
@@ -61,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bands import Band
 from .spaces import (
     LabeledOperator,
     SectorSpectrum,
@@ -73,6 +77,13 @@ from .spaces import (
 )
 
 
+def annihilator_band(dim: int) -> Band:
+    """:func:`annihilator` by its one diagonal, sqrt(n) at [n - 1, n], with no dim x dim array."""
+    if dim < 2:
+        raise ValueError(f"annihilator needs dim >= 2, got {dim}")
+    return Band.diagonal(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+
+
 def annihilator(dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError(f"annihilator needs dim >= 2, got {dim}")
@@ -81,6 +92,11 @@ def annihilator(dim: int) -> np.ndarray:
 
 def creator(dim: int) -> np.ndarray:
     return annihilator(dim).conj().T
+
+
+def number_band(dim: int) -> Band:
+    """:func:`number_op` by its diagonal, with no dim x dim array."""
+    return Band.diagonal(np.arange(dim, dtype=float))
 
 
 def number_op(dim: int) -> np.ndarray:

@@ -12,13 +12,14 @@ memory for an operator on a few modes does not grow with the total
 dimension D.  A local on one factor whose nonzero entries are real and lie
 on one diagonal (a, a^dag, the number operator, the leakage projector) is
 stored as that diagonal (:mod:`~entwitness.bands`) and applied as one
-shifted, scaled copy.  The dense D x D ``.matrix`` is built only when a
-caller reads it; no eigensolve does, since every sector block, the whole
-space included, is read from the local matrix.  Other D x D arrays are
-density matrices, their propagators, the eigenvector matrix of a
-Hamiltonian, and the identity root of a density matrix in the witness
-moment tables, an explicit ``np.eye(D)`` to which the operator words are
-applied.
+shifted, scaled copy.  Sums, scalar multiples and products on disjoint
+factors keep their expression and read their sector blocks from it, so an
+operator built from per-factor locals forms no D x D array.  The dense
+D x D ``.matrix`` is built only when a caller reads it; no eigensolve
+does.  Other D x D arrays are density matrices,
+their propagators, the eigenvector matrix of a Hamiltonian, and the
+identity root of a density matrix in the witness moment tables, an
+explicit ``np.eye(D)`` to which the operator words are applied.
 
 Evolution: a generator has one spectrum, its :class:`SectorSpectrum`,
 built once and kept.  The charge of a basis state is its total level
@@ -55,9 +56,10 @@ truncation doubled, capped at :data:`MAX_FOCK_DIM`.
 
 All values here are immutable and safe to share across threads; the
 only state an operator changes is its cached full-space matrix, dense
-local (of a diagonal-stored one), diagonal sector blocks and spectrum,
-each the same array whichever thread builds it, and the phase table its
-spectrum keeps for the last time grid, replaced whole.
+local (of a diagonal-stored one or an expression, which it then drops),
+diagonal sector blocks and spectrum, each the same array whichever thread
+builds it, and the phase table its spectrum keeps for the last time grid,
+replaced whole; a :class:`BlockIndex` keeps its index arithmetic so.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ MAX_FOCK_DIM = 4096
 # bound on the observable blocks that evolved_expectations holds at once,
 # and on their products with the state blocks
 _BLOCK_BYTES = 512 * 2**10
+# an operand whose expression is this deep is evaluated before it is combined
+# again, so reading an expression (which recurses into it) stays shallow
+_MAX_DEPTH = 32
 
 
 class SignatureError(ValueError):
@@ -172,6 +177,11 @@ class SpaceSignature:
         """Basis indices of the charge sectors, grouped by sector size (:func:`_classes` of the charges)."""
         return _classes(self.charges)
 
+    @cached_property
+    def block_indices(self) -> tuple["BlockIndex", ...]:
+        """One :class:`BlockIndex` per index array of :attr:`sectors`, shared by every operator on this space."""
+        return tuple(BlockIndex(self, idx) for idx in self.sectors)
+
     def axis(self, label: str) -> int:
         for i, f in enumerate(self.factors):
             if f.label == label:
@@ -180,6 +190,51 @@ class SpaceSignature:
 
     def factor(self, label: str) -> Factor:
         return self.factors[self.axis(label)]
+
+
+class BlockIndex:
+    """The (n, s, s) blocks of one (n, s) index array: the factor levels of their rows and columns.
+
+    The index arithmetic that every operator on the space repeats to read
+    its entries there is kept, keyed by the factors it is for.
+    """
+
+    __slots__ = ("rows", "cols", "_kept")
+
+    def __init__(self, sig: SpaceSignature, index: np.ndarray):
+        levels = sig.levels[:, index]
+        self.rows, self.cols = levels[..., :, None], levels[..., None, :]
+        self._kept = {}
+
+    def local(self, axes: tuple[int, ...], dims) -> tuple:
+        """The (row, column) index into a local on the factors at ``axes``, in that order."""
+        key = ("local", axes)
+        if key not in self._kept:
+            row = col = 0
+            for ax in axes:
+                row = row * dims[ax] + self.rows[ax]
+                col = col * dims[ax] + self.cols[ax]
+            self._kept[key] = (row, col)
+        return self._kept[key]
+
+    def band(self, ax: int, offset: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where a band of ``size`` values on factor ``ax`` holds a value, and which one (index into the values)."""
+        key = ("band", ax, offset)
+        if key not in self._kept:
+            rows, cols = self.rows[ax], self.cols[ax]
+            self._kept[key] = (cols - rows == offset, np.minimum(np.minimum(rows, cols), size - 1))
+        return self._kept[key]
+
+    def identity(self, own: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+        """The identity's entries, 1 + 0j or 0j, on the factors of ``axes`` outside ``own``."""
+        key = ("identity", own, axes)
+        if key not in self._kept:
+            same = True
+            for ax in axes:
+                if ax not in own:
+                    same = same & (self.rows[ax] == self.cols[ax])
+            self._kept[key] = np.where(same, 1.0 + 0j, 0j)
+        return self._kept[key]
 
 
 def _classes(keys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -265,27 +320,31 @@ class LabeledOperator:
 
     ``LabeledOperator(sig, matrix, support, name)`` takes a full-space
     matrix (``axes`` is every factor, in signature order); pass ``axes`` to
-    give a local matrix instead.  :func:`embed` and :func:`embed_many` store
-    the local matrix, and ``dag``, ``-op`` and scalar ``*`` act on it.  The
-    results of ``@``, ``+`` and ``-`` act on the union of the operands'
-    axes, in signature order.  ``@`` of operators on disjoint factors is the
-    Kronecker product of their locals, permuted to that order (no D x D
-    lift and no D^3 product; the operand on the lower-numbered factor is
-    the left Kronecker factor, so ``A @ B`` and ``B @ A`` have the same bits).
-    Other products, and every ``+`` and ``-``, lift both operands to the
-    union first (an operand already on the union in signature order is
-    used as it is).  :meth:`apply` contracts the local matrix into the
-    full-space index of an array, so expectation values and witnesses never
-    form a full-space matrix.  The full-space D x D :attr:`matrix` is built
-    on first access and cached; for an operator on every factor in
-    signature order (Hamiltonians, propagators) it is the stored array.
+    give a local matrix instead, or a :class:`~entwitness.bands.Band` on one
+    factor.  :func:`embed` and :func:`embed_many` store the local, and
+    ``dag`` and ``_minus_identity`` act on it.  :meth:`apply` contracts the
+    local into the full-space index of an array, so expectation values and
+    witnesses never form a full-space matrix.  The full-space D x D
+    :attr:`matrix` is built on first access and cached; for an operator on
+    every factor in signature order it is the local itself.
+
+    ``+``, ``-``, a scalar ``*`` of a local that is not a band, and ``@`` on
+    disjoint factors keep the expression they were built from, on the union
+    of the operands' axes in signature order.  ``local`` evaluates it on
+    first read, then drops it: a sum lifts both operands to the union and
+    adds them, and ``@`` is :func:`~entwitness.linalg.kron` of the locals
+    with the operand on the lower-numbered factor first (so ``A @ B`` and
+    ``B @ A`` have the same bits).  :meth:`_block` reads sector blocks from
+    the expression with the same complex arithmetic entry by entry, so they
+    hold the bits of :attr:`matrix`, signed zeros included.  ``@`` of two
+    bands on one factor is a band (:meth:`~entwitness.bands.Band.matmul`);
+    any other product on shared factors multiplies the lifted locals.
 
     A local on one factor whose nonzero entries are real and lie on one
     diagonal is stored by that diagonal, (offset, values), as a
     :class:`~entwitness.bands.Band`, and no dense local is kept.  The
     constructor (so :func:`embed`) finds the diagonal by one scan of the
-    local's bits; the products and sums of ``@``, ``+`` and ``-`` are kept
-    dense and not scanned.  ``dag``, scalar ``*``, ``-op`` and
+    local's bits.  ``dag``, scalar ``*``, ``-op`` and
     :func:`~entwitness.operators.delta` carry the diagonal without a new
     scan, and fall back to the dense local only where the result has no
     such diagonal (a complex scalar, or a nonzero mean off the main
@@ -295,20 +354,26 @@ class LabeledOperator:
     """
 
     __slots__ = (
-        "signature", "axes", "support", "name", "_local", "_band", "_matrix", "_sectors", "_diagonal"
+        "signature", "axes", "support", "name", "_local", "_band", "_expr", "_depth", "_matrix", "_sectors",
+        "_diagonal",
     )
 
     def __init__(
         self,
         signature: SpaceSignature,
-        matrix: np.ndarray,
+        matrix: np.ndarray | Band,
         support: Iterable[str] = frozenset(),
         name: str = "",
         axes: Sequence[int] | None = None,
     ):
         axes = tuple(range(len(signature.factors))) if axes is None else tuple(axes)
-        local = np.asarray(matrix, dtype=complex)
         sub_dims = tuple(signature.dims[ax] for ax in axes)
+        if isinstance(matrix, Band):
+            if len(axes) != 1 or len(matrix.values) + abs(matrix.offset) != sub_dims[0]:
+                raise SignatureError(f"a band of offset {matrix.offset} does not fit factor dims {sub_dims}")
+            self._set(signature, axes, frozenset(support), name, None, matrix)
+            return
+        local = np.asarray(matrix, dtype=complex)
         d = math.prod(sub_dims)
         if local.shape != (d, d):
             raise SignatureError(
@@ -317,34 +382,57 @@ class LabeledOperator:
         band = Band.of(local) if len(axes) == 1 else None
         self._set(signature, axes, frozenset(support), name, None if band else local, band)
 
-    def _set(self, signature, axes, support, name, local, band):
+    def _set(self, signature, axes, support, name, local, band, expr=None):
         self.signature = signature
         self.axes = axes
         self.support = support
         self.name = name
         self._local = local
         self._band = band
+        # (fn, x, y): the local is fn of the operands (np.multiply by a scalar y,
+        # linalg.kron of disjoint factors, np.add or np.subtract of lifted ones)
+        self._expr = expr
+        self._depth = 0
+        if expr is not None:
+            operands = [op for op in expr[1:] if isinstance(op, LabeledOperator)]
+            for op in operands:
+                if op._depth >= _MAX_DEPTH:
+                    op.local
+            self._depth = 1 + max(op._depth for op in operands)
         self._matrix = None
         self._sectors = None
         self._diagonal = None
 
     @classmethod
-    def _stored(cls, signature, axes, support, name, local=None, band=None) -> "LabeledOperator":
+    def _stored(cls, signature, axes, support, name, local=None, band=None, expr=None) -> "LabeledOperator":
         """An operator stored as given: no shape check and no search for a diagonal."""
         op = cls.__new__(cls)
-        op._set(signature, axes, support, name, local, band)
+        op._set(signature, axes, support, name, local, band, expr)
         return op
 
-    def _derived(self, name: str, local=None, band=None) -> "LabeledOperator":
+    def _derived(self, name: str, local=None, band=None, expr=None) -> "LabeledOperator":
         """An operator on the same factors and support, stored as given."""
-        return self._stored(self.signature, self.axes, self.support, name, local, band)
+        return self._stored(self.signature, self.axes, self.support, name, local, band, expr)
 
     @property
     def local(self) -> np.ndarray:
-        """The local matrix on ``axes``; for a diagonal-stored local, built on first access."""
+        """The local matrix on ``axes``; for a diagonal-stored local or an expression, built on first access."""
         if self._local is None:
-            self._local = self._band.dense(self.signature.dims[self.axes[0]])
+            if self._band is not None:
+                self._local = self._band.dense(self.signature.dims[self.axes[0]])
+            else:
+                self._local = self._evaluate()
+                self._expr, self._depth = None, 0
         return self._local
+
+    def _evaluate(self) -> np.ndarray:
+        """The local of the expression, from its operands' locals."""
+        fn, x, y = self._expr
+        if fn is np.multiply:
+            return x.local * y
+        if fn is linalg.kron:
+            return _reordered(linalg.kron(x.local, y.local), x.axes + y.axes, self.axes, self.signature.dims)
+        return fn(x._lifted(self.axes), y._lifted(self.axes))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -360,15 +448,44 @@ class LabeledOperator:
         return self._sectors
 
     def _sector_blocks(self) -> tuple[np.ndarray, ...]:
-        """Diagonal charge-sector blocks of the full-space matrix, read from ``local``.
+        """Diagonal charge-sector blocks of the full-space matrix (:meth:`_block`).
 
         One (n, s, s) stack per index array of ``signature.sectors``, built
         on first use and kept.
         """
         if self._diagonal is None:
-            sig = self.signature
-            self._diagonal = tuple(_blocks(self.local, self.axes, sig, idx) for idx in sig.sectors)
+            self._diagonal = tuple(self._block(at) for at in self.signature.block_indices)
         return self._diagonal
+
+    def _block(self, at: BlockIndex) -> np.ndarray:
+        """Entries M[i, j] of the full-space matrix for i, j in one row of ``at``'s index, as an (n, s, s) stack.
+
+        Read from the expression or the local, with no full-space matrix
+        formed; bit for bit the entries of :attr:`matrix`.
+        """
+        return self._lifted_entries(tuple(range(len(self.signature.factors))), at)
+
+    def _entries(self, at: BlockIndex) -> np.ndarray:
+        """Entries of ``local`` at the rows and columns of ``at``'s blocks."""
+        band = self._band
+        if band is not None:
+            on, k = at.band(self.axes[0], band.offset, len(band.values))
+            return np.where(on, band.values[k], band.zero)
+        expr = self._expr
+        if expr is None:
+            return self.local[at.local(self.axes, self.signature.dims)]
+        fn, x, y = expr
+        if fn is np.multiply:
+            return x._entries(at) * y
+        if fn is linalg.kron:
+            return x._entries(at) * y._entries(at)
+        return fn(x._lifted_entries(self.axes, at), y._lifted_entries(self.axes, at))
+
+    def _lifted_entries(self, axes: tuple[int, ...], at: BlockIndex) -> np.ndarray:
+        """Entries of :meth:`_lifted` ``(axes)``, times the identity's 1 or 0 as the dense lift multiplies."""
+        if axes == self.axes:
+            return self._entries(at)
+        return self._entries(at) * at.identity(self.axes, axes)
 
     def _lifted(self, axes: tuple[int, ...]) -> np.ndarray:
         """The local matrix on ``axes`` (a superset of ``self.axes``), identity elsewhere."""
@@ -429,43 +546,38 @@ class LabeledOperator:
         centred.flat[:: centred.shape[0] + 1] -= value
         return self._derived(name, local=centred)
 
-    def _combine(self, other: "LabeledOperator", fn) -> "LabeledOperator":
+    def _combined(self, other: "LabeledOperator", fn) -> "LabeledOperator":
+        """``fn`` of the operands on the union of their axes, kept as an expression."""
         _same_signature(self.signature, other.signature)
         axes = tuple(sorted(set(self.axes) | set(other.axes)))
-        local = fn(self._lifted(axes), other._lifted(axes))
-        return self._stored(self.signature, axes, self.support | other.support, "", local)
+        return self._stored(self.signature, axes, self.support | other.support, "", expr=(fn, self, other))
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         if not set(self.axes) & set(other.axes):
-            return self._kron(other)
-        return self._combine(other, np.matmul)
-
-    def _kron(self, other: "LabeledOperator") -> "LabeledOperator":
-        """``self @ other`` on disjoint axes: the Kronecker product of the locals, on sorted axes.
-
-        The operand on the lower-numbered factor is passed to
-        :func:`~entwitness.linalg.kron` first, whatever the call order, so
-        ``A @ B`` and ``B @ A`` have the same bits.
-        """
+            # the operand on the lower-numbered factor is the left Kronecker factor
+            first, second = sorted((self, other), key=lambda op: min(op.axes, default=-1))
+            return first._combined(second, linalg.kron)
         _same_signature(self.signature, other.signature)
-        first, second = sorted((self, other), key=lambda op: min(op.axes, default=-1))
-        order = first.axes + second.axes
-        axes = tuple(sorted(order))
-        local = _reordered(linalg.kron(first.local, second.local), order, axes, self.signature.dims)
-        return self._stored(self.signature, axes, self.support | other.support, "", local)
+        support = self.support | other.support
+        if self._band is not None and other._band is not None and self.axes == other.axes:
+            band = self._band.matmul(other._band, self.signature.dims[self.axes[0]])
+            if band is not None:
+                return self._stored(self.signature, self.axes, support, "", band=band)
+        axes = tuple(sorted(set(self.axes) | set(other.axes)))
+        return self._stored(self.signature, axes, support, "", np.matmul(self._lifted(axes), other._lifted(axes)))
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self._combine(other, np.add)
+        return self._combined(other, np.add)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self._combine(other, np.subtract)
+        return self._combined(other, np.subtract)
 
     def __mul__(self, scalar) -> "LabeledOperator":
         if self._band is not None:
             band = self._band.scaled(scalar)
             if band is not None:
                 return self._derived(self.name, band=band)
-        return self._derived(self.name, local=self.local * scalar)
+        return self._derived(self.name, expr=(np.multiply, self, scalar))
 
     __rmul__ = __mul__
 
@@ -488,19 +600,34 @@ def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: 
     """Entries M[i, j] for i, j in one row of ``index``, as an (n, s, s) stack.
 
     M is ``local`` on the factors at ``axes`` (in that order) and the
-    identity on the others; its entries are read from ``local``, so no
-    full-space matrix is formed.
+    identity on the others, lifted as :attr:`LabeledOperator.matrix` lifts
+    it; its entries are read from ``local``, so no full-space matrix is
+    formed.
     """
-    levels, dims = sig.levels[:, index], sig.dims
-    row = np.zeros(index.shape, dtype=np.intp)
-    rest = np.zeros(index.shape, dtype=np.intp)
-    for ax in axes:
-        row = row * dims[ax] + levels[ax]
-    for ax in range(len(dims)):
-        if ax not in axes:
-            rest = rest * dims[ax] + levels[ax]
-    same_rest = rest[..., :, None] == rest[..., None, :]
-    return np.where(same_rest, local[row[..., :, None], row[..., None, :]], 0)
+    return LabeledOperator._stored(sig, tuple(axes), frozenset(), "", local)._block(BlockIndex(sig, index))
+
+
+def _charge_changes(term: LabeledOperator) -> frozenset[int]:
+    """Row charge less column charge, over the term's axes, of the nonzero entries of its local.
+
+    Exact for a stored local; for an expression, the changes its operands
+    allow, which may hold more than its local has.
+    """
+    if term._band is not None:
+        return frozenset((-term._band.offset,) if term._band.values.any() else ())
+    expr = term._expr
+    if expr is None:
+        charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
+        for ax in term.axes:
+            charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
+        rows, cols = np.nonzero(term.local)
+        return frozenset((charge[rows] - charge[cols]).tolist())
+    fn, x, y = expr
+    if fn is np.multiply:
+        return _charge_changes(x)
+    if fn is linalg.kron:
+        return frozenset(a + b for a in _charge_changes(x) for b in _charge_changes(y))
+    return _charge_changes(x) | _charge_changes(y)
 
 
 def _charge_step(term: LabeledOperator) -> int:
@@ -508,15 +635,14 @@ def _charge_step(term: LabeledOperator) -> int:
 
     The charge over the term's own axes is their level sum, so the step is
     read from the nonzero entries of ``local`` alone; a diagonal-stored
-    local's step is its offset.
+    local's step is its offset.  An expression whose operands allow no
+    change (such as the Jaynes-Cummings H) is not evaluated.
     """
-    if term._band is not None:
-        return term._band.charge_step
-    charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
-    for ax in term.axes:
-        charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
-    rows, cols = np.nonzero(term.local)
-    return int(np.gcd.reduce(np.abs(charge[rows] - charge[cols])))
+    changes = _charge_changes(term)
+    if any(changes) and term._expr is not None:
+        term.local  # evaluate the expression; its local's own entries decide
+        changes = _charge_changes(term)
+    return math.gcd(*changes)
 
 
 class SectorSpectrum:
@@ -560,8 +686,9 @@ class SectorSpectrum:
         of terms must conserve the charge term by term; a term with a
         nonzero step raises a ValueError that names it.  ``charges`` keeps
         only the charge sectors of those charges (all if None), and is
-        ignored for m > 0.  Every block is read from the local matrices
-        (:func:`_blocks`); the whole block of an operator on every factor,
+        ignored for m > 0.  Every block is read from the terms' locals or
+        expressions (:meth:`LabeledOperator._block`), and a sum of terms
+        adds their blocks; the whole block of an operator on every factor,
         in signature order, is its local matrix itself.
         """
         single = isinstance(terms, LabeledOperator)
@@ -584,7 +711,8 @@ class SectorSpectrum:
             if step == 1 and terms[0].axes == tuple(range(len(sig.factors))):
                 b = terms[0].local[None]  # the whole space in basis order: the block is the local
             else:
-                b = reduce(np.add, (_blocks(term.local, term.axes, sig, idx) for term in terms))
+                at = BlockIndex(sig, idx)
+                b = reduce(np.add, (term._block(at) for term in terms))
             if b.shape[-1] == 1:
                 b = linalg.require_hermitian(b)
                 spectra.append(linalg.EigenDecomposition(b[..., 0].real, np.ones_like(b)))
@@ -637,7 +765,7 @@ def identity_operator(sig: SpaceSignature) -> LabeledOperator:
 
 
 def embed_many(
-    local: np.ndarray,
+    local: np.ndarray | Band,
     labels: Sequence[str],
     sig: SpaceSignature,
     name: str = "",
@@ -646,7 +774,8 @@ def embed_many(
 
     The remaining factors carry the identity; the local matrix is stored as
     given, not lifted to the full space (a one-factor local with one real
-    nonzero diagonal is stored as that diagonal, see :class:`LabeledOperator`).
+    nonzero diagonal is stored as that diagonal, see :class:`LabeledOperator`;
+    a :class:`~entwitness.bands.Band` on one factor is stored as it is).
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
@@ -654,7 +783,7 @@ def embed_many(
     return LabeledOperator(sig, local, labels, name, [sig.axis(lab) for lab in labels])
 
 
-def embed(local: np.ndarray, label: str, sig: SpaceSignature, name: str = "") -> LabeledOperator:
+def embed(local: np.ndarray | Band, label: str, sig: SpaceSignature, name: str = "") -> LabeledOperator:
     """A single-factor operator, identity elsewhere."""
     return embed_many(local, [label], sig, name)
 
@@ -728,15 +857,15 @@ def evolve(h: LabeledOperator, t: float, state: State) -> State:
 def evolved_expectations(
     h: LabeledOperator,
     times: Sequence[float],
-    state: State | Iterable[State],
+    state: State | LabeledOperator | Iterable[State | LabeledOperator],
     ops: Sequence[LabeledOperator],
 ) -> np.ndarray:
     """T x K table of <O_k> in the state evolved by exp(-i H t), at every time.
 
     ``state`` is one state, or an iterable of B states that gives a
-    B x T x K table.  The states are drawn one at a time and each is kept
-    only as its diagonal sector blocks, so a stream of D x D density
-    matrices holds one at a time.
+    B x T x K table: a vector, a density matrix, or a density operator (a
+    :class:`LabeledOperator`, read by its blocks).  The states are drawn one
+    at a time and each is kept only as its diagonal sector blocks.
 
     H's spectrum must be by charge sector (charge step 0,
     :attr:`SpaceSignature.sectors`), and a state (rho, or psi psi^dag) must
@@ -752,13 +881,13 @@ def evolved_expectations(
     every observable in one real C-contiguous product per state, all of a
     stack in one stacked matmul; the state blocks are rotated once, as one
     stack.  A state's table has the same bits alone and in any stack.  Only the
-    diagonal blocks of an observable are read, from its local matrix; an
+    diagonal blocks of an observable are read (:meth:`LabeledOperator._block`); an
     observable whose diagonal blocks are all 0 reads exactly 0 and is never
     contracted.  :data:`_BLOCK_BYTES` bounds the blocks of the observables
     held at once, which does not depend on the stack, and their products
     with as many states' blocks as are held at once.
     """
-    single = isinstance(state, (StateVector, DensityMatrix))
+    single = isinstance(state, (StateVector, DensityMatrix, LabeledOperator))
     for op in ops:
         _same_signature(h.signature, op.signature)
     times = np.asarray(times, dtype=float).ravel()
@@ -774,9 +903,13 @@ def evolved_expectations(
     return table[0] if single else table
 
 
-def _state_blocks(state: State, sig: SpaceSignature) -> list[np.ndarray]:
+def _state_blocks(state: State | LabeledOperator, sig: SpaceSignature) -> list[np.ndarray]:
     """Diagonal sector blocks of rho (or psi psi^dag); a ValueError if it has weight between sectors."""
     _same_signature(state.signature, sig)
+    if isinstance(state, LabeledOperator):
+        if _charge_step(state):
+            raise ValueError("the density operator has an entry between charge sectors")
+        return [state._block(at) for at in sig.block_indices]
     if isinstance(state, StateVector):
         psi = state.amplitudes
         if np.unique(sig.charges[psi != 0]).size > 1:
@@ -859,7 +992,7 @@ def leakage(state: State, label: str) -> float:
 def leakage_projector(sig: SpaceSignature, label: str) -> LabeledOperator:
     """Projector onto the top two levels of a factor: its expectation is the leakage."""
     dim = sig.factor(label).dim
-    return embed(np.diag((np.arange(dim) >= dim - 2).astype(float)), label, sig)
+    return embed(Band.diagonal((np.arange(dim) >= dim - 2).astype(float)), label, sig)
 
 
 def check_leakage(label: str, population: float, threshold: float = LEAKAGE_THRESHOLD) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from entwitness.models.jaynes_cummings import (
     jc_signature,
     jc_vacuum_m11,
     jc_witness_trace,
+    jc_witness_traces,
 )
 
 
@@ -60,3 +63,16 @@ def test_hamiltonian_shape():
     h = jc_hamiltonian(sig, 1.0, 0.1)
     assert h.matrix.shape == (16, 16)
     assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12
+
+
+def test_a_trace_at_fock_dim_1280_holds_o_d_memory():
+    """D = 2560: one D x D complex array would be 100 MiB; the whole trace peaks at a few MiB."""
+    cfg = JCConfig(nbar=0.02, kt_grid=tuple(np.linspace(0.0, 40.0, 50)), fock_dim=1280)
+    tracemalloc.start()
+    try:
+        (trace,) = jc_witness_traces([cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.fock_dim == 1280 and trace.m11.shape == (50,)
+    assert peak < 8 * 2**20, f"the trace peaked at {peak / 2**20:.1f} MiB"

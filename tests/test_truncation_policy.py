@@ -5,10 +5,8 @@ rule of `spaces.require_low_leakage` inside `ops.thermal`, before the jc
 system is built, and `escalate_fock_dim` doubles the truncation: a trace
 that escalated equals, bit for bit, the trace started where it ended.  A
 start that no truncation up to `MAX_FOCK_DIM` holds raises `LeakageError`
-without building any system, and a truncation whose system would not fit
-in the free memory raises `MemoryError` before anything is built (exit 3
-from the CLI).  Free memory is `MemAvailable`, or the cgroup v2 headroom
-where that is smaller, read here from faked files.  S(z)|1> passes the
+without building any system.  A `MemoryError` raised inside the jc runner
+exits 3 from the CLI.  S(z)|1> passes the
 same check as every factory state, under its own label.  The trace judges
 the largest entry of its table's leakage column; the state evolved to that
 grid time and measured whole gives the same leakage and the same
@@ -16,7 +14,6 @@ escalation.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -116,99 +113,16 @@ def test_a_start_no_truncation_holds_raises_without_building_a_system(monkeypatc
         jc.jc_witness_trace(jc.JCConfig(nbar=1e6, kt_grid=(0.0, 1.0), fock_dim=20))
 
 
-def _fake_available(free_bytes):
-    return lambda: free_bytes
+def test_the_cli_exits_3_when_the_jc_runner_runs_out_of_memory(monkeypatch, capsys, tmp_path):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 5.00 GiB for an array with shape (25600, 25600)")
 
-
-def test_a_truncation_too_large_for_free_memory_is_refused_before_it_is_built(monkeypatch):
-    def not_built(*args):
-        raise AssertionError("the jc system was built")
-
-    monkeypatch.setattr(jc, "_available_memory", _fake_available(400 * 1024))
-    monkeypatch.setattr(jc, "jc_signature", not_built)
-    monkeypatch.setattr(jc, "jc_hamiltonian", not_built)
-    # D = 80 needs 11 * 16 * 80^2 bytes, about 1.1 MiB
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1\.1 MiB, but only 0\.4 MiB"):
-        jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
-
-
-def test_free_memory_that_fits_or_is_not_reported_passes(monkeypatch):
-    monkeypatch.setattr(jc, "_available_memory", _fake_available(2**30))
-    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
-
-    monkeypatch.setattr(jc, "_available_memory", _fake_available(None))
-    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
-
-
-def test_the_cli_exits_3_when_the_truncation_does_not_fit_in_free_memory(monkeypatch, capsys):
-    monkeypatch.setattr(jc, "_available_memory", _fake_available(40 * 1024))
-    assert cli.main(["jc-thermal", "--nbar", "0.01", "--points", "5"]) == 3
+    monkeypatch.setattr(jc, "evolved_expectations", out_of_memory)
+    out = tmp_path / "jc.csv"
+    assert cli.main(["jc-thermal", "--nbar", "0.01", "--points", "5", "--output", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "out of memory" in err
-    assert "fock_dim 20" in err
-
-
-def _fake_machine(monkeypatch, tmp_path, meminfo=None, cgroup=None):
-    """Point the memory reader at files under ``tmp_path``; ``None`` leaves a file out.
-
-    ``cgroup`` is (memory.max, memory.current) of the group named in the
-    faked ``/proc/self/cgroup``.  ``os.sysconf`` reports 100 free pages.
-    """
-    monkeypatch.setattr(jc, "MEMINFO", str(tmp_path / "meminfo"))
-    monkeypatch.setattr(jc, "PROC_CGROUP", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(jc, "CGROUP_ROOT", str(tmp_path / "fs"))
-    if meminfo is not None:
-        (tmp_path / "meminfo").write_text(meminfo)
-    if cgroup is not None:
-        group = tmp_path / "fs" / "job"
-        group.mkdir(parents=True)
-        (tmp_path / "cgroup").write_text("1:memory:/job\n0::/job\n")
-        (group / "memory.max").write_text(cgroup[0] + "\n")
-        (group / "memory.current").write_text(cgroup[1] + "\n")
-    pages = {"SC_AVPHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
-    real = os.sysconf
-    monkeypatch.setattr(jc.os, "sysconf", lambda name: pages[name] if name in pages else real(name))
-
-
-def test_available_memory_counts_reclaimable_cache(monkeypatch, tmp_path):
-    # MemFree alone (100 KiB) would refuse D = 40, which needs about 0.3 MiB
-    meminfo = "MemTotal:       8000000 kB\nMemFree:            100 kB\nMemAvailable:   1048576 kB\n"
-    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=("max", "4096"))
-    assert jc._available_memory() == 2**30
-    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
-
-
-def test_a_cgroup_limit_below_the_host_free_memory_refuses(monkeypatch, tmp_path):
-    meminfo = "MemFree:        1048576 kB\nMemAvailable:   1048576 kB\n"
-    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(5 * 2**19), str(2 * 2**20)))
-    assert jc._available_memory() == 2**19
-    with pytest.raises(MemoryError, match=r"fock_dim 40 \(D = 80\) needs about 1\.1 MiB, but only 0\.5 MiB"):
-        jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
-
-
-def test_a_refusal_tells_the_need_from_the_headroom_below_one_mib(monkeypatch, tmp_path):
-    # D = 80 needs about 1.07 MiB against exactly 1 MiB of cgroup headroom:
-    # whole MiB would print both as 1
-    meminfo = "MemFree:        1048576 kB\nMemAvailable:   1048576 kB\n"
-    _fake_machine(monkeypatch, tmp_path, meminfo=meminfo, cgroup=(str(3 * 2**20), str(2 * 2**20)))
-    assert jc._available_memory() == 2**20
-    with pytest.raises(MemoryError) as refused:
-        jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=40))
-    assert str(refused.value) == (
-        "a jc trace at fock_dim 40 (D = 80) needs about 1.1 MiB, but only 1.0 MiB are free"
-    )
-
-
-def test_nothing_readable_checks_nothing(monkeypatch, tmp_path):
-    _fake_machine(monkeypatch, tmp_path)
-    assert jc._available_memory() == 100 * 4096  # the sysconf fallback
-
-    def unreported(name):
-        raise ValueError(f"unrecognized configuration name {name!r}")
-
-    monkeypatch.setattr(jc.os, "sysconf", unreported)
-    assert jc._available_memory() is None
-    assert jc.jc_witness_trace(jc.JCConfig(nbar=0.01, kt_grid=(0.0,), fock_dim=20)).fock_dim == 20
+    assert err.startswith("numerical failure: out of memory (Unable to allocate 5.00 GiB")
+    assert not out.exists()
 
 
 def test_the_cli_escalates_a_wide_thermal_start(tmp_path):
