@@ -3,11 +3,11 @@
 A :class:`Band` is how :class:`~entwitness.spaces.LabeledOperator` keeps a
 local on one factor whose nonzero entries are real and lie on one diagonal:
 the Fock ladder a and a^dag, the number operator, thermal weights and the
-leakage projector.  It holds that diagonal and the one complex zero every
-other entry holds, so the dense local is rebuilt bit for bit, signed zeros
-included, and it is applied as one shifted, scaled copy.  The product of
-two bands on one factor is a band, with the offsets added
-(:meth:`Band.matmul`).
+leakage projector, each built as a band by its factory and so embedded.
+It holds that diagonal and the one complex zero every other entry holds,
+so the dense local is rebuilt bit for bit, signed zeros included, and it
+is applied as one shifted, scaled copy.  The product of two bands on one
+factor is a band, with the offsets added (:meth:`Band.matmul`).
 
 The values must be real: their products with complex entries are then
 exact, so a band's product equals the dense matmul entry for entry.  A
@@ -46,23 +46,6 @@ class Band(NamedTuple):
     def diagonal(cls, values, offset: int = 0) -> "Band":
         """The band of ``np.diag(values, offset).astype(complex)``: real values, +0 everywhere else."""
         return cls(offset, np.asarray(values, dtype=float).astype(complex), np.complex128(0))
-
-    @classmethod
-    def of(cls, local: np.ndarray) -> "Band | None":
-        """The band of a square complex local, or None unless every entry off one diagonal has one zero's bits."""
-        d = local.shape[0]
-        local = np.ascontiguousarray(local)
-        parts = local.view(float)  # (d, 2 d): real and imaginary parts
-        # a nonzero entry, if there is one, gives the offset
-        row, col = divmod(int((parts != 0).argmax()) // 2, d)
-        offset = col - row if local[row, col] != 0 else 0
-        corner = (d - 1, 0) if offset != 1 - d else (0, d - 1)  # off the diagonal
-        words = parts.view(np.uint64).reshape(d, d, 2)  # real and imaginary bits
-        fill = words[corner]
-        marks = words ^ fill if fill.any() else words  # nonzero where an entry differs from the fill
-        if np.count_nonzero(marks.diagonal(offset)) != np.count_nonzero(marks):
-            return None
-        return cls.checked(offset, local.diagonal(offset).copy(), local[corner])
 
     def dag(self) -> "Band":
         return Band(-self.offset, self.values.conj(), self.zero.conjugate())

@@ -193,7 +193,7 @@ def centered_quadrature_basis(state, label: str) -> list[LabeledOperator]:
     """{centered a, centered a^dag} for the given mode, centered on the state."""
     sig = state.signature
     dim = sig.factor(label).dim
-    a = embed(ops.annihilator(dim), label, sig, label)
+    a = embed(ops.annihilator_band(dim), label, sig, label)
     da = ops.delta(a, state)
     return [da, da.dag()]
 
@@ -207,8 +207,8 @@ def _psi01_bilinear_forms(dim: int) -> Callable[[float], witnesses.WitnessMatrix
     """
     sig = psi01_signature(dim)
     psi = psi01_state(sig)
-    a = embed(ops.annihilator(dim), "a", sig, "a")
-    b = embed(ops.annihilator(dim), "b", sig, "b")
+    a = embed(ops.annihilator_band(dim), "a", sig, "a")
+    b = embed(ops.annihilator_band(dim), "b", sig, "b")
 
     def form(s: float) -> witnesses.WitnessMatrix:
         rho = _with_flat_noise(s, psi, 2, 2)
@@ -294,8 +294,8 @@ def squeezed_pair_sweep(
     The signature and the annihilators a and b are built once per sweep.
     """
     sig = signature(boson("a", dim_a), boson("b", dim_b))
-    a = embed(ops.annihilator(dim_a), "a", sig, "a")
-    b = embed(ops.annihilator(dim_b), "b", sig, "b")
+    a = embed(ops.annihilator_band(dim_a), "a", sig, "a")
+    b = embed(ops.annihilator_band(dim_b), "b", sig, "b")
     out = []
     for r in r_values:
         st = _squeezed_psi01_on(r, sig)
@@ -329,8 +329,8 @@ def tmsv_lur(
     branch on e^{+2r}.  The signature and the pair are built once.
     """
     sig = signature(boson("a", dim), boson("b", dim))
-    a = embed(ops.annihilator(dim), "a", sig, "a")
-    b = embed(ops.annihilator(dim), "b", sig, "b")
+    a = embed(ops.annihilator_band(dim), "a", sig, "a")
+    b = embed(ops.annihilator_band(dim), "b", sig, "b")
     pair = [(a, b.dag())]
     out = []
     for r in r_values:
@@ -377,7 +377,7 @@ def atom_field_lur(
     theta in (0, pi/4), and is back on the bound at both ends of each interval.
     """
     sig = atom_field_signature(4)
-    a_dag = embed(ops.annihilator(4), "field", sig, "a").dag()
+    a_dag = embed(ops.annihilator_band(4), "field", sig, "a").dag()
     jp = embed(ops.collective_spin(1)["plus"], "atom", sig, "J+")
     return [
         (

@@ -189,8 +189,8 @@ def bs_simulate(cfg: BSConfig) -> BSSimulation:
     dim = cfg.fock_dim
     rho_bc = bs_output_marginal(cfg)
     sig_bc = rho_bc.signature
-    b = embed(ops.annihilator(dim), "b", sig_bc, "b")
-    c = embed(ops.annihilator(dim), "c", sig_bc, "c")
+    b = embed(ops.annihilator_band(dim), "b", sig_bc, "b")
+    c = embed(ops.annihilator_band(dim), "c", sig_bc, "c")
     rep = witnesses.cond1(rho_bc, b, c)
     m = witnesses.witness_matrix_expand_a(rho_bc, [b.dag(), b], c)
     scale = (cfg.r1 * cfg.t1 * cfg.r2) ** 2

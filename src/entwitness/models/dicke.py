@@ -18,10 +18,11 @@ in vacuum both margins collapse onto properties of the input field alone:
 
 The oracle here is an honest three-mode truncated simulation.  H conserves
 the total excitation number a^dag a + x1^dag x1 + x2^dag x2, so it is given
-as its five local terms and eigensolved only in the charge sectors the
-start vector occupies (:class:`~entwitness.spaces.SectorSpectrum`), which
-evolves the vector sector by sector; no full-space matrix is formed, so
-comfortable truncations stay cheap.
+as the sum expression of its five local terms and eigensolved only in the
+charge sectors the start vector occupies
+(:class:`~entwitness.spaces.SectorSpectrum`), which evolves the vector
+sector by sector; no full-space matrix is formed, so comfortable
+truncations stay cheap.
 """
 
 from __future__ import annotations
@@ -177,22 +178,23 @@ def _evolve(cfg: DickeConfig, dims: tuple[int, int, int]):
         raise ValueError("field amplitudes longer than the mode-a truncation")
     sig = signature(*(boson(f"dicke-oracle {m}", d) for m, d in zip(("a", "x1", "x2"), dims)))
     la = sig.labels[0]
-    # H as five local terms: omega n on each mode, then the hops
+    # H as the sum of five local terms: omega n on each mode, then the hops
     # kappa sqrt(k) (a x1^dag + h.c.) and kappa sqrt(N - k) (a x2^dag + h.c.)
-    terms = [embed(cfg.omega * ops.number_op(d), lab, sig, f"n({lab})") for lab, d in zip(sig.labels, dims)]
+    n_a, n_x1, n_x2 = (embed(ops.number_band(d), lab, sig) * cfg.omega for lab, d in zip(sig.labels, dims))
+    h = n_a + n_x1 + n_x2
     for lab, d, size in zip(sig.labels[1:], dims[1:], (cfg.k, cfg.n_atoms - cfg.k)):
         hop = cfg.kappa * math.sqrt(size) * np.kron(ops.annihilator(dims[0]), ops.creator(d))
-        terms.append(embed_many(hop + hop.conj().T, [la, lab], sig, f"hop({la}, {lab})"))
+        h = h + embed_many(hop + hop.conj().T, [la, lab], sig)
     psi0 = np.zeros(sig.total_dim, dtype=complex)
     psi0.reshape(dims)[: len(cfg.field_amplitudes), 0, 0] = cfg.field_amplitudes
-    spectrum = SectorSpectrum.of(terms, sig.charges[np.flatnonzero(psi0)])
+    spectrum = SectorSpectrum.of(h, sig.charges[np.flatnonzero(psi0)])
     psi = spectrum.apply(lambda w: np.exp(-1j * w * cfg.t), psi0)
     return psi, require_low_leakage(StateVector(sig, psi)), sig
 
 
 def _oracle_at_dims(cfg: DickeConfig, dims: tuple[int, int, int]) -> DickeOracleResult:
     psi, worst, sig = _evolve(cfg, dims)
-    x1, x2 = (embed(ops.annihilator(d), lab, sig) for lab, d in zip(sig.labels[1:], dims[1:]))
+    x1, x2 = (embed(ops.annihilator_band(d), lab, sig) for lab, d in zip(sig.labels[1:], dims[1:]))
     v1, v2 = x1.apply(psi), x2.apply(psi)
     v12 = x1.apply(v2)
     moments = {

@@ -62,7 +62,7 @@ def excitation_operator(sig: SpaceSignature) -> LabeledOperator:
     """a^dag a + (sigma_1^z + sigma_2^z)/2 + 1, conserved by the dynamics."""
     dim = sig.factor("field").dim
     qo = ops.qubit_ops()
-    out = embed(ops.number_op(dim), "field", sig)
+    out = embed(ops.number_band(dim), "field", sig)
     for atom in ("atom1", "atom2"):
         out = out + 0.5 * embed(qo["z"], atom, sig)
     return out + identity_operator(sig)
@@ -140,7 +140,7 @@ def atom_field_margin(state: StateVector) -> float:
     dim = sig.factor("field").dim
     qo = ops.qubit_ops()
     sm = embed(qo["minus"], "atom1", sig, "sigma-")
-    a = embed(ops.annihilator(dim), "field", sig, "a")
+    a = embed(ops.annihilator_band(dim), "field", sig, "a")
     da = ops.delta(a, state)
     return witnesses.cond1(state, sm, da).margin
 
@@ -150,7 +150,7 @@ def field_both_margin(state: StateVector) -> float:
     sig = state.signature
     dim = sig.factor("field").dim
     qo = ops.qubit_ops()
-    a = embed(ops.annihilator(dim), "field", sig, "a")
+    a = embed(ops.annihilator_band(dim), "field", sig, "a")
     j_minus = embed(qo["minus"], "atom1", sig) + embed(qo["minus"], "atom2", sig)
     return witnesses.cond1(state, a, j_minus).margin
 

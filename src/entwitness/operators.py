@@ -3,15 +3,15 @@
 Sign and ordering conventions, fixed here and reused everywhere:
 
 * Fock basis ``|0>, ..., |dim-1>``; the annihilator obeys a|n> = sqrt(n)|n-1>
-  and the truncated creator kills the top level.  The factories return dense
-  dim x dim arrays; once embedded, a, a^dag, the number operator, thermal
-  weights and the leakage projector each have one real nonzero diagonal and
-  are stored as it (:class:`~entwitness.spaces.LabeledOperator`), so
-  applying, conjugating, scaling or centring one (:func:`delta`) makes no
-  dense copy; the dense local is built only when a caller reads ``.local``.
-  :func:`annihilator_band` and :func:`number_band` give the same operators
-  as that diagonal, with no dim x dim array, for ``embed``; made dense, each
-  equals its dense factory bit for bit.
+  and the truncated creator kills the top level.  a, the number operator
+  and the thermal weights each have one real nonzero diagonal, and one
+  formula: :func:`annihilator_band`, :func:`number_band` and
+  ``Band.diagonal`` of :func:`thermal_weights`, with no dim x dim array.
+  Handed to ``embed``, each is stored as that diagonal
+  (:class:`~entwitness.spaces.LabeledOperator`), so applying, conjugating,
+  scaling or centring one (:func:`delta`) makes no dense copy.  The dense
+  :func:`annihilator`, :func:`creator`, :func:`number_op` and
+  :func:`thermal` are those bands made dense.
 * displacement  D(alpha) = exp(alpha a^dag - conj(alpha) a)
 * rotation      R(theta) = exp(i theta a^dag a)
 * squeeze       S(z) = exp((conj(z) a^2 - z a^dag^2) / 2),  z = r e^{i phi},
@@ -78,16 +78,14 @@ from .spaces import (
 
 
 def annihilator_band(dim: int) -> Band:
-    """:func:`annihilator` by its one diagonal, sqrt(n) at [n - 1, n], with no dim x dim array."""
+    """a by its one diagonal, sqrt(n) at [n - 1, n], with no dim x dim array."""
     if dim < 2:
         raise ValueError(f"annihilator needs dim >= 2, got {dim}")
     return Band.diagonal(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
 def annihilator(dim: int) -> np.ndarray:
-    if dim < 2:
-        raise ValueError(f"annihilator needs dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return annihilator_band(dim).dense(dim)
 
 
 def creator(dim: int) -> np.ndarray:
@@ -95,12 +93,12 @@ def creator(dim: int) -> np.ndarray:
 
 
 def number_band(dim: int) -> Band:
-    """:func:`number_op` by its diagonal, with no dim x dim array."""
+    """The number operator by its diagonal, with no dim x dim array."""
     return Band.diagonal(np.arange(dim, dtype=float))
 
 
 def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+    return number_band(dim).dense(dim)
 
 
 def _unit_generator(kind: str, dim: int) -> np.ndarray:
@@ -320,7 +318,7 @@ def squeezed_single_photon(z: complex, dim: int) -> np.ndarray:
 
 def thermal(nbar: float, dim: int) -> np.ndarray:
     """Thermal density matrix: the diagonal matrix of :func:`thermal_weights`."""
-    return np.diag(thermal_weights(nbar, dim)).astype(complex)
+    return Band.diagonal(thermal_weights(nbar, dim)).dense(dim)
 
 
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:

@@ -9,17 +9,17 @@ Operators are local: a :class:`LabeledOperator` keeps the matrix of the
 factors it acts on and applies it by tensor contraction on the reshaped
 full-space index of a vector, a stack of vectors or a density matrix, so
 memory for an operator on a few modes does not grow with the total
-dimension D.  A local on one factor whose nonzero entries are real and lie
-on one diagonal (a, a^dag, the number operator, the leakage projector) is
-stored as that diagonal (:mod:`~entwitness.bands`) and applied as one
-shifted, scaled copy.  Sums, scalar multiples and products on disjoint
-factors keep their expression and read their sector blocks from it, so an
-operator built from per-factor locals forms no D x D array.  The dense
-D x D ``.matrix`` is built only when a caller reads it; no eigensolve
-does.  Other D x D arrays are density matrices,
-their propagators, the eigenvector matrix of a Hamiltonian, and the
-identity root of a density matrix in the witness moment tables, an
-explicit ``np.eye(D)`` to which the operator words are applied.
+dimension D.  An operator keeps the local it is given: a, a^dag, the
+number operator and the leakage projector are built as their one real
+diagonal (:mod:`~entwitness.bands`), stored as it and applied as one
+shifted, scaled copy, and any other local is stored dense.  Sums, scalar
+multiples and products on disjoint factors keep their expression and
+read their sector blocks from it, so an operator built from per-factor
+locals forms no D x D array.  The dense D x D ``.matrix`` is built only
+when a caller reads it; no eigensolve does.  Other D x D arrays are
+density matrices, their propagators, the eigenvector matrix of a
+Hamiltonian, and the identity root of a density matrix in the witness
+moment tables, an explicit ``np.eye(D)`` to which the operator words are applied.
 
 Evolution: a generator has one spectrum, its :class:`SectorSpectrum`,
 built once and kept.  The charge of a basis state is its total level
@@ -30,7 +30,8 @@ eigensolved on the classes of the charge modulo m, one batched
 generator that conserves the charge, such as the Jaynes-Cummings H), by
 photon parity for m = 2 (a squeeze generator), and as one sector, the
 whole space, for m = 1.  A sum of local terms that each conserve the
-charge can be eigensolved in just the sectors a start vector occupies.
+charge, passed as its expression, can be eigensolved in just the sectors a
+start vector occupies.
 :func:`evolve` applies exp(-i H t) to a vector sector by sector and to a
 density matrix as the D x D propagator.  :func:`evolved_expectations`
 returns the T x K table of <O_k> along a time grid, with no propagator or
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -242,13 +243,15 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, ...]:
 
     One read-only (n, s) array per size s, in ascending s; each row lists
     the basis states of one class, in ascending index, and the classes of
-    one size come in ascending key.
+    one size come in ascending key.  A key below the largest with no basis
+    state is a class of size 0.
     """
-    order = np.argsort(keys, kind="stable")
-    by_size: dict[int, list[np.ndarray]] = {}
-    for cls in np.split(order, np.cumsum(np.bincount(keys))[:-1]):
-        by_size.setdefault(cls.size, []).append(cls)
-    groups = tuple(np.array(by_size[s]) for s in sorted(by_size))
+    counts = np.bincount(keys)
+    # by class size, then key, then index: each size's run is its (n, s) array, row by row
+    order = np.argsort(counts[keys] * counts.size + keys, kind="stable")
+    sizes, numbers = np.unique(counts, return_counts=True)
+    ends = np.cumsum(sizes * numbers)
+    groups = tuple(order[end - n * s : end].reshape(n, s) for s, n, end in zip(sizes, numbers, ends))
     for idx in groups:
         idx.setflags(write=False)
     return groups
@@ -340,17 +343,15 @@ class LabeledOperator:
     bands on one factor is a band (:meth:`~entwitness.bands.Band.matmul`);
     any other product on shared factors multiplies the lifted locals.
 
-    A local on one factor whose nonzero entries are real and lie on one
-    diagonal is stored by that diagonal, (offset, values), as a
-    :class:`~entwitness.bands.Band`, and no dense local is kept.  The
-    constructor (so :func:`embed`) finds the diagonal by one scan of the
-    local's bits.  ``dag``, scalar ``*``, ``-op`` and
-    :func:`~entwitness.operators.delta` carry the diagonal without a new
-    scan, and fall back to the dense local only where the result has no
-    such diagonal (a complex scalar, or a nonzero mean off the main
-    diagonal).  :meth:`apply` is then one shifted, scaled copy along the
-    factor's axis.  ``.local`` is built from the diagonal on first access
-    and kept; it equals the dense local bit for bit, signed zeros included.
+    The constructor (so :func:`embed`) stores what it is given: a
+    :class:`~entwitness.bands.Band` by its diagonal, (offset, values), with
+    no dense local kept, and a dense local dense, whatever its entries.
+    ``dag``, scalar ``*``, ``-op`` and :func:`~entwitness.operators.delta`
+    carry the diagonal, and fall back to the dense local only where the
+    result has no such diagonal (a complex scalar, or a nonzero mean off
+    the main diagonal).  :meth:`apply` is then one shifted, scaled copy
+    along the factor's axis.  ``.local`` is built from the diagonal on
+    first access and kept; it equals the dense local bit for bit, signed zeros included.
     """
 
     __slots__ = (
@@ -371,16 +372,15 @@ class LabeledOperator:
         if isinstance(matrix, Band):
             if len(axes) != 1 or len(matrix.values) + abs(matrix.offset) != sub_dims[0]:
                 raise SignatureError(f"a band of offset {matrix.offset} does not fit factor dims {sub_dims}")
-            self._set(signature, axes, frozenset(support), name, None, matrix)
-            return
-        local = np.asarray(matrix, dtype=complex)
-        d = math.prod(sub_dims)
-        if local.shape != (d, d):
-            raise SignatureError(
-                f"matrix shape {local.shape} does not match factor dims {sub_dims}"
-            )
-        band = Band.of(local) if len(axes) == 1 else None
-        self._set(signature, axes, frozenset(support), name, None if band else local, band)
+            local, band = None, matrix
+        else:
+            local, band = np.asarray(matrix, dtype=complex), None
+            d = math.prod(sub_dims)
+            if local.shape != (d, d):
+                raise SignatureError(
+                    f"matrix shape {local.shape} does not match factor dims {sub_dims}"
+                )
+        self._set(signature, axes, frozenset(support), name, local, band)
 
     def _set(self, signature, axes, support, name, local, band, expr=None):
         self.signature = signature
@@ -596,17 +596,6 @@ def _reordered(local: np.ndarray, order: tuple[int, ...], axes: tuple[int, ...],
     return t.transpose(perm + [p + n for p in perm]).reshape(d, d)
 
 
-def _blocks(local: np.ndarray, axes: Sequence[int], sig: SpaceSignature, index: np.ndarray) -> np.ndarray:
-    """Entries M[i, j] for i, j in one row of ``index``, as an (n, s, s) stack.
-
-    M is ``local`` on the factors at ``axes`` (in that order) and the
-    identity on the others, lifted as :attr:`LabeledOperator.matrix` lifts
-    it; its entries are read from ``local``, so no full-space matrix is
-    formed.
-    """
-    return LabeledOperator._stored(sig, tuple(axes), frozenset(), "", local)._block(BlockIndex(sig, index))
-
-
 def _charge_changes(term: LabeledOperator) -> frozenset[int]:
     """Row charge less column charge, over the term's axes, of the nonzero entries of its local.
 
@@ -676,30 +665,23 @@ class SectorSpectrum:
         self._phases = None
 
     @classmethod
-    def of(cls, terms, charges: Sequence[int] | None = None) -> "SectorSpectrum":
-        """The block spectrum of one operator, or of a sum of local terms.
+    def of(cls, op: LabeledOperator, charges: Sequence[int] | None = None) -> "SectorSpectrum":
+        """The block spectrum of one operator.
 
-        One operator's charge step m is the gcd of the charge changes of its
-        nonzero local entries (over its own axes), and its sectors are the
-        classes of :attr:`SpaceSignature.charges` modulo m: the charge
-        sectors for m = 0, and one sector, the whole space, for m = 1.  A sum
-        of terms must conserve the charge term by term; a term with a
-        nonzero step raises a ValueError that names it.  ``charges`` keeps
-        only the charge sectors of those charges (all if None), and is
-        ignored for m > 0.  Every block is read from the terms' locals or
-        expressions (:meth:`LabeledOperator._block`), and a sum of terms
-        adds their blocks; the whole block of an operator on every factor,
-        in signature order, is its local matrix itself.
+        Its charge step m is the gcd of the charge changes of its nonzero
+        local entries (over its own axes, :func:`_charge_step`), and its
+        sectors are the classes of :attr:`SpaceSignature.charges` modulo m:
+        the charge sectors for m = 0, and one sector, the whole space, for
+        m = 1.  ``charges`` keeps only the charge sectors of those charges
+        (all if None), and is ignored for m > 0.  A sum of local terms is
+        passed as its expression, whose blocks are read from the terms
+        entry by entry (:meth:`LabeledOperator._block`); the whole block of
+        an operator on every factor, in signature order, is its local
+        matrix itself.
         """
-        single = isinstance(terms, LabeledOperator)
-        terms = [terms] if single else list(terms)
-        sig = terms[0].signature
-        for i, term in enumerate(terms):
-            _same_signature(sig, term.signature)
-            step = _charge_step(term)
-            if step and not single:
-                raise ValueError(f"term {i} ('{term.name}') has an entry between charge sectors")
-        if step:  # one operator of nonzero step; a sum gets here with step 0
+        sig = op.signature
+        step = _charge_step(op)
+        if step:
             sectors = _classes(sig.charges % step)
         else:
             sectors = sig.sectors
@@ -708,11 +690,10 @@ class SectorSpectrum:
                 sectors = [idx for idx in sectors if len(idx)]
         spectra = []
         for idx in sectors:
-            if step == 1 and terms[0].axes == tuple(range(len(sig.factors))):
-                b = terms[0].local[None]  # the whole space in basis order: the block is the local
+            if step == 1 and op.axes == tuple(range(len(sig.factors))):
+                b = op.local[None]  # the whole space in basis order: the block is the local
             else:
-                at = BlockIndex(sig, idx)
-                b = reduce(np.add, (term._block(at) for term in terms))
+                b = op._block(BlockIndex(sig, idx))
             if b.shape[-1] == 1:
                 b = linalg.require_hermitian(b)
                 spectra.append(linalg.EigenDecomposition(b[..., 0].real, np.ones_like(b)))
@@ -772,10 +753,9 @@ def embed_many(
 ) -> LabeledOperator:
     """An operator on chosen factors (its matrix laid out in the given order).
 
-    The remaining factors carry the identity; the local matrix is stored as
-    given, not lifted to the full space (a one-factor local with one real
-    nonzero diagonal is stored as that diagonal, see :class:`LabeledOperator`;
-    a :class:`~entwitness.bands.Band` on one factor is stored as it is).
+    The remaining factors carry the identity; the local is stored as given,
+    a dense matrix or a :class:`~entwitness.bands.Band` on one factor, not
+    lifted to the full space.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
@@ -904,22 +884,23 @@ def evolved_expectations(
 
 
 def _state_blocks(state: State | LabeledOperator, sig: SpaceSignature) -> list[np.ndarray]:
-    """Diagonal sector blocks of rho (or psi psi^dag); a ValueError if it has weight between sectors."""
+    """Diagonal sector blocks of rho (or psi psi^dag); a ValueError if it has weight between sectors.
+
+    A density matrix is read as the density operator ``LabeledOperator(sig, rho)``.
+    """
     _same_signature(state.signature, sig)
-    if isinstance(state, LabeledOperator):
-        if _charge_step(state):
-            raise ValueError("the density operator has an entry between charge sectors")
-        return [state._block(at) for at in sig.block_indices]
     if isinstance(state, StateVector):
         psi = state.amplitudes
         if np.unique(sig.charges[psi != 0]).size > 1:
             raise ValueError("the state vector has weight in more than one charge sector")
         return [psi[idx][:, :, None] * psi[idx].conj()[:, None, :] for idx in sig.sectors]
-    everywhere = tuple(range(len(sig.factors)))
-    blocks = [_blocks(state.matrix, everywhere, sig, idx) for idx in sig.sectors]
-    if np.count_nonzero(state.matrix) != sum(np.count_nonzero(b) for b in blocks):
-        raise ValueError("the density matrix has an entry between charge sectors")
-    return blocks
+    if isinstance(state, LabeledOperator):
+        op, kind = state, "operator"
+    else:
+        op, kind = LabeledOperator(sig, state.matrix), "matrix"
+    if _charge_step(op):
+        raise ValueError(f"the density {kind} has an entry between charge sectors")
+    return [op._block(at) for at in sig.block_indices]
 
 
 def _sector_expectations(

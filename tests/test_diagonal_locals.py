@@ -1,13 +1,14 @@
 """Diagonal-stored locals agree with the dense locals they replace.
 
 A one-factor local whose nonzero entries are real and lie on one diagonal
-(a, a^dag, the number operator, the leakage projector) is stored by
-``spaces.LabeledOperator`` as a ``bands.Band``, (offset, values).  These properties draw
-signatures of one to three factors, a band factor at any position, any
-offset and random real values, and compare the band-stored operator with
-its dense twin, the same local stored densely (built with the band finder
-switched off).  Every comparison is exact: ``.local`` and ``.matrix`` bit
-for bit, signed zeros included, and ``apply`` under ``np.array_equal`` on a
+(a, a^dag, the number operator, the leakage projector) is built as a
+``bands.Band``, (offset, values, zero), and ``spaces.LabeledOperator`` stores
+what it is given.  These properties draw signatures of one to three
+factors, a band factor at any position, any offset and random real values,
+and compare the operator embedded from the band with its dense twin, the
+same local embedded as a dense array.  Every comparison is exact:
+``.local`` and ``.matrix`` bit for bit, signed zeros included, and
+``apply`` under ``np.array_equal`` on a
 vector, a (D, m) stack, a density matrix and a batch of each; likewise
 ``dag``, scalar ``*``, ``-op``, ``ops.delta`` (mean zero and nonzero),
 ``@`` and ``+``, the charge step and the sector blocks.
@@ -24,6 +25,7 @@ from entwitness import bands, cli
 from entwitness import operators as ops
 from entwitness import spaces
 from entwitness.spaces import (
+    LabeledOperator,
     StateVector,
     basis_state,
     boson,
@@ -47,15 +49,9 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return x.shape == y.shape and np.array_equal(_bits(x), _bits(y))
 
 
-def _dense_twin(local, label, sig, name=""):
-    """``embed`` of ``local`` with the band finder off: the dense storage of the same operator."""
-    with mock.patch.object(bands.Band, "of", lambda local: None):
-        return embed(local, label, sig, name)
-
-
 @st.composite
 def band_cases(draw):
-    """A signature of 1-3 factors, the band factor's label, a one-diagonal local, and an rng."""
+    """A signature of 1-3 factors, the band factor's label, a one-diagonal local, its band, and an rng."""
     n = draw(st.integers(1, 3))
     at = draw(st.integers(0, n - 1))
     factors = []
@@ -72,10 +68,12 @@ def band_cases(draw):
     values[rng.random(values.size) < 0.2] = 0.0  # zero entries on the band too, but not only
     values[rng.integers(values.size)] = 1.0 + rng.random()
     # every entry off the band holds one complex zero, of any signs (a^dag as a.conj().T has -0j)
-    local = np.full((d, d), draw(st.sampled_from(SIGNED_ZEROS)))
+    zero = draw(st.sampled_from(SIGNED_ZEROS))
+    local = np.full((d, d), zero)
     rows = np.arange(d - abs(offset))
     local[rows + max(-offset, 0), rows + max(offset, 0)] = values
-    return sig, sig.labels[at], local, rng
+    band = bands.Band(offset, local.diagonal(offset).copy(), np.complex128(zero))
+    return sig, sig.labels[at], local, band, rng
 
 
 def _inputs(rng, d):
@@ -101,9 +99,9 @@ def _assert_same(band_op, dense_op, rng):
         assert got.shape == x.shape
         assert np.array_equal(got, dense_op.apply(x))
     assert spaces._charge_step(band_op) == spaces._charge_step(dense_op)
-    for idx in sig.sectors:
-        want = spaces._blocks(dense_op.local, dense_op.axes, sig, idx)
-        assert _same_bits(spaces._blocks(band_op.local, band_op.axes, sig, idx), want)
+    for at in sig.block_indices:
+        want = LabeledOperator(sig, dense_op.local, axes=dense_op.axes)._block(at)
+        assert _same_bits(LabeledOperator(sig, band_op.local, axes=band_op.axes)._block(at), want)
     for got, want in zip(band_op._sector_blocks(), dense_op._sector_blocks()):
         assert _same_bits(got, want)
 
@@ -111,9 +109,9 @@ def _assert_same(band_op, dense_op, rng):
 @SETTINGS
 @given(band_cases())
 def test_a_one_diagonal_local_is_stored_by_its_diagonal_and_matches_its_dense_twin(case):
-    sig, label, local, rng = case
-    op = embed(local, label, sig, "x")
-    twin = _dense_twin(local, label, sig, "x")
+    sig, label, local, band, rng = case
+    op = embed(band, label, sig, "x")
+    twin = embed(local, label, sig, "x")
     assert op._band is not None and op._local is None
     assert twin._band is None
     _assert_same(op, twin, rng)
@@ -124,8 +122,8 @@ def test_a_one_diagonal_local_is_stored_by_its_diagonal_and_matches_its_dense_tw
 @SETTINGS
 @given(band_cases(), st.sampled_from(SCALARS))
 def test_dag_scalar_and_negation_carry_the_diagonal_bit_for_bit(case, scalar):
-    sig, label, local, rng = case
-    op, twin = embed(local, label, sig, "x"), _dense_twin(local, label, sig, "x")
+    sig, label, local, band, rng = case
+    op, twin = embed(band, label, sig, "x"), embed(local, label, sig, "x")
     for derive in (
         lambda o: o.dag(),
         lambda o: -o,
@@ -145,8 +143,8 @@ def test_dag_scalar_and_negation_carry_the_diagonal_bit_for_bit(case, scalar):
 @SETTINGS
 @given(band_cases(), st.booleans(), st.booleans())
 def test_delta_keeps_the_diagonal_exactly_when_the_centred_local_has_it(case, zero_mean, mixed):
-    sig, label, local, rng = case
-    op, twin = embed(local, label, sig, "x"), _dense_twin(local, label, sig, "x")
+    sig, label, local, band, rng = case
+    op, twin = embed(band, label, sig, "x"), embed(local, label, sig, "x")
     d = sig.total_dim
     if zero_mean:
         # a basis state: <op> sums products of which at most one is nonzero, and none
@@ -174,8 +172,8 @@ def test_delta_keeps_the_diagonal_exactly_when_the_centred_local_has_it(case, ze
 @SETTINGS
 @given(band_cases())
 def test_products_and_sums_with_a_diagonal_local_read_the_same_local(case):
-    sig, label, local, rng = case
-    op, twin = embed(local, label, sig), _dense_twin(local, label, sig)
+    sig, label, local, band, rng = case
+    op, twin = embed(band, label, sig), embed(local, label, sig)
     other_label = sig.labels[-1] if sig.labels[-1] != label else sig.labels[0]
     dim = sig.factor(other_label).dim
     other = embed_many(rng.normal(size=(dim, dim)) + 0j, [other_label], sig)
@@ -186,15 +184,16 @@ def test_products_and_sums_with_a_diagonal_local_read_the_same_local(case):
 def test_field_operators_are_stored_by_their_diagonals():
     sig = signature(boson("a", 7), qubit("q"))
     stored = {
-        "a": embed(ops.annihilator(7), "a", sig),
-        "a^dag": embed(ops.creator(7), "a", sig),
-        "n": embed(ops.number_op(7), "a", sig),
-        "thermal": embed(ops.thermal(0.05, 7), "a", sig),
+        "a": embed(ops.annihilator_band(7), "a", sig),
+        "a^dag": embed(ops.annihilator_band(7), "a", sig).dag(),
+        "n": embed(ops.number_band(7), "a", sig),
+        "thermal": embed(bands.Band.diagonal(ops.thermal_weights(0.05, 7)), "a", sig),
         "top two": leakage_projector(sig, "a"),
-        "sigma-": embed(ops.qubit_ops()["minus"], "q", sig),
     }
     offsets = {name: op._band.offset for name, op in stored.items()}
-    assert offsets == {"a": 1, "a^dag": -1, "n": 0, "thermal": 0, "top two": 0, "sigma-": 1}
+    assert offsets == {"a": 1, "a^dag": -1, "n": 0, "thermal": 0, "top two": 0}
+    # a dense local is stored as given, even one of one diagonal
+    assert embed(ops.qubit_ops()["minus"], "q", sig)._band is None
     assert spaces._charge_step(stored["a"]) == 1
     assert spaces._charge_step(stored["n"]) == 0
 
@@ -254,7 +253,7 @@ def test_ladder_runners_apply_no_dense_local_and_build_none(tmp_path, argv):
 def test_a_local_of_one_signed_zero_is_a_band_of_zeros(zero):
     sig = signature(boson("a", 4), qubit("q"))
     local = np.full((4, 4), zero)
-    op = embed(local, "a", sig)
+    op = embed(bands.Band(0, np.full(4, zero), np.complex128(zero)), "a", sig)
     assert op._band is not None and spaces._charge_step(op) == 0
     assert _same_bits(op.local, local)
-    assert _same_bits((-op).dag().local, (-_dense_twin(local, "a", sig)).dag().local)
+    assert _same_bits((-op).dag().local, (-embed(local, "a", sig)).dag().local)

@@ -311,7 +311,7 @@ def test_random_separable_matches_product_loop():
 
 def test_two_mode_invariant_builds_its_annihilator_once(monkeypatch, tmp_path):
     dims = []
-    real = ops.annihilator
+    real = ops.annihilator_band
 
     def counted(dim):
         dims.append(dim)
@@ -321,6 +321,6 @@ def test_two_mode_invariant_builds_its_annihilator_once(monkeypatch, tmp_path):
     argv += ["--output", str(tmp_path / "inv.csv")]
     # a first run fills the cached squeeze spectrum, whose generator reads the annihilator too
     assert cli.main(argv) == 0
-    monkeypatch.setattr(ops, "annihilator", counted)
+    monkeypatch.setattr(ops, "annihilator_band", counted)
     assert cli.main(argv) == 0
     assert dims.count(64) == 1

@@ -239,7 +239,7 @@ def test_writing_into_a_result_leaves_the_next_scan_unchanged():
 
 
 def test_the_pair_threshold_builds_its_state_and_annihilators_once(monkeypatch):
-    calls = {"annihilator": 0, "basis_state": 0}
+    calls = {"annihilator_band": 0, "basis_state": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -249,8 +249,8 @@ def test_the_pair_threshold_builds_its_state_and_annihilators_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        families.ops, "annihilator", counted("annihilator", families.ops.annihilator)
+        families.ops, "annihilator_band", counted("annihilator_band", families.ops.annihilator_band)
     )
     monkeypatch.setattr(families, "basis_state", counted("basis_state", families.basis_state))
     assert families.psi01_x_threshold(tol=1e-3).scanned == 6.18017578125000022e-01
-    assert calls == {"annihilator": 2, "basis_state": 2}
+    assert calls == {"annihilator_band": 2, "basis_state": 2}

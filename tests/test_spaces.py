@@ -279,3 +279,22 @@ def test_basis_state_is_the_kron_of_one_hot_factors(kinds, data):
     level = data.draw(st.sampled_from([-1, bad.dim, bad.dim + 3]))
     with pytest.raises(SignatureError, match=rf"^level {level} out of range for factor '{bad.label}'$"):
         basis_state(sig, {**levels, bad.label: level})
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+def test_classes_group_equal_keys_by_class_size(keys):
+    """Each key's basis states in ascending index, one (n, s) array per size s, keys ascending in each.
+
+    A key below the largest with no basis state is a class of size 0.
+    """
+    keys = np.array(keys)
+    by_size = {}
+    for key in range(keys.max() + 1):
+        members = np.flatnonzero(keys == key)
+        by_size.setdefault(members.size, []).append(members)
+    groups = spaces._classes(keys)
+    assert [idx.shape for idx in groups] == [(len(by_size[s]), s) for s in sorted(by_size)]
+    for idx, s in zip(groups, sorted(by_size)):
+        assert np.array_equal(idx, np.array(by_size[s], dtype=np.intp))
+        assert not idx.flags.writeable

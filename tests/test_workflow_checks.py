@@ -4,6 +4,9 @@ Each test is one check that the step used to run as an ``entwitness``
 command followed by a ``python -c`` assertion on its CSV or sidecar, with
 the same argv and the same assertion; the fock-320 jc guard bounds the
 traced peak memory of the run instead of patching one operator method.
+The guards that patch a method to refuse a D x D unitary, a wide
+eigensolve or a dense local first empty the Gaussian spectrum caches, so
+the run eigensolves as a fresh process would.
 """
 
 import csv
@@ -14,6 +17,7 @@ import tracemalloc
 import numpy as np
 
 from entwitness import cli, linalg, spaces
+from entwitness import operators as ops
 
 
 def _first_row(tmp_path, argv):
@@ -114,3 +118,76 @@ def test_jc_at_fock_dim_320_builds_no_d_by_d_array(tmp_path, monkeypatch):
     assert len(rows) == 50
     assert diagnostics["fock_dims"] == [320]
     assert all(r["absM12"] == "0.00000000000000000e+00" for r in rows)
+
+
+def _fresh_rows(tmp_path, argv):
+    """Rows of one run with the Gaussian spectrum caches emptied first."""
+    ops._unit_spectrum.cache_clear()
+    ops._level_position.cache_clear()
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(what)
+
+    return refused
+
+
+def _no_eigensolve_wider_than(width, what, monkeypatch):
+    real = linalg.herm_eig
+
+    def narrow(h, *args, **kwargs):
+        assert np.shape(h)[-1] <= width, f"{what} eigensolved a {np.shape(h)} stack"
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "herm_eig", narrow)
+
+
+def _verdicts(rows):
+    return [(float(r["r"]), r["matrix_entangled"], r["cond1_entangled"]) for r in rows]
+
+
+def test_two_mode_invariant_at_fock_dim_512_builds_no_d_by_d_unitary(tmp_path, monkeypatch):
+    monkeypatch.setattr(ops, "_checked_exp", _refuse("two-mode-invariant built a D x D unitary"))
+    rows = _fresh_rows(tmp_path, ["two-mode-invariant", "--fock-dim", "512", "--r-values", "0.2,1.5"])
+    assert _verdicts(rows) == [(0.2, "true", "true"), (1.5, "true", "false")]
+
+
+def test_two_mode_invariant_at_fock_dim_1024_eigensolves_nothing_wider_than_512(tmp_path, monkeypatch):
+    _no_eigensolve_wider_than(512, "two-mode-invariant", monkeypatch)
+    rows = _fresh_rows(tmp_path, ["two-mode-invariant", "--fock-dim", "1024", "--r-values", "0.2,1.1"])
+    assert _verdicts(rows) == [(0.2, "true", "true"), (1.1, "true", "false")]
+
+
+def test_two_mode_invariant_at_fock_dim_1024_applies_no_dense_local(tmp_path, monkeypatch):
+    monkeypatch.setattr(spaces.LabeledOperator, "_contract", _refuse("two-mode-invariant applied a dense local"))
+    rows = _fresh_rows(tmp_path, ["two-mode-invariant", "--fock-dim", "1024", "--r-values", "0.2,1.1"])
+    assert _verdicts(rows) == [(0.2, "true", "true"), (1.1, "true", "false")]
+
+
+def test_lur_at_fock_dim_256_applies_no_dense_local(tmp_path, monkeypatch):
+    monkeypatch.setattr(spaces.LabeledOperator, "_contract", _refuse("lur applied a dense local"))
+    rows = _fresh_rows(tmp_path, ["lur", "--fock-dim", "256", "--r-values", "0.1,0.3"])
+    assert len(rows) == 2
+    assert all(
+        abs(float(r[k]) / math.exp(s * 2 * float(r["r"])) - 1) <= 1e-12
+        for r in rows
+        for k, s in (("value_pi_phase", -1), ("value_plus_phase", 1))
+    )
+
+
+def test_beamsplitters_at_fock_dim_24_eigensolves_nothing_wider_than_24_and_builds_no_function_of(
+    tmp_path, monkeypatch
+):
+    _no_eigensolve_wider_than(24, "beamsplitters", monkeypatch)
+    monkeypatch.setattr(
+        spaces.SectorSpectrum, "function_of", _refuse("beamsplitters built a D x D matrix from a spectrum")
+    )
+    rows = _fresh_rows(tmp_path, ["beamsplitters", "--fock-dim", "24"])
+    assert rows
+    assert all(r["sim_matrix_entangled"] == r["matrix_entangled"] for r in rows)
+    assert all(abs(float(r["sim_M11"]) - float(r["M11"])) <= 1e-7 for r in rows)
