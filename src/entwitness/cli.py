@@ -145,10 +145,9 @@ def _sorted_by(columns: dict[str, np.ndarray], *keys: str) -> dict[str, np.ndarr
 
 def _run_jc_thermal(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
     kt = np.linspace(0.0, p["kt_max"], int(p["points"]))
-    kt_grid = tuple(kt.tolist())  # Python floats, built once for every nbar
     fock_dim = 20 if common.fock_dim is None else common.fock_dim
     traces = jc.jc_witness_traces(
-        jc.JCConfig(nbar=nbar, kt_grid=kt_grid, fock_dim=fock_dim, atom_initial=p["atom"])
+        jc.JCConfig(nbar=nbar, kt_grid=kt, fock_dim=fock_dim, atom_initial=p["atom"])
         for nbar in p["nbar"]
     )
     columns = {

@@ -60,17 +60,18 @@ def _square_stack(a) -> np.ndarray:
     return a
 
 
-def require_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """Check each matrix of a ``(..., d, d)`` stack for Hermiticity; return the stack.
 
-    Each matrix must be Hermitian within ``rtol`` relative to its own
-    largest entry (at least 1); otherwise a :class:`NonHermitianError`
-    reports the block that exceeds its tolerance by the largest factor.
+    Each matrix must be Hermitian within :data:`HERMITICITY_RTOL` relative
+    to its own largest entry (at least 1); otherwise a
+    :class:`NonHermitianError` reports the block that exceeds its tolerance
+    by the largest factor.
     """
     h = _square_stack(h)
     if h.size == 0:
         return h
-    tol = rtol * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    tol = HERMITICITY_RTOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
     asym = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = asym > tol
     if bad.any():
@@ -79,7 +80,7 @@ def require_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return h
 
 
-def herm_eig(h, rtol: float = HERMITICITY_RTOL) -> EigenDecomposition:
+def herm_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     ``h`` is one d x d matrix or a ``(..., d, d)`` stack; the result then
@@ -88,7 +89,7 @@ def herm_eig(h, rtol: float = HERMITICITY_RTOL) -> EigenDecomposition:
     pass :func:`require_hermitian`; otherwise a :class:`NonHermitianError`
     reports the worst one.
     """
-    h = require_hermitian(h, rtol)
+    h = require_hermitian(h)
     w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 

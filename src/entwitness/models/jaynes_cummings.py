@@ -83,30 +83,25 @@ from ..spaces import (
     signature,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JCConfig:
     nbar: float
-    kt_grid: tuple[float, ...]
+    kt_grid: np.ndarray  # held as a read-only float64 array, converted once
     fock_dim: int = 20
     omega: float = 1.0
     kappa: float = 0.1
     atom_initial: str = "excited"
 
     def __post_init__(self):
-        object.__setattr__(self, "kt_grid", tuple(float(t) for t in self.kt_grid))
+        kt = np.array(self.kt_grid, dtype=float)
+        kt.setflags(write=False)
+        object.__setattr__(self, "kt_grid", kt)
         if self.nbar < 0:
             raise ValueError("thermal occupation must be nonnegative")
         if self.atom_initial not in ("excited", "ground"):
             raise ValueError(f"unknown atom_initial '{self.atom_initial}'")
         if self.kappa <= 0:
             raise ValueError("coupling must be positive")
-
-    @functools.cached_property
-    def kt(self) -> np.ndarray:
-        """``kt_grid`` as a read-only array, converted once."""
-        kt = np.asarray(self.kt_grid)
-        kt.setflags(write=False)
-        return kt
 
 
 def jc_signature(fock_dim: int) -> SpaceSignature:
@@ -187,7 +182,7 @@ def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTra
     sig, h, observables = system(dim, cfg.omega, cfg.kappa)
     atom = ops.EXCITED if cfg.atom_initial == "excited" else ops.GROUND
     projector = embed(np.outer(atom, atom.conj()), "atom", sig)
-    times = cfg.kt / cfg.kappa
+    times = cfg.kt_grid / cfg.kappa
     n = times.size
     cap = max(1, spaces._BLOCK_BYTES // (16 * max(n, 1) * len(observables)))
     live = list(weights)
@@ -204,7 +199,7 @@ def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTra
                 results[i] = err
                 continue
             results[i] = JCWitnessTrace(
-                batch[i].kt.copy(),
+                batch[i].kt_grid.copy(),
                 m[j, :, 0, 0].real,
                 m[j, :, 1, 1].real,
                 abs(m[j, :, 0, 1]),
@@ -217,7 +212,7 @@ def _traces_at_dim(batch: list[JCConfig], dim: int, system) -> list[JCWitnessTra
 
 def _batch_key(cfg: JCConfig) -> tuple:
     """Configs of one key share the system, the atom start and the time grid, bit for bit."""
-    return (cfg.fock_dim, cfg.omega, cfg.kappa, cfg.atom_initial, cfg.kt.tobytes())
+    return (cfg.fock_dim, cfg.omega, cfg.kappa, cfg.atom_initial, cfg.kt_grid.tobytes())
 
 
 def jc_witness_traces(cfgs: Iterable[JCConfig]) -> list[JCWitnessTrace]:

@@ -49,10 +49,10 @@ need only the image of the vacuum, column 0, and
 :func:`squeezed_single_photon` only column 1; a column costs one
 matrix-vector product in the block that holds its level.
 
-The Gaussian and thermal states are checked under the one truncation rule
-of :func:`~entwitness.spaces.require_low_leakage`: the four Gaussian states
-through :func:`_checked_column`, :func:`thermal` on its weights.  A unitary
-factory checks its column 0, the image of the vacuum.
+The Gaussian and thermal states are checked under the one truncation rule,
+:func:`~entwitness.spaces.check_leakage`, on the level populations they
+hold: |column|^2 in :func:`_checked_column`, and the thermal weights.  A
+unitary factory checks its column 0, the image of the vacuum.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ from .spaces import (
     LabeledOperator,
     SectorSpectrum,
     State,
-    StateVector,
     boson,
+    check_leakage,
     expectation,
-    require_low_leakage,
     signature,
+    top_two_population,
 )
 
 
@@ -134,8 +134,7 @@ def _unit_spectrum(kind: str, dim: int) -> SectorSpectrum:
 def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str) -> np.ndarray:
     """R(phase) exp(magnitude K) R(phase)^dag; raises if its column 0 leaks.
 
-    Column 0 is the image of the vacuum, checked as one bosonic factor
-    named ``label``.
+    Column 0 is the image of the vacuum; its leakage is reported under ``label``.
     """
     spectrum = _unit_spectrum(kind, dim)
     if magnitude == 0:
@@ -145,7 +144,7 @@ def _checked_exp(kind: str, magnitude: float, phase: float, dim: int, label: str
         ph = np.exp(1j * phase * np.arange(dim))
         u *= ph[:, None]
         u *= ph.conj()
-    require_low_leakage(StateVector(signature(boson(label, dim)), u[:, 0]))
+    check_leakage(label, top_two_population(np.abs(u[:, 0]) ** 2))
     return u
 
 
@@ -185,10 +184,10 @@ def _checked_column(
 ) -> np.ndarray:
     """Column n of :func:`_checked_exp`, without the D x D unitary; raises if it leaks.
 
-    The column is checked as one bosonic factor named ``label``.
+    Its leakage is reported under ``label``.
     """
     column = _unit_column(kind, magnitude, phase, dim, n)
-    require_low_leakage(StateVector(signature(boson(label, dim)), column))
+    check_leakage(label, top_two_population(np.abs(column) ** 2))
     return column
 
 
@@ -324,19 +323,20 @@ def thermal(nbar: float, dim: int) -> np.ndarray:
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
     """Geometric thermal level populations, renormalized to sum 1; raises if they leak.
 
-    The weights are checked as the vector sqrt(w), whose level populations
-    are w, before any matrix is built; so a refusal costs O(dim).
+    The weights are the level populations, checked as they are before any
+    matrix is built; so a refusal costs O(dim).
     """
     if nbar < 0:
         raise ValueError("mean photon number must be nonnegative")
+    if dim < 2:
+        raise ValueError(f"thermal weights need dim >= 2, got {dim}")
     if nbar == 0:
         w = np.zeros(dim)
         w[0] = 1.0
     else:
         q = nbar / (1.0 + nbar)
         w = q ** np.arange(dim) / (1.0 + nbar)
-        mode = signature(boson(f"thermal(nbar={nbar})", dim))
-        require_low_leakage(StateVector(mode, np.sqrt(w)))
+        check_leakage(f"thermal(nbar={nbar})", top_two_population(w))
         w = w / w.sum()
     return w
 

@@ -20,15 +20,11 @@ from typing import Callable
 ESTIMATES_PER_MIDPOINT = 3
 # probes at estimates that leave their midpoint undecided, over the whole scan
 MISSED_ESTIMATES = 6
+# midpoints bisection walks at most, whatever the tolerance
+MAX_MIDPOINTS = 200
 
 
-def threshold_scan(
-    predicate: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iter: int = 200,
-) -> float:
+def threshold_scan(predicate: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Locate the flip point of a monotone predicate on [lo, hi].
 
     ``predicate(s)`` returns a bool, or a real margin whose sign is the
@@ -36,7 +32,7 @@ def threshold_scan(
     [lo, hi] and differ at the two endpoints.  The result is the midpoint of
     the bracket that bisection on the verdicts narrows to below ``tol``, bit
     for bit.  Bisection walks n midpoints, the least n with
-    (hi - lo) / 2**n < tol, and at most ``max_iter``.
+    (hi - lo) / 2**n < tol, and at most :data:`MAX_MIDPOINTS`.
 
     The scan keeps [a, b], the last evaluated points with each verdict.  A
     midpoint at or outside it takes its verdict from it, which monotonicity
@@ -66,7 +62,7 @@ def threshold_scan(
     a, b, fa, fb = lo, hi, float(f_lo), float(f_hi)
     moved = 0  # the side the last probe moved: -1 for a, +1 for b
     missed = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_MIDPOINTS):
         if hi - lo < tol:
             break
         mid = 0.5 * (lo + hi)

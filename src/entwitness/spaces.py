@@ -45,15 +45,15 @@ product.  :data:`_BLOCK_BYTES` bounds the observable blocks held at once
 and their products with the state blocks.
 
 Truncation policy: each bosonic factor has an explicit dimension, and the
-population of its top two levels ("leakage") measures how badly a state is
-feeling the cutoff.  Only two functions hold the policy, and the package
-has no other.  :func:`check_leakage` raises :class:`LeakageError` once a
-measured leakage reaches :data:`LEAKAGE_THRESHOLD`.  It judges each bosonic
-factor of a state in :func:`require_low_leakage` (raw vectors are wrapped in
-a state whose factor labels name what is checked), and the largest entry of
-a :func:`leakage_projector` column of an :func:`evolved_expectations` table.
-:func:`escalate_fock_dim` is the only retry: it runs again with the
-truncation doubled, capped at :data:`MAX_FOCK_DIM`.
+population of its top two levels ("leakage", :func:`top_two_population`)
+measures how badly a state is feeling the cutoff.  Its only settings are
+:data:`LEAKAGE_THRESHOLD` and :data:`MAX_FOCK_DIM`, read at call time.
+:func:`check_leakage` raises :class:`LeakageError` once a leakage reaches
+the threshold; it judges every bosonic factor of a state in
+:func:`require_low_leakage`, the level populations a factory holds, and
+the largest entry of a :func:`leakage_projector` column of an
+:func:`evolved_expectations` table.  :func:`escalate_fock_dim` is the only
+retry: it runs again with the truncation doubled, capped at the maximum.
 
 All values here are immutable and safe to share across threads; the
 only state an operator changes is its cached full-space matrix, dense
@@ -609,8 +609,9 @@ def _charge_changes(term: LabeledOperator) -> frozenset[int]:
         charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
         for ax in term.axes:
             charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
-        rows, cols = np.nonzero(term.local)
-        return frozenset((charge[rows] - charge[cols]).tolist())
+        top = int(charge[-1])  # changes lie in [-top, top]; counted shifted by top
+        counts = np.bincount(np.subtract.outer(charge, charge)[term.local != 0] + top)
+        return frozenset((np.flatnonzero(counts) - top).tolist())
     fn, x, y = expr
     if fn is np.multiply:
         return _charge_changes(x)
@@ -964,10 +965,14 @@ def level_populations(state: State, label: str) -> np.ndarray:
     return probs.sum(axis=other) if other else probs
 
 
+def top_two_population(populations: np.ndarray) -> float:
+    """The population of a factor's top two levels, from its level populations."""
+    return float(populations[-2:].sum())
+
+
 def leakage(state: State, label: str) -> float:
     """Population of the top two levels of a bosonic factor."""
-    pops = level_populations(state, label)
-    return float(pops[-2:].sum())
+    return top_two_population(level_populations(state, label))
 
 
 def leakage_projector(sig: SpaceSignature, label: str) -> LabeledOperator:
@@ -976,39 +981,30 @@ def leakage_projector(sig: SpaceSignature, label: str) -> LabeledOperator:
     return embed(Band.diagonal((np.arange(dim) >= dim - 2).astype(float)), label, sig)
 
 
-def check_leakage(label: str, population: float, threshold: float = LEAKAGE_THRESHOLD) -> float:
-    """Raise :class:`LeakageError` if a factor's top-two population reaches ``threshold``; else return it."""
-    if population >= threshold:
-        raise LeakageError(label, population, threshold)
+def check_leakage(label: str, population: float) -> float:
+    """Raise :class:`LeakageError` if ``population`` reaches :data:`LEAKAGE_THRESHOLD`; else return it."""
+    if population >= LEAKAGE_THRESHOLD:
+        raise LeakageError(label, population, LEAKAGE_THRESHOLD)
     return population
 
 
-def require_low_leakage(
-    state: State,
-    labels: Iterable[str] | None = None,
-    threshold: float = LEAKAGE_THRESHOLD,
-) -> float:
-    """Raise :class:`LeakageError` if a bosonic factor leaks; return the worst leakage."""
-    sig = state.signature
-    if labels is None:
-        labels = [f.label for f in sig.factors if f.kind == BOSON]
-    worst = 0.0
-    for lab in labels:
-        worst = max(worst, check_leakage(lab, leakage(state, lab), threshold))
-    return worst
+def require_low_leakage(state: State) -> float:
+    """Raise :class:`LeakageError` if any bosonic factor of ``state`` leaks; return the worst leakage."""
+    bosons = [f.label for f in state.signature.factors if f.kind == BOSON]
+    return max([0.0] + [check_leakage(lab, leakage(state, lab)) for lab in bosons])
 
 
-def escalate_fock_dim(run, start_dim: int, max_dim: int = MAX_FOCK_DIM):
+def escalate_fock_dim(run, start_dim: int):
     """Retry ``run(dim)`` with doubled truncation until leakage is acceptable.
 
     ``run`` must raise :class:`LeakageError` when the truncation is too
-    small.  Dimensions double from ``start_dim`` up to ``max_dim``.
+    small.  Dimensions double from ``start_dim`` up to :data:`MAX_FOCK_DIM`.
     """
     dim = int(start_dim)
     while True:
         try:
             return run(dim)
         except LeakageError:
-            if dim >= max_dim:
+            if dim >= MAX_FOCK_DIM:
                 raise
-            dim = min(2 * dim, max_dim)
+            dim = min(2 * dim, MAX_FOCK_DIM)

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entwitness import linalg
+from entwitness import linalg, spaces
 from entwitness import operators as ops
 from entwitness.models import dicke as dk
 from entwitness.models import jaynes_cummings as jc
@@ -514,6 +514,23 @@ def test_a_generator_of_charge_step_m_is_eigensolved_on_the_charge_classes_mod_m
         for state in states:
             rho_t = ut @ density_of(state) @ ut.conj().T
             np.testing.assert_allclose(density_of(evolve(h, t, state)), rho_t, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(
+    kinds=st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3),
+    fill=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_charge_changes_of_a_dense_local_are_those_of_its_nonzero_entries(kinds, fill, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    axes = [int(ax) for ax in rng.permutation(len(sig.factors))[: rng.integers(1, len(sig.factors) + 1)]]
+    q = _local_charges(sig, axes)
+    local = np.where(rng.random((q.size, q.size)) < fill, _rand(rng, q.size), 0)
+    rows, cols = np.nonzero(local)
+    want = {int(q[i] - q[j]) for i, j in zip(rows, cols)}
+    assert spaces._charge_changes(LabeledOperator(sig, local, axes=axes)) == want
 
 
 def test_an_operator_of_charge_steps_2_and_3_is_whole(eig_shapes):

@@ -218,7 +218,7 @@ def test_product_state_and_leakage():
         require_low_leakage(st)
 
 
-def test_escalate_fock_dim_doubles_until_ok():
+def test_escalate_fock_dim_doubles_until_ok(monkeypatch):
     attempts = []
 
     def run(dim):
@@ -233,11 +233,12 @@ def test_escalate_fock_dim_doubles_until_ok():
     def always_bad(dim):
         raise LeakageError("a", 1.0, 1e-6)
 
+    monkeypatch.setattr(spaces, "MAX_FOCK_DIM", 20)
     with pytest.raises(LeakageError):
-        escalate_fock_dim(always_bad, 10, max_dim=20)
+        escalate_fock_dim(always_bad, 10)
 
 
-def test_require_low_leakage_returns_worst_and_raises_at_threshold():
+def test_require_low_leakage_returns_worst_and_raises_at_threshold(monkeypatch):
     sig = signature(boson("a", 4), boson("b", 4), qubit("q"))
     parts = {
         "a": np.sqrt([0.9, 0.0, 0.06, 0.04]),
@@ -245,13 +246,16 @@ def test_require_low_leakage_returns_worst_and_raises_at_threshold():
         "q": [0.0, 1.0],  # qubits are not bosonic factors and are never checked
     }
     st = product_state(sig, parts)
-    worst = require_low_leakage(st, threshold=1.0)
+    monkeypatch.setattr(spaces, "LEAKAGE_THRESHOLD", 1.0)
+    worst = require_low_leakage(st)
     assert worst == leakage(st, "b") == pytest.approx(0.2)
-    assert require_low_leakage(st, ["a"], threshold=1.0) == pytest.approx(0.1)
-    assert require_low_leakage(st.to_density(), threshold=1.0) == pytest.approx(worst, abs=1e-15)
+    assert leakage(st, "a") == pytest.approx(0.1)
+    assert require_low_leakage(st.to_density()) == pytest.approx(worst, abs=1e-15)
+    monkeypatch.setattr(spaces, "LEAKAGE_THRESHOLD", worst)
     with pytest.raises(LeakageError) as err:
-        require_low_leakage(st, threshold=worst)
+        require_low_leakage(st)
     assert err.value.label == "b"
+    monkeypatch.undo()
     vacuum = product_state(sig, {"a": operators.fock(0, 4), "b": operators.fock(0, 4), "q": [1, 0]})
     assert require_low_leakage(vacuum) == 0.0
 

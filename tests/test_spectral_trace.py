@@ -48,7 +48,7 @@ def _reference_at_dim(cfg: JCConfig, dim: int) -> dict:
     out = {"m11": [], "m22": [], "abs_m12": [], "lambda_max": [], "leak": 0.0}
     for kt in cfg.kt_grid:
         rho_t = evolve(h, kt / cfg.kappa, rho0)
-        out["leak"] = max(out["leak"], require_low_leakage(rho_t, ["field"]))
+        out["leak"] = max(out["leak"], require_low_leakage(rho_t))
         da = ops.delta(a, rho_t)
         m = witnesses.witness_matrix_expand_b(rho_t, sm, [da, da.dag()]).matrix
         out["m11"].append(m[0, 0].real)

@@ -1,7 +1,7 @@
 """One truncation rule and one retry, for the jc thermal start and S(z)|1>.
 
 A jc thermal start too wide for its truncation is refused by the leakage
-rule of `spaces.require_low_leakage` inside `ops.thermal`, before the jc
+rule of `spaces.check_leakage` inside `ops.thermal_weights`, before the jc
 system is built, and `escalate_fock_dim` doubles the truncation: a trace
 that escalated equals, bit for bit, the trace started where it ended.  A
 start that no truncation up to `MAX_FOCK_DIM` holds raises `LeakageError`
@@ -10,7 +10,9 @@ exits 3 from the CLI.  S(z)|1> passes the
 same check as every factory state, under its own label.  The trace judges
 the largest entry of its table's leakage column; the state evolved to that
 grid time and measured whole gives the same leakage and the same
-escalation.
+escalation.  Each policy has one setting, a module constant read at call
+time: `spaces.LEAKAGE_THRESHOLD`, `spaces.MAX_FOCK_DIM` and
+`linalg.HERMITICITY_RTOL`.
 """
 
 import json
@@ -19,16 +21,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entwitness import cli
+from entwitness import cli, linalg, spaces
 from entwitness import operators as ops
 from entwitness.models import jaynes_cummings as jc
 from entwitness.spaces import (
     DensityMatrix,
     LeakageError,
+    boson,
     escalate_fock_dim,
     evolve,
     evolved_expectations,
+    product_state,
     require_low_leakage,
+    signature,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -63,7 +68,7 @@ def _evolved_state_leakage(cfg, dim):
     rho0 = DensityMatrix(sig, np.kron(field, np.outer(atom, atom.conj())))
     times = np.asarray(cfg.kt_grid) / cfg.kappa
     top_pop = evolved_expectations(h, times, rho0, observables[:1])[:, 0].real
-    return dim, require_low_leakage(evolve(h, times[np.argmax(top_pop)], rho0), ["field"])
+    return dim, require_low_leakage(evolve(h, times[np.argmax(top_pop)], rho0))
 
 
 @SETTINGS
@@ -148,3 +153,56 @@ def test_the_squeezed_single_photon_is_checked_under_its_own_label():
 def test_two_mode_invariant_refuses_a_leaking_single_photon_branch(capsys):
     assert cli.main(["two-mode-invariant", "--fock-dim", "64", "--r-values", "1.1"]) == 3
     assert "factor 'squeeze(z=1.1) |1>'" in capsys.readouterr().err
+
+
+def test_every_judge_of_the_rule_reads_the_leakage_threshold_when_called(monkeypatch):
+    # each of these passes at 1e-6 and holds between 1e-7 and 1e-6 in its top two levels
+    leaky = product_state(signature(boson("a", 4)), {"a": np.sqrt([1 - 5e-7, 0.0, 5e-7, 0.0])})
+    jc_cfg = jc.JCConfig(nbar=0.05, kt_grid=(0.0, 1.0, 2.0, 3.0), fock_dim=8)
+    ops.squeezed_vacuum(0.4, 16)
+    ops.thermal_weights(0.02, 6)
+    require_low_leakage(leaky)
+    trace = jc.jc_witness_trace(jc_cfg)  # the thermal start holds 1.2e-8, the trace 2.4e-7
+    assert trace.fock_dim == 8 and 1e-7 < trace.max_leakage < 1e-6
+
+    monkeypatch.setattr(spaces, "LEAKAGE_THRESHOLD", 1e-7)
+    monkeypatch.setattr(spaces, "MAX_FOCK_DIM", 8)
+    with pytest.raises(LeakageError, match=r"'squeeze\(z=0\.4\)'"):
+        ops.squeezed_vacuum(0.4, 16)
+    with pytest.raises(LeakageError, match=r"'thermal\(nbar=0\.02\)'"):
+        ops.thermal_weights(0.02, 6)
+    with pytest.raises(LeakageError, match="'a'"):
+        require_low_leakage(leaky)
+    with pytest.raises(LeakageError) as err:
+        jc.jc_witness_trace(jc_cfg)
+    assert (err.value.label, err.value.population, err.value.threshold) == ("field", trace.max_leakage, 1e-7)
+
+    monkeypatch.setattr(spaces, "LEAKAGE_THRESHOLD", 1e-3)
+    assert ops.squeezed_vacuum(0.7, 16).shape == (16,)  # 2.7e-4 in its top two levels
+
+
+def test_escalation_reads_the_truncation_cap_when_called(monkeypatch):
+    attempts = []
+
+    def always_bad(dim):
+        attempts.append(dim)
+        raise LeakageError("a", 1.0, 1e-6)
+
+    monkeypatch.setattr(spaces, "MAX_FOCK_DIM", 20)
+    with pytest.raises(LeakageError):
+        escalate_fock_dim(always_bad, 5)
+    assert attempts == [5, 10, 20]
+    # nbar 2 escalates from 20 to 40 under the default cap
+    with pytest.raises(LeakageError, match=r"thermal\(nbar=2\.0\)"):
+        jc.jc_witness_trace(jc.JCConfig(nbar=2.0, kt_grid=(0.0, 1.0), fock_dim=20))
+
+
+def test_the_eigensolver_reads_the_hermiticity_tolerance_when_called(monkeypatch):
+    h = np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]])
+    with pytest.raises(linalg.NonHermitianError):
+        linalg.herm_eig(h)
+    monkeypatch.setattr(linalg, "HERMITICITY_RTOL", 1e-6)
+    np.testing.assert_allclose(linalg.herm_eig(h).eigenvalues, [-1.0 - 5e-9, 1.0 + 5e-9], rtol=1e-15)
+    monkeypatch.setattr(linalg, "HERMITICITY_RTOL", 1e-9)
+    with pytest.raises(linalg.NonHermitianError, match="exceeds tolerance 1.000e-09"):
+        linalg.require_hermitian(h)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwitness import operators as ops
+from entwitness import spaces
 from entwitness.spaces import LEAKAGE_THRESHOLD, LeakageError
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -141,7 +142,7 @@ def test_the_column_helper_equals_a_column_of_the_unitary(kind, n, dim, fraction
     magnitude, phase, label = STATES[kind][1](fraction * STATES[kind][2], arg)
     with pytest.MonkeyPatch.context() as mp:
         # compare past the truncation edge too: the helper itself checks nothing
-        mp.setattr(ops, "require_low_leakage", lambda state: None)
+        mp.setattr(spaces, "LEAKAGE_THRESHOLD", math.inf)
         full = ops._checked_exp(kind, magnitude, phase, dim, label)
     column = ops._unit_column(kind, magnitude, phase, dim, n)
     assert np.abs(column - full[:, n]).max() <= 1e-13

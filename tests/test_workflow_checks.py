@@ -1,22 +1,32 @@
-"""Checks of the workflow's console-script smoke step, run in-process by ``cli.main``.
+"""End-to-end checks of the CLI, run in-process by ``cli.main``.
 
-Each test is one check that the step used to run as an ``entwitness``
-command followed by a ``python -c`` assertion on its CSV or sidecar, with
-the same argv and the same assertion; the fock-320 jc guard bounds the
-traced peak memory of the run instead of patching one operator method.
-The guards that patch a method to refuse a D x D unitary, a wide
+Each test is one check that the CI workflow used to run as an
+``entwitness`` command followed by a ``python -c`` assertion on its CSV or
+sidecar, with the same argv and the same assertion; the fock-320 jc guard
+bounds the traced peak memory of the run instead of patching one operator
+method.  The guards that patch a method to refuse a D x D unitary, a wide
 eigensolve or a dense local first empty the Gaussian spectrum caches, so
-the run eigensolves as a fresh process would.
+the run eigensolves as a fresh process would.  The CSV byte path is
+compared with the row path, and the hashed ppt trial streams with
+``default_rng``, byte for byte on the same argv.  Which scipy submodules a
+run loads is read in a fresh interpreter, since this one has long since
+imported them.
 """
 
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from entwitness import cli, linalg, spaces
+import entwitness
+from entwitness import cli, families, linalg, spaces
 from entwitness import operators as ops
 
 
@@ -191,3 +201,91 @@ def test_beamsplitters_at_fock_dim_24_eigensolves_nothing_wider_than_24_and_buil
     assert rows
     assert all(r["sim_matrix_entangled"] == r["matrix_entangled"] for r in rows)
     assert all(abs(float(r["sim_M11"]) - float(r["M11"])) <= 1e-7 for r in rows)
+
+
+def test_ppt_json_rows_are_typed_and_print_as_the_csv_rows(tmp_path):
+    argv = ["ppt-crosscheck", "--trials", "37", "--dims", "4x2,2x2,3x5", "--seed", "3"]
+    assert cli.main([*argv, "--output", str(tmp_path / "ppt.csv")]) == 0
+    assert cli.main([*argv, "--format", "json", "--output", str(tmp_path / "ppt.json")]) == 0
+    with open(tmp_path / "ppt.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    js = json.loads((tmp_path / "ppt.json").read_text())["rows"]
+    assert len(rows) == len(js) == 37
+    assert {type(v) for j in js for v in j.values()} == {str, int, bool, float}
+    assert all(r == {k: cli._format_cell(v) for k, v in j.items()} for r, j in zip(rows, js))
+
+
+def test_two_mode_invariant_at_fock_dim_128_keeps_its_verdicts(tmp_path):
+    rows = _fresh_rows(tmp_path, ["two-mode-invariant", "--fock-dim", "128", "--r-values", "0.2,1.1"])
+    assert _verdicts(rows) == [(0.2, "true", "true"), (1.1, "true", "false")]
+
+
+def test_lur_atom_field_is_violated_exactly_inside_the_quarter_turn(tmp_path):
+    rows = _fresh_rows(tmp_path, ["lur", "--mode", "atom-field", "--points", "9"])
+    assert len(rows) == 18
+
+    def inner(t):
+        return 1e-12 < abs(t) < math.pi / 4 - 1e-9
+
+    assert all(
+        (r["violated"] == "true") == (inner(float(r["theta"])) and (float(r["theta"]) < 0) == (float(r["phi"]) == 0.0))
+        for r in rows
+    )
+
+
+def test_lur_at_fock_dim_56_meets_its_closed_form(tmp_path):
+    rows = _fresh_rows(tmp_path, ["lur", "--fock-dim", "56", "--r-values", "0.1,0.3,0.5"])
+    assert len(rows) == 3
+    assert all(
+        abs(float(r[k]) / math.exp(s * 2 * float(r["r"])) - 1) <= 1e-12
+        for r in rows
+        for k, s in (("value_pi_phase", -1), ("value_plus_phase", 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jc-thermal", "--points", "20000"],
+        ["ppt-crosscheck", "--trials", "5000", "--dims", "2x4,3x3,4x4,3x5", "--seed", "9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_csv_byte_path_writes_the_row_paths_bytes(tmp_path, monkeypatch, argv):
+    assert cli.main([*argv, "--output", str(tmp_path / "bytes.csv")]) == 0
+    monkeypatch.setattr(cli, "CSV_BYTES_MIN_FLOAT_CELLS", math.inf)
+    assert cli.main([*argv, "--output", str(tmp_path / "rows.csv")]) == 0
+    assert (tmp_path / "bytes.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_the_hashed_ppt_streams_write_the_default_rng_bytes(tmp_path, monkeypatch):
+    argv = ["ppt-crosscheck", "--trials", "2000", "--dims", "2x4,3x3,4x4,3x5", "--seed", "9"]
+    assert cli.main([*argv, "--output", str(tmp_path / "hashed.csv")]) == 0
+    monkeypatch.setattr(
+        families, "_trial_streams", lambda seed, trials: (np.random.default_rng((seed, k)) for k in trials)
+    )
+    assert cli.main([*argv, "--output", str(tmp_path / "default_rng.csv")]) == 0
+    assert (tmp_path / "hashed.csv").read_bytes() == (tmp_path / "default_rng.csv").read_bytes()
+
+
+LAZY_SCIPY = """
+import sys
+import numpy as np
+import entwitness.cli as cli
+assert cli.main(["tavis", "--grid", "20", "--output", sys.argv[1]]) == 0
+assert "scipy" in sys.modules
+assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+from entwitness.models import DickeConfig, dicke_oracle
+res = dicke_oracle(DickeConfig(n_atoms=4, k=2, t=0.5, field_amplitudes=np.array([0.6, 0.8]), dims=(4, 4, 4)))
+assert res.dims == (4, 4, 4)
+assert not {"scipy.sparse", "scipy.sparse.linalg"} & set(sys.modules)
+"""
+
+
+def test_a_tavis_run_and_the_dicke_oracle_leave_the_heavy_scipy_submodules_unloaded(tmp_path):
+    src = str(pathlib.Path(entwitness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY, str(tmp_path / "tavis.csv")], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
