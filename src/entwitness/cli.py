@@ -11,10 +11,14 @@ library version and truncation diagnostics.  Re-running with the same
 configuration and seed is byte-identical.
 
 Every option is one ``Param``: an experiment's own in its ``params``, the
-five shared ones in ``COMMON_PARAMS``.  That table gives the flags of the
-parser, built once per process, and reads the config file: an option takes
+shared ones in ``COMMON_PARAMS``.  An experiment takes ``output``, ``format``
+and ``seed``, and of the opt-in ``fock_dim`` and ``tolerance`` only those its
+runner reads (``Experiment.reads``).  Those tables give the flags of the
+parser, built once per process, and read the config file: an option takes
 its flag value, else its non-null file value read as its flag reads the
-same text, else its default.
+same text, else its default.  An option the experiment does not take exits
+2, as a flag or as a non-null config-file value; the resolved configuration
+still holds it, as ``null``.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
@@ -78,7 +82,13 @@ def parse_field_spec(spec: str, dim: int) -> np.ndarray:
     kind, _, arg = str(spec).partition(":")
     try:
         if kind == "fock":
-            return ops.fock(int(arg), dim)
+            level = int(arg)
+            if level >= dim:
+                raise ConfigError(
+                    f"field spec '{spec}' asks for Fock level {level}, but the truncation {dim} (--fock-dim) "
+                    f"holds levels 0 to {dim - 1}"
+                )
+            return ops.fock(level, dim)
         if kind == "coherent":
             return ops.coherent(complex(arg), dim)
         if kind == "squeezed":
@@ -104,6 +114,8 @@ class Param:
     default: Any
     help: str
     check: Callable[[Any], None] = lambda value: None
+    # a common option offered only to the experiments that list it in ``reads``
+    opt_in: bool = False
 
 
 def _positive_int(name):
@@ -130,6 +142,13 @@ class Experiment:
     params: tuple[Param, ...]
     # (params, seed, common) -> (columns, diagnostics); see the module docstring
     runner: Callable[[dict, int, argparse.Namespace], tuple[dict[str, np.ndarray], dict]]
+    # the opt-in common options the runner reads
+    reads: tuple[str, ...] = ()
+
+    @property
+    def options(self) -> tuple[Param, ...]:
+        """Its own parameters, then the common options it takes."""
+        return (*self.params, *(p for p in COMMON_PARAMS if not p.opt_in or p.name in self.reads))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +322,8 @@ def _run_lur(p: dict, seed: int, common) -> tuple[dict[str, np.ndarray], dict]:
         }
         return columns, {"correlating_branch": "pi", "dim": dim}
     if mode == "atom-field":
+        if common.fock_dim is not None:
+            raise ConfigError("experiment 'lur' does not read 'fock_dim' in mode 'atom-field'")
         thetas = np.linspace(-math.pi / 4, math.pi / 4, int(p["points"]))
         theta, phi, reps = zip(*families.atom_field_lur(thetas, (0.0, math.pi)))
         columns = {
@@ -387,6 +408,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("atom", str, "excited", "initial atom state: excited|ground"),
         ),
         _run_jc_thermal,
+        reads=("fock_dim",),
     ),
     "tavis": Experiment(
         "tavis",
@@ -419,6 +441,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("omega_t_max", float, math.pi, "phase range", _nonnegative("omega_t_max")),
         ),
         _run_dicke,
+        reads=("fock_dim",),
     ),
     "beamsplitters": Experiment(
         "beamsplitters",
@@ -436,6 +459,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("simulate", _bool, True, "run the 3-mode check"),
         ),
         _run_beamsplitters,
+        reads=("fock_dim",),
     ),
     "noise-threshold": Experiment(
         "noise-threshold",
@@ -451,6 +475,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("c1", float, 1 / math.sqrt(2), "first superposition amplitude (bell family)"),
         ),
         _run_noise_threshold,
+        reads=("tolerance",),
     ),
     "two-mode-invariant": Experiment(
         "two-mode-invariant",
@@ -463,6 +488,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("r_values", _float_list, (0.2, 0.6, 0.9, 1.1), "squeeze magnitudes"),
         ),
         _run_two_mode_invariant,
+        reads=("fock_dim",),
     ),
     "lur": Experiment(
         "lur",
@@ -478,6 +504,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("points", int, 41, "theta grid (atom-field)", _positive_int("points")),
         ),
         _run_lur,
+        reads=("fock_dim",),
     ),
     "ppt-crosscheck": Experiment(
         "ppt-crosscheck",
@@ -516,14 +543,16 @@ def _check_tolerance(value: float) -> None:
         raise ConfigError(f"tolerance must be positive, got {value}")
 
 
-# options shared by every experiment; a None default means unset, which for
+# options shared by the experiments; a None default means unset, which for
 # fock_dim and tolerance means the experiment's own value
 COMMON_PARAMS: tuple[Param, ...] = (
     Param("output", str, None, "output file (default stdout)"),
     Param("format", str, "csv", "output format: csv | json", _check_format),
     Param("seed", int, 0, "master seed"),
-    Param("fock_dim", int, None, "Fock truncation per mode (default: the experiment's own)", _check_fock_dim),
-    Param("tolerance", float, None, "criterion tolerance (default: the experiment's own)", _check_tolerance),
+    Param(
+        "fock_dim", int, None, "Fock truncation per mode (default: the experiment's own)", _check_fock_dim, opt_in=True
+    ),
+    Param("tolerance", float, None, "criterion tolerance (default: the experiment's own)", _check_tolerance, opt_in=True),
 )
 
 
@@ -555,9 +584,11 @@ def _read_config_file(exp: Experiment, path: str) -> dict[str, Any]:
         if key not in known:
             raise ConfigError(f"unknown parameter '{key}' for experiment '{exp.name}'")
     common = {p.name: p for p in COMMON_PARAMS}
-    for key in blob:
+    for key, value in blob.items():
         if key not in ("experiment", "params", *common):
             raise ConfigError(f"unknown config key '{key}'")
+        if key in common and value is not None and common[key] not in exp.options:
+            raise ConfigError(f"experiment '{exp.name}' does not read '{key}'")
     entries = [(known[k], v) for k, v in file_params.items()]
     entries += [(common[k], v) for k, v in blob.items() if k in common]
     return {p.name: _parse_file_value(p, v) for p, v in entries if v is not None}
@@ -575,10 +606,13 @@ def _check_finite(name: str, value) -> None:
 
 
 def _resolve_config(exp: Experiment, args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
-    """``(params, common)``: each option's flag value, else its config-file value, else its default."""
+    """``(params, common)``: each option's flag value, else its config-file value, else its default.
+
+    ``common`` holds every common option; one the experiment does not take is None.
+    """
     from_file = _read_config_file(exp, args.config) if args.config else {}
-    values = {}
-    for p in (*exp.params, *COMMON_PARAMS):
+    values = {p.name: None for p in COMMON_PARAMS}
+    for p in exp.options:
         value = getattr(args, p.name)
         if value is None:
             value = from_file.get(p.name, p.default)
@@ -705,9 +739,13 @@ def _write_output(config: dict, columns, diagnostics, common: argparse.Namespace
         sys.stdout.write(payload)
 
 
+def _flag(param: Param) -> str:
+    return f"--{param.name.replace('_', '-')}"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``entwitness`` parser, built once per process; every option flag is one ``Param``."""
+    """The ``entwitness`` parser, built once per process; each option flag is one ``Param`` its experiment takes."""
     parser = argparse.ArgumentParser(
         prog="entwitness",
         description="entanglement-criteria experiments on truncated bosonic/qubit systems",
@@ -718,9 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     desc.add_argument("experiment", choices=sorted(EXPERIMENTS))
     for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name, help=exp.summary)
-        for param in (*exp.params, *COMMON_PARAMS):
+        for param in exp.options:
             p.add_argument(
-                f"--{param.name.replace('_', '-')}",
+                _flag(param),
                 dest=param.name,
                 type=param.parse,
                 default=None,
@@ -745,6 +783,7 @@ def main(argv=None) -> int:
         exp = EXPERIMENTS[args.experiment]
         print(f"{exp.name} - {exp.summary}\n")
         print(exp.description)
+        print("\noptions: " + " ".join(_flag(p) for p in exp.options) + " --config --dump-config")
         return EXIT_OK
 
     exp = EXPERIMENTS[args.command]

@@ -65,8 +65,9 @@ class BSConfig:
             raise ValueError("input state longer than the truncation")
 
     def requires_simple_reduction(self):
-        if self.r1 * self.t1 * self.r2 == 0.0:
-            raise ValueError("the moment reduction needs r1 t1 r2 != 0")
+        # the square, which scales the matrix and divides the simulated margin, underflows first
+        if (self.r1 * self.t1 * self.r2) ** 2 == 0.0:
+            raise ValueError("the moment reduction needs (r1 t1 r2)^2 != 0")
 
 
 def epsilon_state(eps: float, dim: int = 12) -> np.ndarray:

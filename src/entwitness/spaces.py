@@ -81,7 +81,8 @@ QUBIT = "qubit"
 LEAKAGE_THRESHOLD = 1e-6
 MAX_FOCK_DIM = 4096
 # bound on the observable blocks that evolved_expectations holds at once,
-# and on their products with the state blocks
+# on their products with the state blocks, and on the row blocks of a
+# dense local that _charge_changes reads at once
 _BLOCK_BYTES = 512 * 2**10
 # an operand whose expression is this deep is evaluated before it is combined
 # again, so reading an expression (which recurses into it) stays shallow
@@ -609,9 +610,13 @@ def _charge_changes(term: LabeledOperator) -> frozenset[int]:
         charge = np.zeros(1, dtype=np.intp)  # level sum over the term's axes, per local index
         for ax in term.axes:
             charge = (charge[:, None] + np.arange(term.signature.dims[ax])).ravel()
-        top = int(charge[-1])  # changes lie in [-top, top]; counted shifted by top
-        counts = np.bincount(np.subtract.outer(charge, charge)[term.local != 0] + top)
-        return frozenset((np.flatnonzero(counts) - top).tolist())
+        top = int(charge[-1])  # changes lie in [-top, top]; marked shifted by top
+        seen = np.zeros(2 * top + 1, dtype=bool)
+        local = term.local
+        rows = max(1, _BLOCK_BYTES // (9 * charge.size))  # a block's differences and mask
+        for r0 in range(0, charge.size, rows):
+            seen[(charge[r0 : r0 + rows, None] - charge)[local[r0 : r0 + rows] != 0] + top] = True
+        return frozenset((np.flatnonzero(seen) - top).tolist())
     fn, x, y = expr
     if fn is np.multiply:
         return _charge_changes(x)

@@ -399,6 +399,20 @@ def test_bad_amplitude_list_names_itself(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, dim", [(["dicke", "--input", "fock:30"], 24), (["dicke", "--input", "fock:3", "--fock-dim", "3"], 3)]
+)
+def test_a_fock_level_above_the_truncation_names_both(tmp_path, capsys, argv, dim):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 2
+    level = argv[2].split(":")[1]
+    assert capsys.readouterr().err == (
+        f"error: field spec '{argv[2]}' asks for Fock level {level}, "
+        f"but the truncation {dim} (--fock-dim) holds levels 0 to {dim - 1}\n"
+    )
+    assert not out.exists()
+
+
 # one small run of every experiment, and of every mode with columns of its own
 CONTRACT_RUNS = [
     ["jc-thermal", "--nbar", "0.02,0.01", "--points", "7"],

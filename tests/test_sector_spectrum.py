@@ -26,6 +26,7 @@ import functools
 import math
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -531,6 +532,49 @@ def test_the_charge_changes_of_a_dense_local_are_those_of_its_nonzero_entries(ki
     rows, cols = np.nonzero(local)
     want = {int(q[i] - q[j]) for i, j in zip(rows, cols)}
     assert spaces._charge_changes(LabeledOperator(sig, local, axes=axes)) == want
+
+
+def _whole_table_changes(sig, axes, local) -> frozenset:
+    """A dense local's charge changes read from its whole difference table at once."""
+    q = _local_charges(sig, axes)
+    counts = np.bincount(np.subtract.outer(q, q)[local != 0] + q[-1])
+    return frozenset((np.flatnonzero(counts) - q[-1]).tolist())
+
+
+@SETTINGS
+@given(
+    kinds=st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3),
+    fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    block_bytes=st.sampled_from([1, 9 * 5, 2**10, spaces._BLOCK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_charge_changes_read_by_row_blocks_equal_the_whole_table(kinds, fill, block_bytes, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signature(kinds)
+    axes = [int(ax) for ax in rng.permutation(len(sig.factors))[: rng.integers(1, len(sig.factors) + 1)]]
+    q = _local_charges(sig, axes)
+    local = np.where(rng.random((q.size, q.size)) < fill, _rand(rng, q.size), 0)
+    with mock.patch.object(spaces, "_BLOCK_BYTES", block_bytes):  # one row per block, up to the whole local
+        got = spaces._charge_changes(LabeledOperator(sig, local, axes=axes))
+    assert got == _whole_table_changes(sig, axes, local)
+
+
+def test_the_charge_changes_of_a_large_dense_local_hold_no_whole_difference_table():
+    """At fock 1024 the squeeze generator's changes are read in row blocks of at most
+    ``_BLOCK_BYTES``, where the whole intp table and its mask took 9.0 MiB."""
+    n = np.arange(2, 1024)
+    local = np.zeros((1024, 1024), dtype=complex)  # (a^2 - a^dag^2) / 2i, stored dense
+    local[n - 2, n] = -0.5j * np.sqrt(n * (n - 1.0))
+    local[n, n - 2] = 0.5j * np.sqrt(n * (n - 1.0))
+    term = LabeledOperator(signature(boson("a", 1024)), local)
+    tracemalloc.start()
+    try:
+        changes = spaces._charge_changes(term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert changes == {-2, 2}
+    assert peak <= spaces._BLOCK_BYTES + 2**17
 
 
 def test_an_operator_of_charge_steps_2_and_3_is_whole(eig_shapes):
